@@ -6,12 +6,30 @@ the transfer-ratio lower bound.
 All information quantities are in bits (log base 2); ratios (tau, eta,
 transfer ratio) are base-invariant. MI values are floored at -1e-12 and
 clamped to zero; anything more negative indicates a bug and raises.
+
+eta is a ratio of small MIs, so it gets a rounding-error budget instead of
+an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 3-4). Let u = 2^-53, gamma_k = k u / (1 - k u), N the world's cells.
+- A marginal probability p is a sum of at most N non-negative cells
+  (bincount, then numpy sums): relative error at most gamma_N in any order.
+- -p log2 p then moves by at most |log2 p + log2 e| gamma_N p, so an entropy
+  H moves by at most gamma_N (H + log2 e). log2, the product, the longdouble
+  sum and the float64 result add a few u H: charge gamma_{N+4} (H + log2 e).
+- A conditional MI adds three float64 additions, so with entropy terms H_k
+  it is off by at most gamma_{N+7} sum_k (H_k + log2 e).
+- cross_sum = (i_raw - i_e) + (i_e - i_z) + (i_z - i_s) telescopes exactly
+  to i_raw - i_s >= 0 (S is a function of the visible views and history).
+  The computed i_e and i_z cancel up to the rounding of those five
+  additions, gamma_3 times the sum of the three |cross losses|.
+eta = cross_sum / i_raw below 0 by at most that total over i_raw is clamped
+to 0; further below it raises (cross_sum_rounding_bound, clamp_eta).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +37,7 @@ from .errors import DomainError, NumericError, SchemaError, SizeError
 
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
+_LOG2_E = math.log2(math.e)
 
 
 def mixed_radix_encode(values, cards) -> int:
@@ -42,6 +61,37 @@ def _entropy_bits(p: np.ndarray) -> float:
     if nz.size == 0:
         return 0.0
     return float(-np.sum(nz * np.log2(nz), dtype=np.longdouble))
+
+
+def cmi_from_terms(terms) -> float:
+    """I(X; Y | Z) from JointTable.cmi_terms, clamped at 0."""
+    h_xz, h_yz, h_xyz, h_z = terms
+    value = h_xz + h_yz - h_xyz - h_z
+    if value < MI_FLOOR:
+        raise NumericError(f"conditional MI {value} below numerical floor")
+    return max(value, 0.0)
+
+
+def cross_sum_rounding_bound(raw_terms, s_terms, cross_losses, n_cells: int) -> float:
+    """Bound on |computed cross_sum - (i_raw - i_s)| for a world of n_cells
+    cells, from the entropy terms of i_raw and i_s (module docstring)."""
+    def gamma(k):
+        return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+    entropies = sum(abs(h) + _LOG2_E for h in (*raw_terms, *s_terms))
+    return gamma(n_cells + 7) * entropies + gamma(3) * sum(map(abs, cross_losses))
+
+
+def clamp_eta(cross_sum: float, i_raw: float, cross_err: float) -> float:
+    """eta = cross_sum / i_raw, where cross_sum is exactly >= 0 up to its
+    rounding error cross_err: clamped to 0 within cross_err / i_raw below 0,
+    NumericError further below."""
+    if i_raw <= 1e-15:
+        return 0.0
+    eta = cross_sum / i_raw
+    if eta < -cross_err / i_raw:
+        raise NumericError(f"eta {eta} below its rounding bound {-cross_err / i_raw}")
+    return min(max(eta, 0.0), 1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -120,87 +170,64 @@ class JointTable:
         self._axes(ys + zs)
         return self.entropy(ys + zs) - self.entropy(zs)
 
-    def cond_mutual_info(self, xs, ys, zs=()) -> float:
-        """I(X; Y | Z) = H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), clamped at 0."""
+    def cmi_terms(self, xs, ys, zs=()) -> tuple[float, float, float, float]:
+        """The entropies (H(X,Z), H(Y,Z), H(X,Y,Z), H(Z)) behind I(X; Y | Z)."""
         xs, ys, zs = tuple(xs), tuple(ys), tuple(zs)
         if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
             raise SchemaError("X, Y, Z must be disjoint variable sets")
         self._axes(xs + ys + zs)
-        value = (
-            self.entropy(xs + zs)
-            + self.entropy(ys + zs)
-            - self.entropy(xs + ys + zs)
-            - self.entropy(zs)
-        )
-        if value < MI_FLOOR:
-            raise NumericError(f"conditional MI {value} below numerical floor")
-        return max(value, 0.0)
+        return (self.entropy(xs + zs), self.entropy(ys + zs),
+                self.entropy(xs + ys + zs), self.entropy(zs))
+
+    def cond_mutual_info(self, xs, ys, zs=()) -> float:
+        """I(X; Y | Z) = H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), clamped at 0."""
+        return cmi_from_terms(self.cmi_terms(xs, ys, zs))
 
     # -- restructuring ----------------------------------------------------
 
-    def _var_index_column(self, name: str, base: np.ndarray) -> np.ndarray:
-        """Per-cell value of one variable over the flattened table."""
+    def _axis_grid(self, name: str) -> np.ndarray:
+        """Values 0..card-1 of one variable, laid on its own axis so the
+        grid broadcasts against the table."""
         axis = self._axes((name,))[0]
-        stride = 1
-        for c in self.cards[axis + 1 :]:
-            stride *= c
-        return (base // stride) % self.cards[axis]
+        shape = [1] * len(self.cards)
+        shape[axis] = self.cards[axis]
+        return np.arange(self.cards[axis], dtype=np.int64).reshape(shape)
 
     def remap(self, outputs) -> "JointTable":
         """Project onto a new variable list; entries are either existing
         variable names (kept as-is) or Derived specs.
 
-        The key is folded incrementally so peak memory stays at a few
-        int64 columns even for multi-million-cell tables.
+        Each output column is a small grid that broadcasts against the
+        table: an axis arange for a kept variable, the Derived codes looked
+        up by the mixed-radix grid of its source axes otherwise. Only the
+        folded cell key is materialized at full size, so peak memory is one
+        int64 per cell plus grids sized on their referenced axes.
         """
-        resolved = []  # (name, card, column builder)
+        resolved = []  # (name, card, index grid)
         for spec in outputs:
             if isinstance(spec, str):
-                resolved.append((spec, self.card_of(spec), spec))
+                resolved.append((spec, self.card_of(spec), self._axis_grid(spec)))
                 continue
             src_cards = tuple(self.card_of(s) for s in spec.sources)
             lut_values: dict[object, int] = {}
-            combo_count = 1
-            for c in src_cards:
-                combo_count *= c
-            lut = np.empty(combo_count, dtype=np.int64)
+            lut = np.empty(math.prod(src_cards), dtype=np.int64)
             for flat, combo in enumerate(itertools.product(*(range(c) for c in src_cards))):
-                value = spec.fn(*combo)
-                code = lut_values.setdefault(value, len(lut_values))
-                lut[flat] = code
-            resolved.append((spec.name, max(len(lut_values), 1), (spec.sources, src_cards, lut)))
-        total = 1
-        for _, card, _ in resolved:
-            total *= card
+                lut[flat] = lut_values.setdefault(spec.fn(*combo), len(lut_values))
+            combined = np.zeros((1,) * len(self.cards), dtype=np.int64)
+            for s, c in zip(spec.sources, src_cards):
+                combined = combined * c + self._axis_grid(s)
+            resolved.append((spec.name, max(len(lut_values), 1), lut[combined]))
+        names = [name for name, _, _ in resolved]
+        cards = [card for _, card, _ in resolved]
+        total = math.prod(cards)
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
 
-        base = np.arange(self.probs.size, dtype=np.int64)
-        col_cache: dict[str, np.ndarray] = {}
-
-        def var_col(name):
-            if name not in col_cache:
-                col_cache[name] = self._var_index_column(name, base)
-            return col_cache[name]
-
-        key = np.zeros(self.probs.size, dtype=np.int64)
-        for name, card, builder in resolved:
-            if isinstance(builder, str):
-                col = var_col(builder)
-            else:
-                sources, src_cards, lut = builder
-                combined = np.zeros(self.probs.size, dtype=np.int64)
-                for s, c in zip(sources, src_cards):
-                    combined *= c
-                    combined += var_col(s)
-                col = lut[combined]
-                del combined
-            key *= card
-            key += col
-        del col_cache
+        key = np.zeros((1,) * len(self.cards), dtype=np.int64)
+        for _, card, grid in resolved:
+            key = key * card + grid
+        key = np.broadcast_to(key, self.probs.shape).ravel()
         flat = np.bincount(key, weights=self.probs.ravel(), minlength=total)
-        names = [name for name, _, _ in resolved]
-        cards = [card for _, card, _ in resolved]
         return JointTable(names, cards, flat.reshape(cards))
 
 
@@ -252,14 +279,25 @@ class TablePipeline:
     emb_fn: object
     ae_fn: object
     quant_fn: object
+    # stage_values per (V, E) cell, filled once per world by stage_table
+    _stage_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stage_values(self, world: VerificationWorld, v_idx: int, e_idx: int):
         vm = mixed_radix_decode(v_idx, world.vm_feature_cards)
         ex = mixed_radix_decode(e_idx, world.extra_feature_cards)
         emb = tuple(self.emb_fn(vm, ex[: self.n_extras_visible]))
         z = tuple(self.ae_fn(emb))
-        s = tuple(self.quant_fn(z))
-        return emb, z, s
+        return emb, z, tuple(self.quant_fn(z))
+
+    def stage_table(self, world: VerificationWorld):
+        """stage_values for every (V, E) cell pair of `world`, indexed
+        [v_idx][e_idx]; computed once per world and kept on this pipeline."""
+        tables = self._stage_tables
+        if world not in tables:
+            n_v, n_e = world.table.card_of("V"), world.table.card_of("E")
+            tables[world] = [[self.stage_values(world, v, e) for e in range(n_e)]
+                             for v in range(n_v)]
+        return tables[world]
 
 
 def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
@@ -272,12 +310,10 @@ def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
     steps_v = world.hist_vm_vars(last)
     steps_e = world.hist_extra_vars(last)
     sources = tuple(itertools.chain(*zip(steps_v, steps_e)))
+    stages = pipe.stage_table(world)
 
     def fn(*vals):
-        out = []
-        for i in range(len(vals) // 2):
-            out.append(pipe.stage_values(world, vals[2 * i], vals[2 * i + 1])[stage])
-        return tuple(out)
+        return tuple(stages[v][e][stage] for v, e in zip(vals[0::2], vals[1::2]))
 
     return Derived(name, sources, fn)
 
@@ -328,13 +364,9 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
     step = world.n_hist
     v_name, e_name = hist_var("V", step), hist_var("E", step)
     ecards = world.extra_feature_cards
-
-    def view(e_idx: int) -> int:
-        return mixed_radix_encode(
-            mixed_radix_decode(e_idx, ecards)[:n_visible], ecards[:n_visible]
-        )
-
-    view_d = Derived("Eview", (e_name,), view)
+    # the view's dense codes are its mixed-radix codes: prefixes first
+    # appear in increasing order as E counts up
+    view_d = _extras_derived(world, "Eview", e_name, slice(n_visible))
     t = world.table.remap([v_name, view_d, hist_var("Y", step)])
     joint = t.probs  # (Cv, Cview, 2)
     denom = joint.sum(axis=2)
@@ -366,16 +398,10 @@ def random_table_pipeline(world: VerificationWorld, seed: int,
         emb_fn = posterior_embedding(world, n_visible)
     else:
         dim = 1 + stream.randint(2)
-        vcard = 1
-        for c in world.vm_feature_cards:
-            vcard *= c
-        ecard = 1
-        for c in world.extra_feature_cards[:n_visible]:
-            ecard *= c
-        values = stream.uniforms(vcard * ecard * dim) * 2.0 - 1.0
-        table = values.reshape(vcard, ecard, dim)
         vm_cards = world.vm_feature_cards
         ex_cards = world.extra_feature_cards[:n_visible]
+        vcard, ecard = math.prod(vm_cards), math.prod(ex_cards)
+        table = (stream.uniforms(vcard * ecard * dim) * 2.0 - 1.0).reshape(vcard, ecard, dim)
 
         def emb_fn(vm_values, visible_extras, _table=table):
             v = mixed_radix_encode(vm_values, vm_cards)
@@ -430,7 +456,7 @@ class PipelineReport:
         for name in ("l_repr", "l_ae", "l_q", "l_repr_cross", "l_ae_cross", "l_q_cross"):
             if getattr(self, name) < MI_FLOOR:
                 raise NumericError(f"{name} below numerical floor")
-        if not -1e-12 <= self.eta <= 1.0 + 1e-9:
+        if not 0.0 <= self.eta <= 1.0 + 1e-9:
             raise NumericError(f"eta {self.eta} outside [0, 1]")
 
 
@@ -519,7 +545,7 @@ def _hist_view_vars(world: VerificationWorld, pipe: TablePipeline) -> list[Deriv
     world's full extras set.
     """
     return [
-        _extras_prefix_derived(world, f"Ev{i}", e, pipe.n_extras_visible)
+        _extras_derived(world, f"Ev{i}", e, slice(pipe.n_extras_visible))
         for i, e in enumerate(world.hist_extra_vars())
     ]
 
@@ -564,10 +590,12 @@ def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineRe
     l_q = i_h_z - i_h_s
 
     cond = ("V",) + hist
-    i_raw = t_raw.cond_mutual_info(view_names, ("Y",), cond)
+    raw_terms = t_raw.cmi_terms(view_names, ("Y",), cond)
+    s_terms = t_s.cmi_terms(("Sseq",), ("Y",), cond)
+    i_raw = cmi_from_terms(raw_terms)
     i_e = t_e.cond_mutual_info(("Eseq",), ("Y",), cond)
     i_z = t_z.cond_mutual_info(("Zseq",), ("Y",), cond)
-    i_s = t_s.cond_mutual_info(("Sseq",), ("Y",), cond)
+    i_s = cmi_from_terms(s_terms)
     l_repr_cross = i_raw - i_e
     l_ae_cross = i_e - i_z
     l_q_cross = i_z - i_s
@@ -579,11 +607,12 @@ def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineRe
     loss_sum = l_repr + l_ae + l_q
     cross_sum = l_repr_cross + l_ae_cross + l_q_cross
     tau = loss_sum / i_temporal if i_temporal > 1e-15 else 0.0
-    eta = cross_sum / i_raw if i_raw > 1e-15 else 0.0
+    cross_err = cross_sum_rounding_bound(
+        raw_terms, s_terms, (l_repr_cross, l_ae_cross, l_q_cross), base.probs.size)
     return PipelineReport(
         l_repr=l_repr, l_ae=l_ae, l_q=l_q,
         l_repr_cross=l_repr_cross, l_ae_cross=l_ae_cross, l_q_cross=l_q_cross,
-        tau=tau, eta=min(eta, 1.0 + 1e-9),
+        tau=tau, eta=clamp_eta(cross_sum, i_raw, cross_err),
         i_temporal=i_temporal, i_feature_raw=i_raw, i_cross=i_cross,
         i_residual=i_residual,
         pipeline_bound_slack=loss_sum - i_residual,
@@ -627,22 +656,11 @@ def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,
     return out
 
 
-def _extras_prefix_derived(world: VerificationWorld, name: str, var: str, k: int) -> Derived:
+def _extras_derived(world: VerificationWorld, name: str, var: str, pick) -> Derived:
+    """The extras features of `var` picked by `pick`: slice(k) is the
+    prefix view of the first k features, an int j is feature j alone."""
     cards = world.extra_feature_cards
-
-    def fn(e_idx):
-        return mixed_radix_decode(e_idx, cards)[:k]
-
-    return Derived(name, (var,), fn)
-
-
-def _extras_digit_derived(world: VerificationWorld, name: str, var: str, j: int) -> Derived:
-    cards = world.extra_feature_cards
-
-    def fn(e_idx):
-        return mixed_radix_decode(e_idx, cards)[j]
-
-    return Derived(name, (var,), fn)
+    return Derived(name, (var,), lambda e_idx: mixed_radix_decode(e_idx, cards)[pick])
 
 
 def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):
@@ -655,26 +673,18 @@ def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):
     hist_v = world.hist_vm_vars()
     hist_e = world.hist_extra_vars()
     for j in range(m1, m2):
-        uj = _extras_digit_derived(world, "Uj", "E", j)
-        prefix = _extras_prefix_derived(world, "Epre", "E", j)
+        uj = _extras_derived(world, "Uj", "E", j)
+        prefix = _extras_derived(world, "Epre", "E", slice(j))
         t = world.table.remap(["V", "Y", uj, prefix])
         current.append(t.cond_mutual_info(("Uj",), ("Y",), ("V", "Epre")))
 
-        uj_hist = [
-            _extras_digit_derived(world, f"Uh{i}", e, j)
-            for i, e in enumerate(hist_e)
-        ]
+        uj_hist = [_extras_derived(world, f"Uh{i}", e, j) for i, e in enumerate(hist_e)]
         prefix_hist = [
-            _extras_prefix_derived(world, f"Eph{i}", e, j)
-            for i, e in enumerate(hist_e)
+            _extras_derived(world, f"Eph{i}", e, slice(j)) for i, e in enumerate(hist_e)
         ]
         t2 = world.table.remap(["V", "Y", *hist_v, *uj_hist, *prefix_hist])
-        historical.append(
-            t2.cond_mutual_info(
-                tuple(d.name for d in uj_hist), ("Y",),
-                ("V",) + hist_v + tuple(d.name for d in prefix_hist),
-            )
-        )
+        cond = ("V",) + hist_v + tuple(d.name for d in prefix_hist)
+        historical.append(t2.cond_mutual_info(tuple(d.name for d in uj_hist), ("Y",), cond))
     return current, historical
 
 
@@ -683,8 +693,8 @@ def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
     delta = m2 - m1
     launch = pipe1 is None
 
-    view1 = _extras_prefix_derived(world, "E1v", "E", m1)
-    view2 = _extras_prefix_derived(world, "E2v", "E", m2)
+    view1 = _extras_derived(world, "E1v", "E", slice(m1))
+    view2 = _extras_derived(world, "E2v", "E", slice(m2))
     s2 = _seq_derived(world, pipe2, 2, "S2")
     outputs = ["V", "Y", view1, view2, s2]
     if not launch:
@@ -710,41 +720,27 @@ def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
             (1.0 - rep2.tau) * rep2.i_temporal
             + (1.0 - rep2.eta) * rep2.i_feature_raw
         ) / delta_teacher
-        return TRPopulationReport(
-            tr_pop=tr_pop, tr_lb=tr_lb, holds=tr_pop >= max(tr_lb, 0.0) - 1e-9,
-            bound_applicable=True, a3_holds=True, delta=delta,
-            delta_teacher=delta_teacher, tau2=rep2.tau,
-            eta1=rep2.eta, eta2=rep2.eta,
-            kappa_gap_lo=min(cur), kappa_gap_hi=max(cur),
-            kappa_gap_hist_lo=min(hist), kappa_gap_hist_hi=max(hist),
-            i_temporal=rep2.i_temporal,
+        eta1, applicable, a3_holds = rep2.eta, True, True
+        holds = tr_pop >= max(tr_lb, 0.0) - 1e-9
+    else:
+        a3_holds = (
+            rep2.l_repr_cross + rep2.l_ae_cross + rep2.l_q_cross
+            <= rep1.l_repr_cross + rep1.l_ae_cross + rep1.l_q_cross + 1e-12
         )
-
-    a3_holds = (
-        rep2.l_repr_cross + rep2.l_ae_cross + rep2.l_q_cross
-        <= rep1.l_repr_cross + rep1.l_ae_cross + rep1.l_q_cross + 1e-12
-    )
-    params = TRBoundParams(
-        tau2=rep2.tau,
-        eta1=rep1.eta,
-        kappa_gap_hist_lo=min(hist),
-        kappa_gap_hi=max(cur),
-        i_temporal=rep2.i_temporal,
-        delta=float(delta),
-    )
-    tr_lb = eval_tr_lower_bound(params)
-    applicable = (
-        -params.tau2 * params.i_temporal
-        + (1.0 - params.eta1) * params.kappa_gap_hist_lo * delta
-    ) >= 0.0
-    holds = (tr_pop >= tr_lb - 1e-9) if (applicable and a3_holds) else True
+        eta1 = rep1.eta
+        tr_lb = eval_tr_lower_bound(TRBoundParams(
+            tau2=rep2.tau, eta1=eta1, kappa_gap_hist_lo=min(hist), kappa_gap_hi=max(cur),
+            i_temporal=rep2.i_temporal, delta=float(delta),
+        ))
+        applicable = -rep2.tau * rep2.i_temporal + (1.0 - eta1) * min(hist) * delta >= 0.0
+        holds = (tr_pop >= tr_lb - 1e-9) if (applicable and a3_holds) else True
     return TRPopulationReport(
         tr_pop=tr_pop, tr_lb=tr_lb, holds=holds, bound_applicable=applicable,
         a3_holds=a3_holds, delta=delta, delta_teacher=delta_teacher,
-        tau2=params.tau2, eta1=params.eta1, eta2=rep2.eta,
+        tau2=rep2.tau, eta1=eta1, eta2=rep2.eta,
         kappa_gap_lo=min(cur), kappa_gap_hi=max(cur),
         kappa_gap_hist_lo=min(hist), kappa_gap_hist_hi=max(hist),
-        i_temporal=params.i_temporal,
+        i_temporal=rep2.i_temporal,
     )
 
 

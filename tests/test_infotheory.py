@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embhist.errors import DomainError, NumericError, SchemaError
 from embhist.infotheory import (
-    Derived, JointTable, TablePipeline, TRBoundParams, eval_tr_lower_bound,
-    grid_ae, identity_stage, posterior_embedding, random_table_pipeline,
-    uniform_quantizer, verify_gain_decomposition, verify_gain_sandwich,
-    verify_monotone_L, verify_pipeline, verify_tr_bound_population,
-    xi_from_capacity,
+    Derived, JointTable, TablePipeline, TRBoundParams, clamp_eta, cmi_from_terms,
+    cross_sum_rounding_bound, eval_tr_lower_bound, grid_ae, identity_stage,
+    posterior_embedding, random_table_pipeline, uniform_quantizer,
+    verify_gain_decomposition, verify_gain_sandwich, verify_monotone_L,
+    verify_pipeline, verify_tr_bound_population, xi_from_capacity,
 )
 from embhist.synthworld import WorldSpec, enumerate_world, random_enumerable_spec
 
@@ -28,6 +30,75 @@ def brute_entropy(table, names):
     for idx in itertools.product(*(range(c) for c in arr.shape)):
         acc[idx] = arr[idx]
     return -math.fsum(p * math.log2(p) for p in acc.values() if p > 0)
+
+
+def brute_remap(table, outputs):
+    """Per-cell reference for JointTable.remap: visits every cell of the
+    table in row-major order and adds its mass to the output cell."""
+    luts, cards = {}, []
+    for spec in outputs:
+        if isinstance(spec, str):
+            cards.append(table.cards[table.names.index(spec)])
+            continue
+        src_cards = [table.cards[table.names.index(s)] for s in spec.sources]
+        codes = {}
+        luts[spec.name] = {
+            combo: codes.setdefault(spec.fn(*combo), len(codes))
+            for combo in itertools.product(*(range(c) for c in src_cards))
+        }
+        cards.append(max(len(codes), 1))
+    out = np.zeros(cards)
+    for cell in itertools.product(*(range(c) for c in table.cards)):
+        value = dict(zip(table.names, cell))
+        idx = tuple(
+            value[spec] if isinstance(spec, str)
+            else luts[spec.name][tuple(value[s] for s in spec.sources)]
+            for spec in outputs
+        )
+        out[idx] += table.probs[cell]
+    names = tuple(spec if isinstance(spec, str) else spec.name for spec in outputs)
+    return names, tuple(cards), out
+
+
+def lookup_derived(name, sources, src_cards, codes):
+    """Derived whose value is codes[i] on the i-th row-major combination of
+    its sources, so values first appear in no particular order."""
+    def fn(*vals):
+        flat = 0
+        for v, c in zip(vals, src_cards):
+            flat = flat * c + v
+        return int(codes[flat])
+
+    return Derived(name, sources, fn)
+
+
+def assert_remap_exact(table, outputs):
+    got = table.remap(outputs)
+    names, cards, probs = brute_remap(table, outputs)
+    assert got.names == names
+    assert got.cards == cards
+    assert np.array_equal(got.probs, probs)
+
+
+@st.composite
+def remap_cases(draw):
+    cards = draw(st.lists(st.integers(1, 4), max_size=4))
+    names = [f"x{i}" for i in range(len(cards))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = np.asarray(rng.uniform(0.0, 1.0, cards))
+    table = JointTable(names, cards, probs / probs.sum())
+    # kept variables in a permuted order; the rest may stay unreferenced
+    kept = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
+    outputs = list(kept)
+    for d in range(draw(st.integers(0, 2))):
+        order = draw(st.permutations(names))
+        sources = tuple(order[: draw(st.integers(0, len(names)))])
+        src_cards = [cards[names.index(s)] for s in sources]
+        n_values = draw(st.integers(1, 3))   # 1 gives a constant (card 1)
+        codes = rng.integers(0, n_values, math.prod(src_cards))
+        spec = lookup_derived(f"d{d}", sources, src_cards, codes)
+        outputs.insert(draw(st.integers(0, len(outputs))), spec)
+    return table, outputs
 
 
 class TestJointTable:
@@ -95,6 +166,23 @@ class TestJointTable:
         direct = t.marginal_array(("a", "b"))
         assert np.allclose(r.probs[0], direct[0::2].sum(axis=0), atol=1e-15)
         assert np.allclose(r.probs[1], direct[1::2].sum(axis=0), atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(remap_cases())
+    def test_remap_matches_per_cell_reference(self, case):
+        table, outputs = case
+        assert_remap_exact(table, outputs)
+
+    def test_remap_exact_on_named_shapes(self):
+        t = random_table(("a", "b", "c", "d"), (3, 2, 4, 2), 11)
+        # two sources out of axis order, axis b referenced by nothing
+        pair = lookup_derived("pair", ("d", "a"), (2, 3), [2, 0, 1, 1, 0, 2])
+        const = Derived("k", ("c",), lambda c: "same")
+        assert_remap_exact(t, ["c", pair, const, "a"])
+        assert t.remap([const]).cards == (1,)
+        one = JointTable(("z",), (1,), np.array([1.0]))
+        assert_remap_exact(one, ["z", Derived("k", ("z",), lambda z: 0)])
+        assert_remap_exact(JointTable((), (), np.array(1.0)), [])
 
     def test_dpi_random_deterministic_maps(self):
         rng = np.random.default_rng(17)
@@ -212,6 +300,28 @@ class TestPipelineDecomposition:
                                  identity_stage, uniform_quantizer(bits))
             losses.append(verify_pipeline(world, pipe).l_q_cross)
         assert losses[0] <= losses[1] + 1e-12 <= losses[2] + 2e-12
+
+
+class TestEtaRoundingBudget:
+    @pytest.mark.parametrize("seed", [11, 12, 19, 24])
+    def test_battery_seeds_once_below_absolute_floor(self, seed):
+        # each has a world whose computed eta is a few 1e-12 below 0
+        from embhist.pipeline import theory_battery
+
+        assert theory_battery(20, seed).all_passed
+
+    def test_clamp_within_budget_raise_beyond(self):
+        world = enumerate_world(random_enumerable_spec(3), n_hist=1)
+        cond = ("V",) + world.hist_vm_vars()
+        terms = world.table.cmi_terms(world.hist_extra_vars(), ("Y",), cond)
+        i_raw = cmi_from_terms(terms)
+        err = cross_sum_rounding_bound(terms, terms, (i_raw, 0.0, 0.0),
+                                       world.table.probs.size)
+        assert 0.0 < err < 1e-9
+        assert clamp_eta(-2.8e-12 * i_raw, i_raw, err) == 0.0
+        assert clamp_eta(0.25 * i_raw, i_raw, err) == 0.25
+        with pytest.raises(NumericError):
+            clamp_eta(-1e-6, i_raw, err)
 
 
 class TestSandwich:
