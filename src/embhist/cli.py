@@ -12,7 +12,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,7 @@ def cmd_gen_world(args):
     log = generate(cfg.world, args.seed)
     out = _ensure_parent(Path(args.out))
     log.write_text(out)
-    print(f"wrote {len(log.samples)} events to {out}")
+    print(f"wrote {len(log.labels)} events to {out}")
     return 0
 
 
@@ -189,10 +189,7 @@ def cmd_extract(args):
 
 def _load_teacher(path) -> pipeline.TeacherLog:
     data = np.load(path)
-    return pipeline.TeacherLog(
-        keys=data["keys"], timestamps=data["timestamps"], chunks=data["chunks"],
-        labels=data["labels"], soft=data["soft"], emb=data["emb"],
-    )
+    return pipeline.TeacherLog(**{f.name: data[f.name] for f in fields(pipeline.TeacherLog)})
 
 
 def cmd_train_ae(args):

@@ -19,7 +19,7 @@ import numpy as np
 from . import nncore as nn
 from .errors import ConfigError, FormatError, SchemaError
 from .nncore import Node, ParamStore
-from .synthworld import EventSample, WorldSpec
+from .synthworld import EventLog, WorldSpec
 
 VM_OWNER = "vm_visible"
 EXTRA_OWNER = "fm_extra"
@@ -102,15 +102,6 @@ class FeatureSchema:
         return cls(tuple(feats))
 
 
-def values_of(schema: FeatureSchema, sample: EventSample) -> dict[str, int]:
-    out = {}
-    for j, f in enumerate(schema.vm_features):
-        out[f.name] = sample.vm_values[j]
-    for j, f in enumerate(schema.extra_features):
-        out[f.name] = sample.extra_values[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------
@@ -123,10 +114,6 @@ class FMBatch:
     hist_mask: np.ndarray             # (B, Lh) bool
     labels: np.ndarray                # (B, 1)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
 
 @dataclass
 class VMBatch:
@@ -136,53 +123,69 @@ class VMBatch:
     seq_entries: np.ndarray | None = None  # (B, L, d)
     seq_mask: np.ndarray | None = None     # (B, L)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
+def schema_ids(schema: FeatureSchema, log_: EventLog) -> np.ndarray:
+    """(N, m_k) ids of the log in schema feature order, range-checked once.
 
-def _check_ids(feature: Feature, ids: np.ndarray) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= feature.cardinality):
-        raise SchemaError(
-            f"feature {feature.name!r} id outside [0, {feature.cardinality})"
-        )
+    Visible features take the log's leading columns in order, extra
+    features the columns after the log's visible width, so a schema over
+    a prefix of the extras reads a prefix of those columns.
+    """
+    n_vis = log_.n_visible
+    vm_cols, extra_cols = iter(range(n_vis)), iter(range(n_vis, log_.ids.shape[1]))
+    cols = [next(vm_cols if f.owner == VM_OWNER else extra_cols) for f in schema.features]
+    ids = log_.ids[:, cols]
+    if len(ids):
+        lo, hi = ids.min(axis=0), ids.max(axis=0)
+        for f, low, high in zip(schema.features, lo, hi):
+            if low < 0 or high >= f.cardinality:
+                raise SchemaError(f"feature {f.name!r} id outside [0, {f.cardinality})")
     return ids
 
 
-def make_fm_batch(schema: FeatureSchema, samples, histories, history_len: int) -> FMBatch:
-    """histories[i] is the list of the sample's past events (any order)."""
-    b = len(samples)
-    ids = {}
-    for f in schema.features:
-        ids[f.name] = _check_ids(
-            f, np.array([values_of(schema, s)[f.name] for s in samples])
-        )
-    hist_ids = {f.name: np.zeros((b, history_len), dtype=np.int64) for f in schema.features}
-    mask = np.zeros((b, history_len), dtype=bool)
-    for i, hist in enumerate(histories):
-        recent = list(hist)[-history_len:]
-        for t, ev in enumerate(recent):
-            vals = values_of(schema, ev)
-            for f in schema.features:
-                hist_ids[f.name][i, t] = vals[f.name]
-            mask[i, t] = True
-    for f in schema.features:
-        _check_ids(f, hist_ids[f.name].ravel())
-    labels = np.array([[float(s.label)] for s in samples])
-    return FMBatch(ids=ids, hist_ids=hist_ids, hist_mask=mask, labels=labels)
+def history_index(keys: np.ndarray, history_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, history_len) row indices of each event's same-key past events,
+    plus their mask: positions 0..k-1 hold the last k <= history_len
+    earlier rows of the key, oldest first; masked slots point at row 0."""
+    order = np.argsort(keys, kind="stable")  # rows grouped by key, log order within
+    grouped, at = keys[order], np.arange(len(keys))[:, None]
+    count = np.minimum(at - np.searchsorted(grouped, grouped)[:, None], history_len)
+    slot = np.arange(history_len)
+    mask = slot < count
+    src = np.where(mask, at - count + slot, 0)  # positions in the grouped order
+    rows, hist_mask = np.empty(mask.shape, dtype=np.int64), np.empty_like(mask)
+    rows[order], hist_mask[order] = np.where(mask, order[src], 0), mask
+    return rows, hist_mask
 
 
-def make_vm_batch(schema: FeatureSchema, samples, sequences=None,
-                  soft_labels=None, seq_len: int = 0, seq_dim: int = 0) -> VMBatch:
-    """sequences[i] is a seqstore.SequenceFeature or None."""
-    b = len(samples)
-    ids = {}
-    for f in schema.vm_features:
-        ids[f.name] = _check_ids(
-            f, np.array([values_of(schema, s)[f.name] for s in samples])
-        )
-    labels = np.array([[float(s.label)] for s in samples])
+def make_fm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
+                  rows: np.ndarray, history: tuple[np.ndarray, np.ndarray]) -> FMBatch:
+    """Teacher batch of the given log rows, gathered by fancy indexing.
+
+    `ids` is `schema_ids(schema, log_)`, `labels` the log's label column
+    and `history` its `history_index`; history ids are 0 where masked.
+    """
+    hist_rows, hist_mask = history[0][rows], history[1][rows]
+    batch_ids = ids[rows]
+    hist_ids = np.where(hist_mask[:, :, None], ids[hist_rows], 0)
+    return FMBatch(
+        ids={f.name: batch_ids[:, j] for j, f in enumerate(schema.features)},
+        hist_ids={f.name: hist_ids[:, :, j] for j, f in enumerate(schema.features)},
+        hist_mask=hist_mask,
+        labels=labels[rows].astype(np.float64)[:, None],
+    )
+
+
+def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
+                  rows: np.ndarray, sequences=None, soft_labels=None,
+                  seq_len: int = 0, seq_dim: int = 0) -> VMBatch:
+    """Student batch of the given log rows (visible features only).
+
+    `ids` and `labels` are as for `make_fm_batch`; sequences[i] is a
+    seqstore.SequenceFeature or None for row rows[i].
+    """
+    b = len(rows)
+    batch_ids = ids[rows]
     soft = None
     if soft_labels is not None:
         soft = np.asarray(soft_labels, dtype=np.float64).reshape(b, 1)
@@ -191,13 +194,15 @@ def make_vm_batch(schema: FeatureSchema, samples, sequences=None,
         entries = np.zeros((b, seq_len, seq_dim))
         mask = np.zeros((b, seq_len), dtype=bool)
         for i, seq in enumerate(sequences):
-            if seq is None or seq.length == 0:
-                continue
-            n = seq.length
-            entries[i, :n] = seq.entries[:n]
-            mask[i, :n] = True
-    return VMBatch(ids=ids, labels=labels, soft_labels=soft,
-                   seq_entries=entries, seq_mask=mask)
+            if seq is not None:
+                entries[i, : seq.length] = seq.entries[: seq.length]
+                mask[i, : seq.length] = True
+    return VMBatch(
+        ids={f.name: batch_ids[:, j] for j, f in enumerate(schema.features)
+             if f.owner == VM_OWNER},
+        labels=labels[rows].astype(np.float64)[:, None],
+        soft_labels=soft, seq_entries=entries, seq_mask=mask,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,37 +247,6 @@ def _pool(kind: str, entries: Node, mask: np.ndarray, query: Node | None,
         weights = nn.masked_softmax(nn.reshape(scores, b, l), mask)
         return nn.attn_pool(weights, entries, l)
     raise ConfigError(f"unknown sequence encoder {kind!r}")
-
-
-def seq_encode(kind: str, seq, query=None, params: ParamStore | None = None,
-               prefix: str = "attn") -> np.ndarray:
-    """Pool one SequenceFeature into a d-vector (non-training path)."""
-    if kind not in SEQ_ENCODERS:
-        raise ConfigError(f"unknown sequence encoder {kind!r}")
-    d = seq.entries.shape[1]
-    length = max(seq.entries.shape[0], 1)
-    entries = np.zeros((length, d))
-    mask = np.zeros((1, length), dtype=bool)
-    entries[: seq.length] = seq.entries[: seq.length]
-    mask[0, : seq.length] = True
-    q_node = None
-    nodes = None
-    if kind == "din_attention":
-        if query is None:
-            raise ConfigError("din_attention needs a query vector")
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        if q.shape[1] != d:
-            raise nn.DimensionError("query dim must match entry dim")
-        q_node = nn.constant(q)
-        nodes = (params or _default_attention(d, prefix)).as_nodes()
-    pooled = _pool(kind, nn.constant(entries), mask, q_node, nodes, prefix)
-    return pooled.value[0]
-
-
-def _default_attention(dim: int, prefix: str) -> ParamStore:
-    store = ParamStore()
-    make_attention_params(dim, 16, seed=0, prefix=prefix, params=store)
-    return store
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +357,6 @@ class FMModel:
         if selector not in widths:
             raise ConfigError(f"unknown layer selector {selector!r}")
         return widths[selector]
-
-
-def fm_forward(fm: FMModel, sample: EventSample, history=()):
-    """Single-event forward: (probability, named activations)."""
-    batch = make_fm_batch(fm.schema, [sample], [list(history)],
-                          fm.config.history_len)
-    probs, bundle = fm.predict_batch(batch)
-    return float(probs[0]), bundle
 
 
 def extract_embedding(bundle: ActivationBundle, selector: str) -> np.ndarray:
@@ -515,24 +481,6 @@ class VMModel:
         return fn
 
 
-def vm_forward(vm: VMModel, sample: EventSample, seq=None) -> float:
-    """Single-event student forward; `seq` is a SequenceFeature or None."""
-    cfg = vm.config
-    sequences = None
-    if cfg.use_sequence:
-        if seq is None:
-            raise ConfigError("sequence branch enabled but no sequence given")
-        sequences = [seq]
-        batch = make_vm_batch(vm.schema, [sample], sequences,
-                              seq_len=max(seq.entries.shape[0], 1),
-                              seq_dim=cfg.seq_dim)
-    else:
-        if seq is not None:
-            raise ConfigError("sequence given to a branch-less student")
-        batch = make_vm_batch(vm.schema, [sample])
-    return float(vm.predict_batch(batch)[0])
-
-
 def joint_loss(p_v: float, p_f: float, y: float, lam: float) -> float:
     """Task cross-entropy plus lam-weighted soft-target cross-entropy."""
     if lam < 0:
@@ -569,31 +517,36 @@ def write_checkpoint(path, params: ParamStore, schema_hash: int,
             fh.write(value.astype("<f8").tobytes())
 
 
+def _unpack(fmt: str, blob: bytes, off: int) -> tuple[tuple, int]:
+    """struct.unpack_from with a length check; returns (values, next offset)."""
+    size = struct.calcsize(fmt)
+    if off + size > len(blob):
+        raise FormatError(f"truncated checkpoint: {size} bytes needed at offset {off}, "
+                          f"{max(len(blob) - off, 0)} left")
+    return struct.unpack_from(fmt, blob, off), off + size
+
+
 def read_checkpoint(path):
     """Returns (params, schema_hash, extra_dims)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    off = 4
-    version, schema_hash = struct.unpack_from("<IQ", blob, off)
-    off += 12
+    (version, schema_hash), off = _unpack("<IQ", blob, 4)
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (n_extra,) = struct.unpack_from("<H", blob, off)
-    off += 2
-    extra_dims = struct.unpack_from(f"<{n_extra}I", blob, off) if n_extra else ()
-    off += 4 * n_extra
-    (n_params,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (n_extra,), off = _unpack("<H", blob, off)
+    extra_dims, off = _unpack(f"<{n_extra}I", blob, off)
+    (n_params,), off = _unpack("<I", blob, off)
     params = ParamStore()
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        rows, cols = struct.unpack_from("<II", blob, off)
-        off += 8
+        (name_len,), off = _unpack("<H", blob, off)
+        (raw,), off = _unpack(f"<{name_len}s", blob, off)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"parameter name at offset {off - name_len} is not utf-8") from exc
+        (rows, cols), off = _unpack("<II", blob, off)
         size = rows * cols * 8
         if off + size > len(blob):
             raise FormatError(f"truncated parameter blob for {name!r} at offset {off}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,10 +33,13 @@ from .infotheory import (
 from .metrics import EvalResult, evaluate
 from .models import (
     FeatureSchema, FMConfig, FMModel, VMConfig, VMModel, extract_embedding,
-    make_fm_batch, make_vm_batch,
+    history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
-from .quantization import Codec, fit_kmeans_int4, quantize, reconstruction_mse
+from .quantization import (
+    CODEC_IDS, Codec, QuantizedVec, fit_kmeans_int4, payload_matrix,
+    reconstruction_mse,
+)
 from .seqstore import EmbeddingRecord, SequenceStore, centroid_drift
 from .synthworld import (
     EventLog, EventSample, WorldSpec, enumerate_world, generate,
@@ -106,35 +109,30 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _histories(samples, history_len: int):
-    """Per-sample list of the same user's most recent past events."""
-    by_user: dict[int, list[EventSample]] = {}
-    out = []
-    for s in samples:
-        past = by_user.setdefault(s.key, [])
-        out.append(past[-history_len:])
-        past.append(s)
-    return out
-
-
 def _batches(indices, size):
     for start in range(0, len(indices), size):
         yield indices[start : start + size]
 
 
+def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
+                chunks, size: int):
+    """Teacher batches over the log rows in `chunks`, in log order, plus
+    those rows."""
+    ids = schema_ids(schema, log_)
+    history = history_index(log_.keys, history_len)
+    rows = np.flatnonzero(np.isin(log_.chunks, chunks))
+    return [make_fm_batch(schema, ids, log_.labels, part, history)
+            for part in _batches(rows, size)], rows
+
+
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
              train_chunks=FM_TRAIN_CHUNKS) -> FMModel:
-    samples = list(log_.samples)
-    hists = _histories(samples, cfg.history_len)
-    idx = [i for i, s in enumerate(samples) if s.chunk in train_chunks]
+    batches, _ = _fm_batches(log_, schema, cfg.history_len, train_chunks,
+                             cfg.batch_size)
     fm = FMModel(schema, cfg, seed)
     state = nn.AdamState.for_params(fm.params, lr=cfg.lr)
     for _ in range(cfg.epochs):
-        for chunk_idx in _batches(idx, cfg.batch_size):
-            batch = make_fm_batch(
-                schema, [samples[i] for i in chunk_idx],
-                [hists[i] for i in chunk_idx], cfg.history_len,
-            )
+        for batch in batches:
             loss, nodes = fm.loss_fn(batch)(fm.params)
             nn.backward(loss)
             nn.adam_step(fm.params, nn.collect_grads(fm.params, nodes), state)
@@ -164,24 +162,16 @@ class TeacherLog:
 
 def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks,
                 batch_size: int = 256) -> TeacherLog:
-    samples = list(log_.samples)
-    hists = _histories(samples, fm.config.history_len)
-    idx = [i for i, s in enumerate(samples) if s.chunk in chunks]
+    batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks,
+                                batch_size)
     soft_parts, emb_parts = [], []
-    for chunk_idx in _batches(idx, batch_size):
-        batch = make_fm_batch(
-            fm.schema, [samples[i] for i in chunk_idx],
-            [hists[i] for i in chunk_idx], fm.config.history_len,
-        )
+    for batch in batches:
         probs, bundle = fm.predict_batch(batch)
         soft_parts.append(probs)
         emb_parts.append(extract_embedding(bundle, layer))
-    chosen = [samples[i] for i in idx]
     return TeacherLog(
-        keys=np.array([s.key for s in chosen], dtype=np.int64),
-        timestamps=np.array([s.timestamp for s in chosen], dtype=np.int64),
-        chunks=np.array([s.chunk for s in chosen], dtype=np.int64),
-        labels=np.array([s.label for s in chosen], dtype=np.int64),
+        keys=log_.keys[rows], timestamps=log_.timestamps[rows],
+        chunks=log_.chunks[rows], labels=log_.labels[rows],
         soft=np.concatenate(soft_parts) if soft_parts else np.zeros(0),
         emb=np.vstack(emb_parts) if emb_parts else np.zeros((0, fm.layer_width(layer))),
     )
@@ -208,11 +198,14 @@ def append_store(store: SequenceStore, teacher: TeacherLog, ae: MatryoshkaAE,
     if not rows:
         return
     z = ae.encode_batch(teacher.emb[rows])[:, :d_prime]
+    payloads = payload_matrix(codec, z)
+    codec_id = CODEC_IDS[codec.kind]
     for j, i in enumerate(rows):
         store.append(
             EmbeddingRecord(
                 key=int(teacher.keys[i]), timestamp=int(teacher.timestamps[i]),
-                payload=quantize(codec, z[j]), soft_label=float(teacher.soft[i]),
+                payload=QuantizedVec(codec_id, d_prime, payloads[j].tobytes()),
+                soft_label=float(teacher.soft[i]),
             )
         )
 
@@ -233,27 +226,26 @@ def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
         raise ConfigError(f"arm {arm!r} needs teacher soft labels")
     vm = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed)
     state = nn.AdamState.for_params(vm.params, lr=cfg.vm.lr)
-    samples = [s for s in log_.samples if s.chunk in VM_TRAIN_CHUNKS]
-    for group in _batches(list(range(len(samples))), cfg.vm.batch_size):
-        chosen = [samples[i] for i in group]
-        batch = _vm_batch(chosen, schema, cfg, seq_dim, lam, store, teacher)
+    ids = schema_ids(schema, log_)
+    rows = np.flatnonzero(np.isin(log_.chunks, VM_TRAIN_CHUNKS))
+    for part in _batches(rows, cfg.vm.batch_size):
+        batch = _vm_batch(log_, ids, part, schema, cfg, seq_dim, lam, store, teacher)
         loss, nodes = vm.loss_fn(batch, kd_weight=lam)(vm.params)
         nn.backward(loss)
         nn.adam_step(vm.params, nn.collect_grads(vm.params, nodes), state)
     return vm
 
 
-def _vm_batch(chosen, schema, cfg, seq_dim, lam, store, teacher):
+def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, lam, store, teacher):
+    keys, stamps = log_.keys[rows].tolist(), log_.timestamps[rows].tolist()
     seqs = None
     if seq_dim:
-        seqs = [
-            store.build_sequence(s.key, s.timestamp, cfg.seq_len, cfg.window)
-            for s in chosen
-        ]
+        seqs = [store.build_sequence(k, t, cfg.seq_len, cfg.window)
+                for k, t in zip(keys, stamps)]
     soft = None
     if lam > 0:
-        soft = [teacher.soft[teacher.index[(s.key, s.timestamp)]] for s in chosen]
-    return make_vm_batch(schema, chosen, seqs, soft,
+        soft = teacher.soft[[teacher.index[kt] for kt in zip(keys, stamps)]]
+    return make_vm_batch(schema, ids, log_.labels, rows, seqs, soft,
                          seq_len=cfg.seq_len, seq_dim=seq_dim)
 
 
@@ -261,13 +253,14 @@ def eval_vm(vm: VMModel, log_: EventLog, schema: FeatureSchema,
             cfg: ExperimentConfig, arm: str, store, teacher,
             chunk: int = TEST_CHUNK) -> EvalResult:
     lam, seq_dim = _arm_settings(arm, cfg)
-    samples = [s for s in log_.samples if s.chunk == chunk]
-    scores = []
-    for group in _batches(list(range(len(samples))), 512):
-        chosen = [samples[i] for i in group]
-        batch = _vm_batch(chosen, schema, cfg, seq_dim, 0.0, store, teacher)
-        scores.append(vm.predict_batch(batch))
-    return evaluate(np.concatenate(scores), [s.label for s in samples])
+    ids = schema_ids(schema, log_)
+    rows = np.flatnonzero(log_.chunks == chunk)
+    scores = [
+        vm.predict_batch(_vm_batch(log_, ids, part, schema, cfg, seq_dim, 0.0,
+                                   store, teacher))
+        for part in _batches(rows, 512)
+    ]
+    return evaluate(np.concatenate(scores), log_.labels[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +356,10 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     chunk_stores = []
     for c in LOG_CHUNKS:
         part = teacher_parts[c]
-        chunk_store = SequenceStore(cfg.active_dim, codec)
-        append_store(chunk_store, part, per_chunk_ae[c], codec, cfg.active_dim,
-                     rows=part.rows_in_chunk(c))
-        chunk_stores.append(chunk_store)
-        append_store(store, part, per_chunk_ae[c], codec, cfg.active_dim,
-                     rows=part.rows_in_chunk(c))
+        chunk_stores.append(build_store(part, per_chunk_ae[c], codec, cfg.active_dim,
+                                        rows=part.rows_in_chunk(c)))
+        for rec in chunk_stores[-1].records:  # same records: quantize once
+            store.append(rec)
     drift = tuple(
         centroid_drift(chunk_stores[i], chunk_stores[i + 1])
         for i in range(len(chunk_stores) - 1)
@@ -386,14 +377,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
 
 
 def _concat_teacher(a: TeacherLog, b: TeacherLog) -> TeacherLog:
-    return TeacherLog(
-        keys=np.concatenate([a.keys, b.keys]),
-        timestamps=np.concatenate([a.timestamps, b.timestamps]),
-        chunks=np.concatenate([a.chunks, b.chunks]),
-        labels=np.concatenate([a.labels, b.labels]),
-        soft=np.concatenate([a.soft, b.soft]),
-        emb=np.vstack([a.emb, b.emb]),
-    )
+    return TeacherLog(**{f.name: np.concatenate([getattr(a, f.name), getattr(b, f.name)])
+                         for f in fields(TeacherLog)})
 
 
 def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -527,17 +512,16 @@ def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES, m1: int = 1,
 
     def teacher_stack(n_extras, teacher_seed):
         schema = _subschema(world, n_extras)
-        view_log = EventLog(spec=world, samples=log_.samples)
-        fm = train_fm(view_log, schema, cfg.fm, teacher_seed)
-        teacher = log_teacher(fm, view_log, cfg.layer, LOG_CHUNKS)
+        fm = train_fm(log_, schema, cfg.fm, teacher_seed)
+        teacher = log_teacher(fm, log_, cfg.layer, LOG_CHUNKS)
         ae, _ = ae_train(teacher.emb[teacher.rows_in_chunk(4)], cfg.ae,
                          derive_seed(teacher_seed, "ae"))
         z4 = ae.encode_batch(teacher.emb[teacher.rows_in_chunk(4)])[:, : cfg.active_dim]
         codec = fit_codec(cfg.codec_kind, z4, derive_seed(teacher_seed, "codec"))
         store = build_store(teacher, ae, codec, cfg.active_dim)
         store.freeze()
-        vm = train_vm(view_log, schema, cfg, "kd_emb_hist", store, teacher, seed)
-        res = eval_vm(vm, view_log, schema, cfg, "kd_emb_hist", store, teacher)
+        vm = train_vm(log_, schema, cfg, "kd_emb_hist", store, teacher, seed)
+        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", store, teacher)
         rows = teacher.rows_in_chunk(TEST_CHUNK)
         fm_res = evaluate(teacher.soft[rows], teacher.labels[rows])
         return res, fm_res
@@ -749,7 +733,7 @@ def run_theory_suite(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
 
 
 def ingest_event_log(path):
-    """Stream EventSamples from the delimited text format.
+    """Stream (line number, EventSample) pairs from the delimited text format.
 
     Validates field counts and value ranges line by line (bounded memory);
     warns on non-monotone timestamps within a chunk.
@@ -780,21 +764,32 @@ def ingest_event_log(path):
                 log.warning("line %d: non-monotone timestamp within chunk %d",
                             line_no, chunk)
             last[chunk] = max(ts, last.get(chunk, ts))
-            yield EventSample(key=key, timestamp=ts, chunk=chunk, vm_values=vm,
-                              extra_values=extras, label=label, true_p=None)
+            yield line_no, EventSample(key=key, timestamp=ts, chunk=chunk, vm_values=vm,
+                                       extra_values=extras, label=label, true_p=None)
 
 
 def load_event_log(path, spec: WorldSpec) -> EventLog:
-    samples = []
-    for s in ingest_event_log(path):
+    """Columnar log of an event file; rejects a repeated (key, timestamp)."""
+    first_line, rows = {}, []
+    for line_no, s in ingest_event_log(path):
         if len(s.vm_values) != len(spec.vm_cardinalities):
             raise DataError(f"event at t={s.timestamp}: wrong visible feature count")
         if len(s.extra_values) != len(spec.extra_cardinalities):
             raise DataError(f"event at t={s.timestamp}: wrong extra feature count")
-        samples.append(s)
-    if not samples:
+        first = first_line.setdefault((s.key, s.timestamp), line_no)
+        if first != line_no:
+            raise DataError(f"lines {first} and {line_no}: duplicate key {s.key} "
+                            f"at timestamp {s.timestamp}")
+        rows.append((s.key, s.timestamp, s.chunk, s.label, *s.vm_values, *s.extra_values))
+    if not rows:
         raise DataError("event log is empty")
-    return EventLog(spec=spec, samples=tuple(samples))
+    try:
+        table = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"event log value outside int64: {exc}") from exc
+    return EventLog(spec=spec, keys=table[:, 0], timestamps=table[:, 1],
+                    chunks=table[:, 2], labels=table[:, 3], ids=table[:, 4:],
+                    true_p=np.full(len(table), np.nan))
 
 
 # ---------------------------------------------------------------------------

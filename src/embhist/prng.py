@@ -47,10 +47,11 @@ def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n uniforms in [0, 1) from the counter-based splitmix64 stream.
 
     Counter-based: element i depends only on (seed, start + i), so slices
-    of the same stream are reproducible regardless of batching.
+    of the same stream are reproducible regardless of batching. An array
+    of seeds gives one stream per seed along a new last axis.
     """
     counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    state = (np.uint64(seed & _M64) + counters * np.uint64(_GOLDEN))
+    state = np.asarray(seed & _M64, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
     z = state
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)

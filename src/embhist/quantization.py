@@ -52,28 +52,35 @@ class QuantizedVec:
     payload: bytes
 
 
+def _nibble_rows(codes: np.ndarray) -> np.ndarray:
+    """(n, d) signed codes in [-8, 7] -> (n, ceil(d/2)) offset-by-8 nibble
+    bytes, low nibble first; an odd d pads with a zero nibble."""
+    u = np.zeros((len(codes), codes.shape[1] + codes.shape[1] % 2), dtype=np.uint8)
+    u[:, : codes.shape[1]] = codes + 8
+    return u[:, 0::2] | (u[:, 1::2] << 4)
+
+
 def pack_nibbles(codes: np.ndarray) -> bytes:
     """Pack signed codes in [-8, 7] as offset-by-8 nibbles, low nibble first."""
     c = np.asarray(codes, dtype=np.int64)
     if c.size and (c.min() < -8 or c.max() > 7):
         raise FormatError("nibble code out of range [-8, 7]")
-    u = (c + 8).astype(np.uint8)
-    if u.size % 2:
-        u = np.concatenate([u, np.zeros(1, dtype=np.uint8)])
-    return (u[0::2] | (u[1::2] << 4)).tobytes()
+    return _nibble_rows(c.reshape(1, -1)).tobytes()
+
+
+def _unnibble_rows(raw: np.ndarray, dim: int) -> np.ndarray:
+    """(n, k) nibble bytes -> (n, dim) signed codes; inverse of _nibble_rows."""
+    codes = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.int64)
+    codes[:, 0::2] = raw & 0x0F
+    codes[:, 1::2] = raw >> 4
+    return codes[:, :dim] - 8
 
 
 def unpack_nibbles(data: bytes, dim: int) -> np.ndarray:
     """Inverse of pack_nibbles; the padding nibble of an odd dim is ignored."""
     if len(data) != (dim + 1) // 2:
         raise FormatError(f"nibble payload length {len(data)} for dim {dim}")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    lo = (raw & 0x0F).astype(np.int64)
-    hi = (raw >> 4).astype(np.int64)
-    codes = np.empty(2 * len(raw), dtype=np.int64)
-    codes[0::2] = lo
-    codes[1::2] = hi
-    return codes[:dim] - 8
+    return _unnibble_rows(np.frombuffer(data, dtype=np.uint8)[None, :], dim)[0]
 
 
 def _codes_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
@@ -84,26 +91,51 @@ def _codes_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
     if codec.kind == "int4_uniform":
         return np.clip(np.round(zc * 8.0), -8, 7).astype(np.int64)
     if codec.kind == "int4_kmeans":
-        centers = np.asarray(codec.codebook)
-        # argmin over |z - c|; ties resolve to the lower index
-        return np.abs(zc[..., None] - centers).argmin(axis=-1).astype(np.int64)
+        return _nearest(zc, codec.codebook)
     raise FormatError(f"no integer codes for codec {codec.kind}")
+
+
+def _nearest(x: np.ndarray, centers) -> np.ndarray:
+    """Index of the nearest center for every element of x, ties to the
+    lower index (argmin over |x - c|). One center at a time, so no
+    (x.size, len(centers)) temporary is made."""
+    best, idx = np.abs(x - centers[0]), np.zeros(np.shape(x), dtype=np.int64)
+    for k in range(1, len(centers)):
+        dist = np.abs(x - centers[k])
+        idx[dist < best] = k
+        best = np.minimum(best, dist)
+    return idx
+
+
+def payload_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
+    """Payload bytes of every row of an (n, d) batch as an (n, payload_size(d))
+    uint8 matrix; row i is quantize(codec, z[i]).payload."""
+    z = np.asarray(z, dtype=np.float64)
+    if codec.kind == "fp32":
+        return np.clip(z, -1.0, 1.0).astype("<f4").view(np.uint8).reshape(len(z), -1)
+    codes = _codes_matrix(codec, z)
+    if codec.kind == "int8_uniform":
+        return (codes & 0xFF).astype(np.uint8)
+    # int4_kmeans indices 0..15 are stored like signed codes, offset by 8
+    return _nibble_rows(codes if codec.kind == "int4_uniform" else codes - 8)
 
 
 def quantize(codec: Codec, z) -> QuantizedVec:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise DimensionError("quantize expects a 1-D vector")
-    dim = len(z)
-    if codec.kind == "fp32":
-        payload = np.clip(z, -1.0, 1.0).astype("<f4").tobytes()
-    elif codec.kind == "int8_uniform":
-        payload = (_codes_matrix(codec, z) & 0xFF).astype(np.uint8).tobytes()
-    elif codec.kind == "int4_uniform":
-        payload = pack_nibbles(_codes_matrix(codec, z))
-    else:  # int4_kmeans: indices 0..15 stored as offset nibbles
-        payload = pack_nibbles(_codes_matrix(codec, z) - 8)
-    return QuantizedVec(CODEC_IDS[codec.kind], dim, payload)
+    return QuantizedVec(CODEC_IDS[codec.kind], len(z),
+                        payload_matrix(codec, z[None, :])[0].tobytes())
+
+
+def _decode_codes(codec: Codec, codes: np.ndarray) -> np.ndarray:
+    """Values of integer codes: signed for the uniform codecs, codebook
+    indices 0..15 for int4_kmeans."""
+    if codec.kind == "int8_uniform":
+        return codes / 127.0
+    if codec.kind == "int4_uniform":
+        return codes / 8.0
+    return np.asarray(codec.codebook)[codes]
 
 
 def dequantize(codec: Codec, q: QuantizedVec) -> np.ndarray:
@@ -114,37 +146,20 @@ def dequantize(codec: Codec, q: QuantizedVec) -> np.ndarray:
         raise FormatError(
             f"truncated payload: {len(q.payload)} bytes, expected {expected}"
         )
-    if codec.kind == "fp32":
-        return np.frombuffer(q.payload, dtype="<f4").astype(np.float64)
-    if codec.kind == "int8_uniform":
-        codes = np.frombuffer(q.payload, dtype=np.uint8).astype(np.int64)
-        codes = np.where(codes > 127, codes - 256, codes)
-        return codes / 127.0
-    codes = unpack_nibbles(q.payload, q.dim)
-    if codec.kind == "int4_uniform":
-        return codes / 8.0
-    return np.asarray(codec.codebook)[codes + 8]
+    return dequantize_batch(codec, [q.payload], q.dim)[0]
 
 
 def dequantize_batch(codec: Codec, payloads: list[bytes], dim: int) -> np.ndarray:
     """Vectorized dequantize of many same-shape payloads into an (n, d) array."""
     if not payloads:
         return np.zeros((0, dim))
-    blob = b"".join(payloads)
-    n = len(payloads)
+    raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), -1)
     if codec.kind == "fp32":
-        return np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(n, dim)
+        return raw.view("<f4").astype(np.float64)
     if codec.kind == "int8_uniform":
-        codes = np.frombuffer(blob, dtype=np.uint8).astype(np.int64).reshape(n, dim)
-        return np.where(codes > 127, codes - 256, codes) / 127.0
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, -1)
-    codes = np.empty((n, 2 * raw.shape[1]), dtype=np.int64)
-    codes[:, 0::2] = raw & 0x0F
-    codes[:, 1::2] = raw >> 4
-    codes = codes[:, :dim] - 8
-    if codec.kind == "int4_uniform":
-        return codes / 8.0
-    return np.asarray(codec.codebook)[codes + 8]
+        return _decode_codes(codec, raw.view(np.int8).astype(np.int64))
+    codes = _unnibble_rows(raw, dim)
+    return _decode_codes(codec, codes if codec.kind == "int4_uniform" else codes + 8)
 
 
 def reconstruction_mse(codec: Codec, z: np.ndarray) -> float:
@@ -152,12 +167,8 @@ def reconstruction_mse(codec: Codec, z: np.ndarray) -> float:
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if codec.kind == "fp32":
         approx = np.clip(z, -1.0, 1.0).astype("<f4").astype(np.float64)
-    elif codec.kind == "int8_uniform":
-        approx = _codes_matrix(codec, z) / 127.0
-    elif codec.kind == "int4_uniform":
-        approx = _codes_matrix(codec, z) / 8.0
     else:
-        approx = np.asarray(codec.codebook)[_codes_matrix(codec, z)]
+        approx = _decode_codes(codec, _codes_matrix(codec, z))
     return float(np.mean((z - approx) ** 2))
 
 
@@ -189,7 +200,7 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
 
     sse_history: list[float] = []
     for _ in range(iters):
-        assign = np.abs(x[:, None] - centers[None, :]).argmin(axis=1)
+        assign = _nearest(x, centers)
         err = (x - centers[assign]) ** 2
         sse_history.append(float(err.sum()))
         new_centers = centers.copy()
@@ -204,7 +215,7 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
-    assign = np.abs(x[:, None] - centers[None, :]).argmin(axis=1)
+    assign = _nearest(x, centers)
     sse_history.append(float(((x - centers[assign]) ** 2).sum()))
     order = np.argsort(centers, kind="mergesort")
     centers = centers[order]

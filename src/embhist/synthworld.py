@@ -12,6 +12,7 @@ information-theoretic verification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, SizeError
 from .infotheory import JointTable, VerificationWorld, hist_var
-from .prng import Stream, derive_seed
+from .prng import Stream, derive_seed, uniform_array
 
 N_CHUNKS = 8
 _ENUM_BUDGET = 30_000_000
@@ -107,32 +108,75 @@ class EventSample:
     label: int
     true_p: float | None = None
 
-    def __post_init__(self):
-        if self.true_p is not None and not 0.0 < self.true_p < 1.0:
-            raise ConfigError(f"true_p {self.true_p} outside (0, 1)")
+
+_COLUMNS = ("keys", "timestamps", "chunks", "ids", "labels", "true_p")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    spec: WorldSpec
-    samples: tuple[EventSample, ...]
+    """Columnar event log; row i is one labeled interaction.
 
-    def chunk_samples(self, chunks) -> list[EventSample]:
-        wanted = set(chunks)
-        return [s for s in self.samples if s.chunk in wanted]
+    keys, timestamps, chunks and labels are (N,) int64; ids is an
+    (N, m_vm + m_extra) int64 matrix with the student-visible columns
+    first; true_p is (N,) float64 and NaN where unknown (ingested logs).
+    Every column is read-only.
+    """
+
+    spec: WorldSpec
+    keys: np.ndarray
+    timestamps: np.ndarray
+    chunks: np.ndarray
+    ids: np.ndarray
+    labels: np.ndarray
+    true_p: np.ndarray
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            col = np.array(getattr(self, name),
+                           dtype=np.float64 if name == "true_p" else np.int64)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        n, width = len(self.labels), self.n_visible + len(self.spec.extra_cardinalities)
+        if {getattr(self, c).shape for c in _COLUMNS if c != "ids"} != {(n,)} \
+                or self.ids.shape != (n, width):
+            raise ConfigError(f"event log columns do not match {n} rows of width {width}")
+        known = self.true_p[~np.isnan(self.true_p)]
+        if np.any((known <= 0.0) | (known >= 1.0)):
+            raise ConfigError("true_p outside (0, 1)")
+
+    def __eq__(self, other):
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.spec == other.spec and all(
+            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
+            for c in _COLUMNS
+        )
+
+    @property
+    def n_visible(self) -> int:
+        return len(self.spec.vm_cardinalities)
+
+    def _rows(self):
+        return zip(*(getattr(self, c).tolist() for c in _COLUMNS))
+
+    @functools.cached_property
+    def samples(self) -> tuple[EventSample, ...]:
+        """Per-event view for tests and counts; no hot path reads it."""
+        m = self.n_visible
+        return tuple(EventSample(k, t, c, tuple(v[:m]), tuple(v[m:]), y,
+                                 None if math.isnan(p) else p)
+                     for k, t, c, v, y, p in self._rows())
 
     def write_text(self, path) -> None:
         """One record per line: key, timestamp, chunk, vm ids, extra ids, label.
 
         Fields are tab-separated; the id lists are comma-joined.
         """
+        m = self.n_visible
         with open(path, "w", encoding="utf-8") as fh:
-            for s in self.samples:
-                fh.write(
-                    f"{s.key}\t{s.timestamp}\t{s.chunk}\t"
-                    f"{','.join(map(str, s.vm_values))}\t"
-                    f"{','.join(map(str, s.extra_values))}\t{s.label}\n"
-                )
+            for k, t, c, v, y, _ in self._rows():
+                fh.write(f"{k}\t{t}\t{c}\t{','.join(map(str, v[:m]))}\t"
+                         f"{','.join(map(str, v[m:]))}\t{y}\n")
 
 
 def _feature_probs(spec: WorldSpec, extras: bool) -> list[np.ndarray]:
@@ -183,48 +227,47 @@ def generate(spec: WorldSpec, seed: int | None = None) -> EventLog:
     """Chronologically ordered event log, 8 temporal chunks, bit-reproducible.
 
     Users draw from independent substreams keyed by (seed, user id), so
-    the log is identical under any generation schedule.
+    the log is identical under any generation schedule: all users advance
+    together, one time step at a time. P(y=1) comes from a table of
+    `true_probability` over (feature values, capped positive count),
+    filled on first use.
     """
     seed = spec.seed if seed is None else seed
-    vm_probs = _feature_probs(spec, extras=False)
-    ex_probs = _feature_probs(spec, extras=True)
-    vm_cums = [np.cumsum(p) for p in vm_probs]
-    ex_cums = [np.cumsum(p) for p in ex_probs]
-    t_count = spec.events_per_user
-    per_user: list[list[EventSample]] = []
-    for user in range(spec.n_users):
-        stream = Stream(derive_seed(seed, "user", user))
-        u_feat = stream.uniforms(t_count * (len(vm_cums) + len(ex_cums)))
-        u_label = stream.uniforms(t_count)
-        u_feat = u_feat.reshape(t_count, -1)
-        labels_hist: list[int] = []
-        events = []
-        for t in range(t_count):
-            vm_values = tuple(
-                int(np.searchsorted(vm_cums[j], u_feat[t, j], side="right"))
-                for j in range(len(vm_cums))
-            )
-            extra_values = tuple(
-                int(np.searchsorted(ex_cums[j], u_feat[t, len(vm_cums) + j], side="right"))
-                for j in range(len(ex_cums))
-            )
-            pos = sum(labels_hist[-spec.temporal_window:])
-            p = true_probability(spec, vm_values, extra_values, pos)
-            label = int(u_label[t] < p)
-            labels_hist.append(label)
-            events.append(
-                EventSample(
-                    key=user, timestamp=t, chunk=spec.chunk_of(t),
-                    vm_values=vm_values, extra_values=extra_values,
-                    label=label, true_p=p,
-                )
-            )
-        per_user.append(events)
-    ordered = []
+    cums = [np.cumsum(p) for p in
+            _feature_probs(spec, extras=False) + _feature_probs(spec, extras=True)]
+    cards = spec.vm_cardinalities + spec.extra_cardinalities
+    n_users, t_count, m, m_vm = (spec.n_users, spec.events_per_user, len(cards),
+                                 len(spec.vm_cardinalities))
+    seeds = np.array([derive_seed(seed, "user", u) for u in range(n_users)],
+                     dtype=np.uint64)
+    draws = uniform_array(seeds, t_count * (m + 1))  # per user: features, then labels
+    u_feat = draws[:, : t_count * m].reshape(n_users, t_count, m)
+    u_label = draws[:, t_count * m :]
+    ids = np.empty((t_count, n_users, m), dtype=np.int64)
+    for j, cum in enumerate(cums):
+        # a draw at or above a rounded-down total falls in the last category
+        ids[:, :, j] = np.minimum(np.searchsorted(cum, u_feat[:, :, j], side="right").T,
+                                  len(cum) - 1)
+
+    cap1 = spec.temporal_cap + 1
+    table = np.full(math.prod(cards) * cap1, np.nan)
+    labels = np.zeros((t_count, n_users), dtype=np.int64)
+    true_p = np.empty((t_count, n_users))
     for t in range(t_count):
-        for user in range(spec.n_users):
-            ordered.append(per_user[user][t])
-    return EventLog(spec=spec, samples=tuple(ordered))
+        pos = labels[max(t - spec.temporal_window, 0) : t].sum(axis=0)
+        cell = np.ravel_multi_index(tuple(ids[t].T), cards) * cap1 \
+            + np.minimum(pos, spec.temporal_cap)
+        need = np.unique(cell[np.isnan(table[cell])])
+        digits = np.stack(np.unravel_index(need, cards + (cap1,)), axis=1).tolist()
+        table[need] = [true_probability(spec, d[:m_vm], d[m_vm:m], d[m]) for d in digits]
+        true_p[t] = table[cell]
+        labels[t] = u_label[:, t] < true_p[t]
+    steps = np.repeat(np.arange(t_count), n_users)
+    return EventLog(
+        spec=spec, keys=np.tile(np.arange(n_users), t_count), timestamps=steps,
+        chunks=spec.chunk_of(steps), ids=ids.reshape(-1, m),
+        labels=labels.ravel(), true_p=true_p.ravel(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from embhist.infotheory import (
 from embhist.metrics import auc, normalized_entropy
 from embhist.models import (
     SELECTORS, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
-    make_fm_batch, make_vm_batch,
+    history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from embhist.pipeline import (
     ExperimentConfig, log_teacher, run_ablation, run_streaming_experiment,
@@ -117,28 +117,24 @@ def test_criterion_4_transfer_ratio_bound():
 def test_criterion_5_gradient_checks():
     schema = FeatureSchema.from_world(SMALL_WORLD)
     log = generate(SMALL_WORLD, seed=2)
-    by_user: dict[int, list] = {}
-    chosen, hists = [], []
-    for s in log.samples:
-        past = by_user.setdefault(s.key, [])
-        if len(chosen) < 12:
-            chosen.append(s)
-            hists.append(list(past[-6:]))
-        past.append(s)
+    ids = schema_ids(schema, log)
+    chosen = np.arange(12)  # the first 12 events with their user histories
     rng = np.random.default_rng(0)
     results = {}
 
     for use_history in (True, False):
         fm = FMModel(schema, FMConfig(use_history=use_history), seed=5)
         fm.params.set_("out.w", nn.glorot_uniform(*fm.params["out.w"].shape, 9, "p"))
-        batch = make_fm_batch(schema, chosen, hists, fm.config.history_len)
+        batch = make_fm_batch(schema, ids, log.labels, chosen,
+                              history_index(log.keys, fm.config.history_len))
         key = "teacher+attn" if use_history else "teacher"
         results[key] = nn.grad_check(fm.loss_fn(batch), fm.params, n_probes=40)
 
     vm_plain = VMModel(schema, VMConfig(), seed=6)
     vm_plain.params.set_("out.w", nn.glorot_uniform(*vm_plain.params["out.w"].shape, 3, "p"))
     results["student"] = nn.grad_check(
-        vm_plain.loss_fn(make_vm_batch(schema, chosen)), vm_plain.params, n_probes=40)
+        vm_plain.loss_fn(make_vm_batch(schema, ids, log.labels, chosen)), vm_plain.params,
+        n_probes=40)
 
     for encoder in ("mean_pool", "sum_pool", "din_attention"):
         vm = VMModel(schema, VMConfig(seq_encoder=encoder, seq_dim=5), seed=6)
@@ -157,7 +153,7 @@ def test_criterion_5_gradient_checks():
             ts = np.full(4, -1, np.int64)
             ts[:length] = np.arange(length)[::-1]
             seqs.append(SequenceFeature(entries, mask, ts, length))
-        batch = make_vm_batch(schema, chosen, seqs,
+        batch = make_vm_batch(schema, ids, log.labels, chosen, seqs,
                               soft_labels=rng.uniform(0.05, 0.95, len(chosen)),
                               seq_len=4, seq_dim=5)
         # joint task + distillation loss through the sequence branch

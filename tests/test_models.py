@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from embhist import nncore as nn
 from embhist.errors import ConfigError, SchemaError
 from embhist.models import (
     Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
-    extract_embedding, fm_forward, joint_loss, make_fm_batch, make_vm_batch,
-    read_checkpoint, seq_encode, vm_forward, write_checkpoint,
+    _pool, extract_embedding, history_index, joint_loss, make_attention_params,
+    make_fm_batch, make_vm_batch, read_checkpoint, schema_ids, write_checkpoint,
 )
 from embhist.seqstore import SequenceFeature
 from embhist.synthworld import WorldSpec, generate
@@ -29,16 +30,30 @@ def sample_log():
     return generate(WORLD, seed=2)
 
 
-def histories_for(log, n, history_len=6):
-    by_user = {}
-    hists, chosen = [], []
-    for s in log.samples:
-        past = by_user.setdefault(s.key, [])
-        if len(chosen) < n:
-            chosen.append(s)
-            hists.append(list(past[-history_len:]))
-        past.append(s)
-    return chosen, hists
+def fm_batch(schema_, log, rows, history_len=6):
+    """Teacher batch of the given log rows with their same-user histories."""
+    return make_fm_batch(schema_, schema_ids(schema_, log), log.labels,
+                         np.asarray(rows), history_index(log.keys, history_len))
+
+
+def vm_batch(schema_, log, rows, **kw):
+    return make_vm_batch(schema_, schema_ids(schema_, log), log.labels,
+                         np.asarray(rows), **kw)
+
+
+def with_ids(log, row, values):
+    """The log with row `row`'s id vector replaced (all columns)."""
+    ids = log.ids.copy()
+    ids[row] = values
+    return replace(log, ids=ids)
+
+
+def vm_predict(vm, log, row=0, seq=None):
+    """Prediction of the student for one log row."""
+    kw = {}
+    if seq is not None:
+        kw = dict(sequences=[seq], seq_len=seq.entries.shape[0], seq_dim=seq.entries.shape[1])
+    return float(vm.predict_batch(vm_batch(vm.schema, log, [row], **kw))[0])
 
 
 def make_seq(entries, seq_len):
@@ -78,40 +93,32 @@ class TestSchema:
 class TestFMForward:
     def test_untrained_predicts_half(self):
         fm = FMModel(schema(), FMConfig(), seed=0)
-        s = sample_log().samples[0]
-        p, _ = fm_forward(fm, s, history=())
-        assert p == 0.5
+        p, _ = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
+        assert p[0] == 0.5
 
     def test_emb_layer_width(self):
         fm = FMModel(schema(), FMConfig(embed_dim=8), seed=0)
-        s = sample_log().samples[0]
-        _, bundle = fm_forward(fm, s)
+        _, bundle = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
         assert bundle.values["emb_layer"].shape == (1, 4 * 8)
 
     def test_activations_all_named(self):
         fm = FMModel(schema(), FMConfig(), seed=0)
-        s = sample_log().samples[0]
-        _, bundle = fm_forward(fm, s)
+        _, bundle = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
         for name in ("emb_layer", "hidden_0", "hidden_1", "deep", "softlabel"):
             assert name in bundle.values
 
     def test_out_of_range_id_rejected(self):
         fm = FMModel(schema(), FMConfig(), seed=0)
-        s = sample_log().samples[0]
-        bad = type(s)(key=s.key, timestamp=s.timestamp, chunk=s.chunk,
-                      vm_values=(99, 0), extra_values=s.extra_values,
-                      label=s.label, true_p=s.true_p)
+        log = sample_log()
+        bad = with_ids(log, 0, (99, 0, *log.ids[0, 2:]))
         with pytest.raises(SchemaError):
-            fm_forward(fm, bad)
+            fm_batch(fm.schema, bad, [0])
 
 
 @pytest.fixture(scope="module")
 def bundle():
     fm = FMModel(schema(), FMConfig(embed_dim=8, hidden=(32, 16, 8)), seed=1)
-    log = sample_log()
-    chosen, hists = histories_for(log, 5)
-    batch = make_fm_batch(fm.schema, chosen, hists, 6)
-    _, acts = fm.predict_batch(batch)
+    _, acts = fm.predict_batch(fm_batch(fm.schema, sample_log(), np.arange(5)))
     return fm, acts
 
 
@@ -138,6 +145,18 @@ class TestExtraction:
         _, b = bundle
         with pytest.raises(ConfigError):
             extract_embedding(b, "penultimate")
+
+
+def seq_encode(kind, seq, query=None):
+    """Pool one SequenceFeature through the batched pooling path (a batch of
+    one); attention uses fixed seed-0 score parameters."""
+    q_node = nodes = None
+    if query is not None:
+        params = nn.ParamStore()
+        make_attention_params(seq.entries.shape[1], 16, seed=0, prefix="attn", params=params)
+        q_node, nodes = nn.constant(np.reshape(query, (1, -1))), params.as_nodes()
+    pooled = _pool(kind, nn.constant(seq.entries), seq.mask[None, :], q_node, nodes, "attn")
+    return pooled.value[0]
 
 
 class TestSeqEncode:
@@ -182,44 +201,41 @@ class TestSeqEncode:
 class TestVMForward:
     def test_branchless_zero_head_is_half(self):
         vm = VMModel(schema(), VMConfig(), seed=0)
-        assert vm_forward(vm, sample_log().samples[0]) == 0.5
+        assert vm_predict(vm, sample_log()) == 0.5
 
     def test_seq_to_branchless_rejected(self):
         vm = VMModel(schema(), VMConfig(), seed=0)
         seq = make_seq(np.zeros((1, 4)), 4)
         with pytest.raises(ConfigError):
-            vm_forward(vm, sample_log().samples[0], seq)
+            vm_predict(vm, sample_log(), seq=seq)
 
     def test_branch_requires_seq(self):
         vm = VMModel(schema(), VMConfig(seq_dim=4), seed=0)
         with pytest.raises(ConfigError):
-            vm_forward(vm, sample_log().samples[0])
+            vm.predict_batch(vm_batch(vm.schema, sample_log(), [0]))
 
     def test_empty_history_matches_branchless_at_init(self):
         # branch block weights start at zero, so first-step predictions of
         # the two architectures coincide on any input
-        s = sample_log().samples[0]
+        log = sample_log()
         plain = VMModel(schema(), VMConfig(), seed=7)
         seqvm = VMModel(schema(), VMConfig(seq_dim=4), seed=7)
         rng = np.random.default_rng(0)
         seq = make_seq(rng.uniform(-1, 1, (3, 4)), 5)
-        assert vm_forward(seqvm, s, seq) == vm_forward(plain, s)
+        assert vm_predict(seqvm, log, seq=seq) == vm_predict(plain, log)
 
     def test_never_reads_extra_features(self):
         vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=3)
         # train a step so the head is nonzero
         log = sample_log()
-        batch = make_vm_batch(vm.schema, list(log.samples[:16]))
+        batch = vm_batch(vm.schema, log, np.arange(16))
         loss, nodes = vm.loss_fn(batch)(vm.params)
         nn.backward(loss)
         nn.adam_step(vm.params, nn.collect_grads(vm.params, nodes),
                      nn.AdamState.for_params(vm.params, lr=0.05))
-        s = log.samples[0]
-        perturbed = type(s)(key=s.key, timestamp=s.timestamp, chunk=s.chunk,
-                            vm_values=s.vm_values,
-                            extra_values=tuple((v + 1) % 2 for v in s.extra_values),
-                            label=s.label, true_p=s.true_p)
-        assert vm_forward(vm, s) == vm_forward(vm, perturbed)
+        m = log.n_visible
+        perturbed = with_ids(log, 0, (*log.ids[0, :m], *((log.ids[0, m:] + 1) % 2)))
+        assert vm_predict(vm, log) == vm_predict(vm, perturbed)
 
 
 class TestJointLoss:
@@ -246,9 +262,7 @@ class TestGradChecks:
     def _fm(self, use_history):
         fm = FMModel(schema(), FMConfig(use_history=use_history), seed=5)
         fm.params.set_("out.w", nn.glorot_uniform(*fm.params["out.w"].shape, 9, "probe"))
-        log = sample_log()
-        chosen, hists = histories_for(log, 10)
-        batch = make_fm_batch(fm.schema, chosen, hists, fm.config.history_len)
+        batch = fm_batch(fm.schema, sample_log(), np.arange(10), fm.config.history_len)
         return nn.grad_check(fm.loss_fn(batch), fm.params, n_probes=40, h=1e-5)
 
     def test_fm_with_attention(self):
@@ -268,12 +282,11 @@ class TestGradChecks:
         vm.params.set_("mlp0.w", w0)
         log = sample_log()
         rng = np.random.default_rng(1)
-        samples = list(log.samples[:12])
         seqs = [make_seq(rng.uniform(-1, 1, (int(rng.integers(0, 4)), 5)), 4)
-                for _ in samples]
-        batch = make_vm_batch(vm.schema, samples, seqs,
-                              soft_labels=rng.uniform(0.05, 0.95, 12),
-                              seq_len=4, seq_dim=5)
+                for _ in range(12)]
+        batch = vm_batch(vm.schema, log, np.arange(12), sequences=seqs,
+                         soft_labels=rng.uniform(0.05, 0.95, 12),
+                         seq_len=4, seq_dim=5)
         err = nn.grad_check(vm.loss_fn(batch, kd_weight=1.0), vm.params,
                             n_probes=40, h=1e-5)
         assert err < 1e-3
@@ -311,12 +324,32 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             read_checkpoint(path)
 
+    def test_truncation_at_every_offset_is_format_error(self, tmp_path):
+        from embhist.errors import FormatError
+
+        store = nn.ParamStore()
+        store.add("b.w", np.arange(6.0).reshape(2, 3))
+        store.add("a", np.array([[1.5]]))
+        path = tmp_path / "p.lfmm"
+        write_checkpoint(path, store, schema_hash=3, extra_dims=(4, 8))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                read_checkpoint(path)
+
+    def test_short_file_names_offset(self, tmp_path):
+        from embhist.errors import FormatError
+
+        path = tmp_path / "short.lfmm"
+        path.write_bytes(b"LFMM" + b"\x00" * 6)
+        with pytest.raises(FormatError, match="offset 4"):
+            read_checkpoint(path)
+
     def test_forward_pure_and_deterministic(self):
         fm1 = FMModel(schema(), FMConfig(), seed=11)
         fm2 = FMModel(schema(), FMConfig(), seed=11)
-        log = sample_log()
-        chosen, hists = histories_for(log, 8)
-        batch = make_fm_batch(fm1.schema, chosen, hists, 6)
+        batch = fm_batch(fm1.schema, sample_log(), np.arange(8))
         p1, _ = fm1.predict_batch(batch)
         p2, _ = fm2.predict_batch(batch)
         assert np.array_equal(p1, p2)

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from embhist.pipeline import (
     eval_vm, ingest_event_log, load_event_log, run_ablation,
     run_streaming_experiment, theory_battery, train_vm, write_tsv,
 )
-from embhist.synthworld import EventLog, EventSample, WorldSpec, generate
+from embhist.synthworld import WorldSpec, generate
 
 SMALL_WORLD = WorldSpec(
     n_users=48, events_per_user=32,
@@ -91,11 +92,8 @@ class TestStreamingExperiment:
         schema = FeatureSchema.from_world(cfg.world)
 
         def flipped(log):
-            samples = tuple(
-                replace_sample(s, label=1 - s.label) if s.chunk == TEST_CHUNK else s
-                for s in log.samples
-            )
-            return EventLog(spec=log.spec, samples=samples)
+            test = log.chunks == TEST_CHUNK
+            return replace(log, labels=np.where(test, 1 - log.labels, log.labels))
 
         from embhist.pipeline import log_teacher, train_fm
 
@@ -149,6 +147,26 @@ class TestStreamingExperiment:
             assert np.array_equal(plain.params[f"emb.{f.name}"],
                                   seqvm.params[f"emb.{f.name}"])
 
+    def test_store_payloads_match_per_row_quantize(self):
+        from embhist.compression import AEConfig, ae_train
+        from embhist.pipeline import TeacherLog, build_store
+        from embhist.quantization import Codec, fit_kmeans_int4, quantize
+
+        rng = np.random.default_rng(5)
+        n = 40
+        teacher = TeacherLog(
+            keys=np.arange(n) % 7, timestamps=np.arange(n), chunks=np.full(n, 4),
+            labels=np.arange(n) % 2, soft=rng.uniform(0, 1, n),
+            emb=rng.uniform(-1, 1, (n, 6)),
+        )
+        ae, _ = ae_train(teacher.emb, AEConfig(dims=(3, 6), epochs=2), seed=0)
+        z = ae.encode_batch(teacher.emb)[:, :3]  # odd d'
+        kmeans, _ = fit_kmeans_int4(rng.uniform(-1, 1, 200), seed=0)
+        for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"), kmeans):
+            store = build_store(teacher, ae, codec, 3)
+            for rec, vec in zip(store.records, z):
+                assert rec.payload == quantize(codec, vec)
+
     def test_embedding_dims_preserve_label_correlation_structure(self):
         # per-dimension correlations of the compressed code with the
         # teacher's soft label and with ground truth agree in ranking
@@ -166,14 +184,6 @@ class TestStreamingExperiment:
         z = ae.encode_batch(teacher.emb)
         _, _, rho = dimension_correlation_probe(z, teacher.soft, teacher.labels)
         assert rho > 0.0
-
-
-def replace_sample(s: EventSample, **kw) -> EventSample:
-    fields = dict(key=s.key, timestamp=s.timestamp, chunk=s.chunk,
-                  vm_values=s.vm_values, extra_values=s.extra_values,
-                  label=s.label, true_p=s.true_p)
-    fields.update(kw)
-    return EventSample(**fields)
 
 
 class TestAblations:
@@ -261,6 +271,24 @@ class TestIngestion:
         path.write_text("1\t0\t0\t1,0,0\t0,1\t1\n")
         with pytest.raises(DataError, match="feature count"):
             load_event_log(path, SMALL_WORLD)
+
+
+    def test_duplicate_key_timestamp_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("1\t0\t0\t1,0\t0,1\t1\n"
+                        "2\t0\t0\t1,0\t0,1\t0\n"
+                        "\n"
+                        "1\t0\t0\t2,1\t1,1\t0\n")
+        with pytest.raises(DataError, match="lines 1 and 4"):
+            load_event_log(path, SMALL_WORLD)
+
+    def test_same_timestamp_other_key_accepted(self, tmp_path):
+        path = tmp_path / "ok.tsv"
+        path.write_text("1\t0\t0\t1,0\t0,1\t1\n2\t0\t0\t1,0\t0,1\t0\n"
+                        "1\t1\t0\t1,0\t0,1\t0\n")
+        log = load_event_log(path, SMALL_WORLD)
+        assert log.keys.tolist() == [1, 2, 1]
+        assert np.isnan(log.true_p).all()
 
 
 class TestTheoryBattery:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from embhist.errors import DataError, FormatError
 from embhist.quantization import (
     Codec, QuantizedVec, dequantize, dequantize_batch, fit_kmeans_int4,
-    pack_nibbles, quantize, reconstruction_mse, unpack_nibbles,
+    pack_nibbles, payload_matrix, quantize, reconstruction_mse, unpack_nibbles,
 )
 
 UNIFORM_MIDPOINTS = tuple((2 * k + 1 - 16) / 16 for k in range(16))
@@ -158,3 +158,36 @@ def batch_codec_id(codec):
     from embhist.quantization import CODEC_IDS
 
     return CODEC_IDS[codec.kind]
+
+
+def scalar_payload(codec, z):
+    """Per-element reference encoder for one vector."""
+    z = [min(max(float(v), -1.0), 1.0) for v in z]
+    if codec.kind == "fp32":
+        return np.array(z, dtype="<f4").tobytes()
+    if codec.kind == "int8_uniform":
+        return bytes(int(min(max(np.round(v * 127.0), -128), 127)) & 0xFF for v in z)
+    if codec.kind == "int4_uniform":
+        codes = [int(min(max(np.round(v * 8.0), -8), 7)) for v in z]
+    else:
+        cb = codec.codebook
+        codes = [min(range(16), key=lambda k: (abs(v - cb[k]), k)) - 8 for v in z]
+    nib = [c + 8 for c in codes] + [0] * (len(codes) % 2)
+    return bytes(nib[i] | (nib[i + 1] << 4) for i in range(0, len(nib), 2))
+
+
+class TestPayloadMatrix:
+    @pytest.mark.parametrize("dim", [1, 7, 8])
+    def test_rows_match_per_row_quantize(self, dim):
+        rng = np.random.default_rng(dim)
+        cb = tuple(sorted(rng.uniform(-1, 1, 16)))
+        z = rng.uniform(-1.3, 1.3, (25, dim))
+        z[0] = 0.0
+        for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"),
+                      Codec("int4_kmeans", cb)):
+            block = payload_matrix(codec, z)
+            assert block.shape == (25, codec.payload_size(dim))
+            assert block.dtype == np.uint8
+            for row, vec in zip(block, z):
+                assert row.tobytes() == quantize(codec, vec).payload
+                assert row.tobytes() == scalar_payload(codec, vec)
