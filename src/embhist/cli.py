@@ -12,6 +12,7 @@ import configparser
 import json
 import os
 import sys
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -188,8 +189,12 @@ def cmd_extract(args):
 
 
 def _load_teacher(path) -> pipeline.TeacherLog:
-    data = np.load(path)
-    return pipeline.TeacherLog(**{f.name: data[f.name] for f in fields(pipeline.TeacherLog)})
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            columns = {f.name: data[f.name] for f in fields(pipeline.TeacherLog)}
+    except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"teacher file {path}: {exc}") from exc
+    return pipeline.TeacherLog(**columns)
 
 
 def cmd_train_ae(args):
@@ -220,8 +225,11 @@ def cmd_quantize(args):
 
 
 def _load_codec(path) -> Codec:
-    data = json.loads(Path(path).read_text())
-    return Codec(data["kind"], tuple(data["codebook"]) if "codebook" in data else None)
+    try:
+        data = json.loads(Path(path).read_text())
+        return Codec(data["kind"], tuple(data["codebook"]) if "codebook" in data else None)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"codec descriptor {path}: {exc!r}") from exc
 
 
 def cmd_build_store(args):
@@ -229,7 +237,8 @@ def cmd_build_store(args):
     teacher = _load_teacher(args.teacher)
     ae = load_ae(args.ae)
     codec = _load_codec(args.codec)
-    store = pipeline.build_store(teacher, ae, codec, cfg.active_dim)
+    store = SequenceStore(cfg.active_dim, codec)
+    pipeline.append_store(store, teacher, ae, codec, cfg.active_dim)
     store.persist(_ensure_parent(Path(args.out)))
     print(f"store with {len(store)} records -> {args.out}")
     return 0

@@ -122,14 +122,6 @@ class MatryoshkaAE:
         return self._decode_node(nodes, nn.constant(z_prefix), d).value
 
 
-def encode(ae: MatryoshkaAE, e) -> np.ndarray:
-    return ae.encode_batch(np.asarray(e).reshape(1, -1))[0]
-
-
-def decode_prefix(ae: MatryoshkaAE, z_prefix, d: int) -> np.ndarray:
-    return ae.decode_prefix_batch(np.asarray(z_prefix).reshape(1, -1), d)[0]
-
-
 def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
     """Fit the autoencoder on a frozen embedding set.
 

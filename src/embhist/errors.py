@@ -1,7 +1,10 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the length-checked unpack
+that the binary readers use to turn a short file into a FormatError.
 
 The CLI maps these onto exit codes (config 2, verification 3, data/format 4).
 """
+
+import struct
 
 
 class EmbhistError(Exception):
@@ -26,6 +29,15 @@ class DataError(EmbhistError):
 
 class FormatError(EmbhistError):
     """Malformed on-disk artifact (bad magic, truncation, corrupt record)."""
+
+
+def unpack_from(fmt: str, blob: bytes, off: int) -> tuple[tuple, int]:
+    """struct.unpack_from with a length check; returns (values, next offset)."""
+    size = struct.calcsize(fmt)
+    if off + size > len(blob):
+        raise FormatError(f"truncated file: {size} bytes needed at offset {off}, "
+                          f"{max(len(blob) - off, 0)} left")
+    return struct.unpack_from(fmt, blob, off), off + size
 
 
 class SizeError(EmbhistError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .errors import ConfigError, FormatError, SchemaError
+from .errors import ConfigError, FormatError, SchemaError, unpack_from
 from .nncore import Node, ParamStore
 from .synthworld import EventLog, WorldSpec
 
@@ -481,13 +481,6 @@ class VMModel:
         return fn
 
 
-def joint_loss(p_v: float, p_f: float, y: float, lam: float) -> float:
-    """Task cross-entropy plus lam-weighted soft-target cross-entropy."""
-    if lam < 0:
-        raise ConfigError("lam must be >= 0")
-    return nn.bce_loss(p_v, y) + lam * nn.bce_loss(p_v, p_f)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container
 # ---------------------------------------------------------------------------
@@ -517,36 +510,27 @@ def write_checkpoint(path, params: ParamStore, schema_hash: int,
             fh.write(value.astype("<f8").tobytes())
 
 
-def _unpack(fmt: str, blob: bytes, off: int) -> tuple[tuple, int]:
-    """struct.unpack_from with a length check; returns (values, next offset)."""
-    size = struct.calcsize(fmt)
-    if off + size > len(blob):
-        raise FormatError(f"truncated checkpoint: {size} bytes needed at offset {off}, "
-                          f"{max(len(blob) - off, 0)} left")
-    return struct.unpack_from(fmt, blob, off), off + size
-
-
 def read_checkpoint(path):
     """Returns (params, schema_hash, extra_dims)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    (version, schema_hash), off = _unpack("<IQ", blob, 4)
+    (version, schema_hash), off = unpack_from("<IQ", blob, 4)
     if version != _VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (n_extra,), off = _unpack("<H", blob, off)
-    extra_dims, off = _unpack(f"<{n_extra}I", blob, off)
-    (n_params,), off = _unpack("<I", blob, off)
+    (n_extra,), off = unpack_from("<H", blob, off)
+    extra_dims, off = unpack_from(f"<{n_extra}I", blob, off)
+    (n_params,), off = unpack_from("<I", blob, off)
     params = ParamStore()
     for _ in range(n_params):
-        (name_len,), off = _unpack("<H", blob, off)
-        (raw,), off = _unpack(f"<{name_len}s", blob, off)
+        (name_len,), off = unpack_from("<H", blob, off)
+        (raw,), off = unpack_from(f"<{name_len}s", blob, off)
         try:
             name = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"parameter name at offset {off - name_len} is not utf-8") from exc
-        (rows, cols), off = _unpack("<II", blob, off)
+        (rows, cols), off = unpack_from("<II", blob, off)
         size = rows * cols * 8
         if off + size > len(blob):
             raise FormatError(f"truncated parameter blob for {name!r} at offset {off}")

@@ -332,37 +332,6 @@ def bce(p: Node, target: np.ndarray) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# plain (non-tape) numeric API
-# ---------------------------------------------------------------------------
-
-
-def affine_forward(x, w, b) -> np.ndarray:
-    """out = x @ w + b with b broadcast across rows."""
-    x, w, b = _as_matrix(x), _as_matrix(w), _as_matrix(b)
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"affine {x.shape} x {w.shape}")
-    if b.shape[1] != w.shape[1]:
-        raise DimensionError(f"bias {b.shape} against {w.shape}")
-    return x @ w + b
-
-
-def activation(kind: str, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def bce_loss(p: float, y: float) -> float:
-    pc = min(max(p, EPS_PROB), 1.0 - EPS_PROB)
-    return -(y * math.log(pc) + (1.0 - y) * math.log(1.0 - pc))
-
-
-# ---------------------------------------------------------------------------
 # parameters and optimizer
 # ---------------------------------------------------------------------------
 

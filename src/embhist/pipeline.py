@@ -36,11 +36,8 @@ from .models import (
     history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
-from .quantization import (
-    CODEC_IDS, Codec, QuantizedVec, fit_kmeans_int4, payload_matrix,
-    reconstruction_mse,
-)
-from .seqstore import EmbeddingRecord, SequenceStore, centroid_drift
+from .quantization import Codec, fit_kmeans_int4, payload_matrix, reconstruction_mse
+from .seqstore import SequenceStore, centroid_drift
 from .synthworld import (
     EventLog, EventSample, WorldSpec, enumerate_world, generate,
     random_enumerable_spec,
@@ -184,30 +181,76 @@ def fit_codec(kind: str, z_pool: np.ndarray, seed: int) -> Codec:
     return Codec(kind)
 
 
-def build_store(teacher: TeacherLog, ae: MatryoshkaAE, codec: Codec,
-                d_prime: int, rows=None) -> SequenceStore:
-    store = SequenceStore(d_prime, codec)
-    append_store(store, teacher, ae, codec, d_prime, rows)
-    return store
-
-
 def append_store(store: SequenceStore, teacher: TeacherLog, ae: MatryoshkaAE,
                  codec: Codec, d_prime: int, rows=None) -> None:
-    rows = range(len(teacher.keys)) if rows is None else rows
-    rows = list(rows)
-    if not rows:
+    rows = np.arange(len(teacher.keys)) if rows is None else np.asarray(rows)
+    if not len(rows):
         return
     z = ae.encode_batch(teacher.emb[rows])[:, :d_prime]
-    payloads = payload_matrix(codec, z)
-    codec_id = CODEC_IDS[codec.kind]
-    for j, i in enumerate(rows):
-        store.append(
-            EmbeddingRecord(
-                key=int(teacher.keys[i]), timestamp=int(teacher.timestamps[i]),
-                payload=QuantizedVec(codec_id, d_prime, payloads[j].tobytes()),
-                soft_label=float(teacher.soft[i]),
-            )
-        )
+    store.extend(teacher.keys[rows], teacher.timestamps[rows], teacher.soft[rows],
+                 payload_matrix(codec, z), d_prime)
+
+
+@dataclass
+class TeacherStack:
+    """Teacher outputs, the frozen store built from them, the codec's MSE on
+    the codes it was fit to, and the centroid drift between consecutive
+    logged chunks of the store."""
+
+    teacher: TeacherLog
+    store: SequenceStore
+    codec_mse: float
+    drift: tuple[float, ...]
+
+
+def checkpoint_segments(policy: str, seed: int) -> list[tuple]:
+    """`(teacher train chunks, logged chunks, (teacher, ae, codec) seeds)` per
+    checkpoint. "fixed": one teacher for every logged chunk. "per_split": a
+    fresh teacher per logged chunk, trained on everything before it; the
+    compressor is retrained per checkpoint as well."""
+    if policy == "fixed":
+        return [(FM_TRAIN_CHUNKS, LOG_CHUNKS,
+                 (seed, derive_seed(seed, "ae"), derive_seed(seed, "codec")))]
+    return [(tuple(range(c)), (c,), (derive_seed(seed, "split", c),
+                                     derive_seed(seed, "ae", c), derive_seed(seed, "codec")))
+            for c in LOG_CHUNKS]
+
+
+def teacher_stack(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
+                  segments) -> TeacherStack:
+    """teacher -> log_teacher -> ae_train -> fit_codec -> store, once per
+    checkpoint segment (see checkpoint_segments). Each compressor trains on
+    its segment's first logged chunk. The codec is fit on the first
+    segment's first-chunk codes and reused by later segments, so the store
+    stays self-describing under one codec. Rows enter the store one logged
+    chunk at a time."""
+    parts, store, edges = [], None, [0]
+    for train_chunks, log_chunks, (fm_seed, ae_seed, codec_seed) in segments:
+        fm = train_fm(log_, schema, cfg.fm, fm_seed, train_chunks=train_chunks)
+        teacher = log_teacher(fm, log_, cfg.layer, log_chunks)
+        first = teacher.rows_in_chunk(log_chunks[0])
+        ae, _ = ae_train(teacher.emb[first], cfg.ae, ae_seed)
+        if store is None:
+            z = ae.encode_batch(teacher.emb[first])[:, : cfg.active_dim]
+            codec = fit_codec(cfg.codec_kind, z, codec_seed)
+            codec_mse = reconstruction_mse(codec, z)
+            store = SequenceStore(cfg.active_dim, codec)
+        for c in log_chunks:
+            append_store(store, teacher, ae, store.codec, cfg.active_dim,
+                         teacher.rows_in_chunk(c))
+            edges.append(len(store))
+        parts.append(teacher)
+    store.freeze()
+    blocks = [store.values[a:b] for a, b in zip(edges, edges[1:])]
+    drift = tuple(centroid_drift(a, b) for a, b in zip(blocks, blocks[1:]))
+    return TeacherStack(_concat_teacher(parts), store, codec_mse, drift)
+
+
+def _concat_teacher(parts: list[TeacherLog]) -> TeacherLog:
+    if len(parts) == 1:
+        return parts[0]
+    return TeacherLog(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(TeacherLog)})
 
 
 def _arm_settings(arm: str, cfg: ExperimentConfig):
@@ -321,64 +364,16 @@ def _load_log(cfg: ExperimentConfig, seed: int) -> EventLog:
 def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     log_ = _load_log(cfg, seed)
     schema = FeatureSchema.from_world(cfg.world)
-
-    if cfg.checkpoint_policy == "fixed":
-        fm = train_fm(log_, schema, cfg.fm, seed)
-        teacher = log_teacher(fm, log_, cfg.layer, LOG_CHUNKS)
-        ae, _ = ae_train(teacher.emb[teacher.rows_in_chunk(4)], cfg.ae,
-                         derive_seed(seed, "ae"))
-        per_chunk_ae = {c: ae for c in LOG_CHUNKS}
-        teacher_parts = {c: teacher for c in LOG_CHUNKS}
-    else:
-        # fresh teacher per split, trained on everything before the split;
-        # the compressor is retrained per checkpoint as well
-        teacher_parts, per_chunk_ae = {}, {}
-        merged = None
-        for c in LOG_CHUNKS:
-            fm_c = train_fm(log_, schema, cfg.fm, derive_seed(seed, "split", c),
-                            train_chunks=tuple(range(c)))
-            part = log_teacher(fm_c, log_, cfg.layer, (c,))
-            teacher_parts[c] = part
-            ae_c, _ = ae_train(part.emb, cfg.ae, derive_seed(seed, "ae", c))
-            per_chunk_ae[c] = ae_c
-            merged = part if merged is None else _concat_teacher(merged, part)
-        teacher = merged
-
-    # codec fit on chunk-4 codes; per_split reuses the chunk-4 compressor's
-    # codebook so the store stays self-describing under one codec
-    chunk4 = teacher_parts[4]
-    rows4 = chunk4.rows_in_chunk(4)
-    z4 = per_chunk_ae[4].encode_batch(chunk4.emb[rows4])[:, : cfg.active_dim]
-    codec = fit_codec(cfg.codec_kind, z4, derive_seed(seed, "codec"))
-    codec_mse = reconstruction_mse(codec, z4)
-
-    store = SequenceStore(cfg.active_dim, codec)
-    chunk_stores = []
-    for c in LOG_CHUNKS:
-        part = teacher_parts[c]
-        chunk_stores.append(build_store(part, per_chunk_ae[c], codec, cfg.active_dim,
-                                        rows=part.rows_in_chunk(c)))
-        for rec in chunk_stores[-1].records:  # same records: quantize once
-            store.append(rec)
-    drift = tuple(
-        centroid_drift(chunk_stores[i], chunk_stores[i + 1])
-        for i in range(len(chunk_stores) - 1)
-    )
-    store.freeze()
+    stack = teacher_stack(log_, schema, cfg, checkpoint_segments(cfg.checkpoint_policy, seed))
 
     arm_results = {}
     for arm in cfg.arms:
-        vm = train_vm(log_, schema, cfg, arm, store, teacher, seed)
-        arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, store, teacher)
+        vm = train_vm(log_, schema, cfg, arm, stack.store, stack.teacher, seed)
+        arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, stack.store, stack.teacher)
 
-    test_rows = teacher.rows_in_chunk(TEST_CHUNK)
-    fm_result = evaluate(teacher.soft[test_rows], teacher.labels[test_rows])
-    return SeedResult(arm_results, fm_result, drift, codec_mse)
-
-
-def _concat_teacher(a: TeacherLog, b: TeacherLog) -> TeacherLog:
-    return TeacherLog(**{f.name: np.concatenate([getattr(a, f.name), getattr(b, f.name)])
-                         for f in fields(TeacherLog)})
+    test_rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
+    fm_result = evaluate(stack.teacher.soft[test_rows], stack.teacher.labels[test_rows])
+    return SeedResult(arm_results, fm_result, stack.drift, stack.codec_mse)
 
 
 def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -510,30 +505,22 @@ def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES, m1: int = 1,
     log_ = generate(world, seed)
     enum_world = enumerate_world(world, n_hist=1)
 
-    def teacher_stack(n_extras, teacher_seed):
+    def transfer(n_extras, teacher_seed):
         schema = _subschema(world, n_extras)
-        fm = train_fm(log_, schema, cfg.fm, teacher_seed)
-        teacher = log_teacher(fm, log_, cfg.layer, LOG_CHUNKS)
-        ae, _ = ae_train(teacher.emb[teacher.rows_in_chunk(4)], cfg.ae,
-                         derive_seed(teacher_seed, "ae"))
-        z4 = ae.encode_batch(teacher.emb[teacher.rows_in_chunk(4)])[:, : cfg.active_dim]
-        codec = fit_codec(cfg.codec_kind, z4, derive_seed(teacher_seed, "codec"))
-        store = build_store(teacher, ae, codec, cfg.active_dim)
-        store.freeze()
-        vm = train_vm(log_, schema, cfg, "kd_emb_hist", store, teacher, seed)
-        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", store, teacher)
-        rows = teacher.rows_in_chunk(TEST_CHUNK)
-        fm_res = evaluate(teacher.soft[rows], teacher.labels[rows])
-        return res, fm_res
+        stack = teacher_stack(log_, schema, cfg, checkpoint_segments("fixed", teacher_seed))
+        vm = train_vm(log_, schema, cfg, "kd_emb_hist", stack.store, stack.teacher, seed)
+        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", stack.store, stack.teacher)
+        rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
+        return res, evaluate(stack.teacher.soft[rows], stack.teacher.labels[rows])
 
-    base_vm, base_fm = teacher_stack(m1, derive_seed(seed, "teacher", m1))
+    base_vm, base_fm = transfer(m1, derive_seed(seed, "teacher", m1))
     pops = tr_delta_sweep(
         enum_world, old_generation_pipe(enum_world, m1),
         lambda m2: new_generation_pipe(enum_world, m2), tuple(deltas),
     )
     rows = []
     for delta, pop in zip(deltas, pops):
-        new_vm, new_fm = teacher_stack(m1 + delta, derive_seed(seed, "teacher", m1 + delta))
+        new_vm, new_fm = transfer(m1 + delta, derive_seed(seed, "teacher", m1 + delta))
         d_fm = base_fm.ne - new_fm.ne
         tr_emp = (base_vm.ne - new_vm.ne) / d_fm if d_fm != 0 else float("nan")
         rows.append({

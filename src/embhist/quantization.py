@@ -146,14 +146,13 @@ def dequantize(codec: Codec, q: QuantizedVec) -> np.ndarray:
         raise FormatError(
             f"truncated payload: {len(q.payload)} bytes, expected {expected}"
         )
-    return dequantize_batch(codec, [q.payload], q.dim)[0]
+    return dequantize_batch(codec, np.frombuffer(q.payload, dtype=np.uint8)[None, :], q.dim)[0]
 
 
-def dequantize_batch(codec: Codec, payloads: list[bytes], dim: int) -> np.ndarray:
-    """Vectorized dequantize of many same-shape payloads into an (n, d) array."""
-    if not payloads:
-        return np.zeros((0, dim))
-    raw = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), -1)
+def dequantize_batch(codec: Codec, payloads: np.ndarray, dim: int) -> np.ndarray:
+    """Values of an (n, payload_size(dim)) uint8 payload matrix as an (n, dim)
+    array; the inverse of payload_matrix."""
+    raw = np.ascontiguousarray(payloads, dtype=np.uint8)
     if codec.kind == "fp32":
         return raw.view("<f4").astype(np.float64)
     if codec.kind == "int8_uniform":

@@ -1,4 +1,4 @@
-"""Append-only keyed store of quantized embedding records.
+"""Append-only keyed store of quantized embedding records, held as columns.
 
 Sequences honor a retention window, a length cap, and strict exclusion of
 anything at or after the query timestamp, so serving never needs a
@@ -10,15 +10,15 @@ corruption is caught and reported with the record index.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, FormatError
-from .quantization import Codec, QuantizedVec, codec_from_id, dequantize_batch
+from .errors import ConfigError, DataError, DimensionError, FormatError, unpack_from
+from .quantization import CODEC_IDS, Codec, QuantizedVec, codec_from_id, dequantize_batch
 
 _MAGIC = b"LFSQ"
 _VERSION = 1
@@ -26,16 +26,12 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
+    """One record as `SequenceStore.append` takes it and `records` shows it."""
+
     key: int
     timestamp: int
     payload: QuantizedVec
     soft_label: float | None = None
-
-    def __post_init__(self):
-        if self.key < 0 or self.timestamp < 0:
-            raise FormatError("key and timestamp must be non-negative")
-        if self.soft_label is not None and not 0.0 <= self.soft_label <= 1.0:
-            raise FormatError("soft label must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -58,35 +54,88 @@ class SequenceFeature:
 
 
 class SequenceStore:
+    """Records in insertion order as columns: `keys` (u64), `timestamps`
+    (i64), `soft_labels` (f64, NaN for a record without one) and the
+    (n, payload_size) uint8 `payloads` matrix. Queries read a (key,
+    timestamp, insertion) sort and the dequantized rows, built on the first
+    query after an append."""
+
     def __init__(self, dim: int, codec: Codec):
         self.dim = dim
         self.codec = codec
-        self._records: list[EmbeddingRecord] = []
-        self._by_key: dict[int, list[tuple[int, int]]] = {}  # (timestamp, counter)
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.timestamps = np.zeros(0, dtype=np.int64)
+        self.soft_labels = np.zeros(0)
+        self.payloads = np.zeros((0, codec.payload_size(dim)), dtype=np.uint8)
         self._frozen = False
+        self._index = None
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.keys)
 
     @property
     def records(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(self._records)
+        """Per-record view in insertion order, made on each access."""
+        codec_id = self.codec_id()
+        return tuple(
+            EmbeddingRecord(key, ts, QuantizedVec(codec_id, self.dim, payload.tobytes()),
+                            None if math.isnan(soft) else soft)
+            for key, ts, soft, payload in zip(self.keys.tolist(), self.timestamps.tolist(),
+                                              self.soft_labels.tolist(), self.payloads)
+        )
 
     def freeze(self) -> None:
         """After freezing the store is immutable and safely shareable."""
         self._frozen = True
 
     def append(self, rec: EmbeddingRecord) -> None:
+        soft = math.nan if rec.soft_label is None else rec.soft_label
+        self.extend([rec.key], [rec.timestamp], [soft],
+                    np.frombuffer(rec.payload.payload, dtype=np.uint8)[None, :],
+                    rec.payload.dim)
+
+    def extend(self, keys, timestamps, soft_labels, payloads, dim: int) -> None:
+        """Append one record per row. `payloads` holds the codec bytes of
+        `dim`-wide vectors, one row each; a NaN soft label means none."""
         if self._frozen:
             raise ConfigError("store is frozen")
-        if rec.payload.dim != self.dim:
-            raise FormatError(f"record dim {rec.payload.dim} != store dim {self.dim}")
-        expected = self.codec.payload_size(self.dim)
-        if len(rec.payload.payload) != expected:
+        if dim != self.dim:
+            raise FormatError(f"record dim {dim} != store dim {self.dim}")
+        payloads = np.asarray(payloads, dtype=np.uint8)
+        if payloads.ndim != 2 or payloads.shape[1] != self.payloads.shape[1]:
             raise FormatError("payload length does not match the store codec")
-        counter = len(self._records)
-        self._records.append(rec)
-        insort(self._by_key.setdefault(rec.key, []), (rec.timestamp, counter))
+        keys, timestamps = np.asarray(keys), np.asarray(timestamps)
+        soft = np.asarray(soft_labels, dtype=np.float64)
+        if not len(keys) == len(timestamps) == len(soft) == len(payloads):
+            raise DimensionError("record columns differ in length")
+        if (keys < 0).any() or (timestamps < 0).any():
+            raise FormatError("key and timestamp must be non-negative")
+        if ((soft < 0.0) | (soft > 1.0)).any():
+            raise FormatError("soft label must lie in [0, 1]")
+        self.keys = np.concatenate([self.keys, keys.astype(np.uint64)])
+        self.timestamps = np.concatenate([self.timestamps, timestamps.astype(np.int64)])
+        self.soft_labels = np.concatenate([self.soft_labels, soft])
+        self.payloads = np.concatenate([self.payloads, payloads])
+        for column in (self.keys, self.timestamps, self.soft_labels, self.payloads):
+            column.flags.writeable = False
+        self._index = None
+
+    def _query_index(self):
+        """(canonical order, its timestamps, key -> span of that order,
+        dequantized rows in insertion order)."""
+        if self._index is None:
+            order = np.lexsort((self.timestamps, self.keys))  # stable: ties by insertion
+            keys, starts = np.unique(self.keys[order], return_index=True)
+            stops = np.append(starts[1:], len(order))
+            spans = dict(zip(keys.tolist(), zip(starts.tolist(), stops.tolist())))
+            values = dequantize_batch(self.codec, self.payloads, self.dim)
+            self._index = (order, self.timestamps[order], spans, values)
+        return self._index
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dequantized (n, dim) rows in insertion order."""
+        return self._query_index()[3]
 
     def build_sequence(self, key: int, t_cur: int, seq_len: int,
                        window: int) -> SequenceFeature:
@@ -96,40 +145,23 @@ class SequenceStore:
             raise ConfigError("sequence length cap must be >= 1")
         if window <= 0:
             raise ConfigError("retention window must be > 0")
-        index = self._by_key.get(key)
-        if not index:
-            return SequenceFeature.empty(seq_len, self.dim)
-        lo = bisect_left(index, (t_cur - window, -1))
-        hi = bisect_left(index, (t_cur, -1))
-        chosen = index[lo:hi][-seq_len:]
-        if not chosen:
-            return SequenceFeature.empty(seq_len, self.dim)
-        chosen = chosen[::-1]  # most recent first; equal stamps: later insert first
-        recs = [self._records[c] for _, c in chosen]
-        values = dequantize_batch(self.codec, [r.payload.payload for r in recs], self.dim)
+        order, stamps, spans, values = self._query_index()
+        start, stop = spans.get(key, (0, 0))
+        lo = start + stamps[start:stop].searchsorted(t_cur - window)
+        hi = start + stamps[start:stop].searchsorted(t_cur)
+        rows = order[max(lo, hi - seq_len):hi][::-1]  # equal stamps: later insert first
         out = SequenceFeature.empty(seq_len, self.dim)
-        n = len(recs)
-        out.entries[:n] = values
+        n = len(rows)
+        out.entries[:n] = values[rows]
         out.mask[:n] = True
-        out.timestamps[:n] = [r.timestamp for r in recs]
+        out.timestamps[:n] = self.timestamps[rows]
         return SequenceFeature(out.entries, out.mask, out.timestamps, n)
-
-    def centroid(self) -> np.ndarray:
-        if not self._records:
-            raise DataError("store is empty")
-        values = dequantize_batch(
-            self.codec, [r.payload.payload for r in self._records], self.dim
-        )
-        return values.mean(axis=0)
 
     # -- persistence -------------------------------------------------------
 
     def persist(self, path) -> None:
         """Canonical order: (key, timestamp, insertion counter)."""
-        order = sorted(
-            range(len(self._records)),
-            key=lambda i: (self._records[i].key, self._records[i].timestamp, i),
-        )
+        order = self._query_index()[0]
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             centers = self.codec.codebook or ()
@@ -137,87 +169,76 @@ class SequenceStore:
                                  self.codec_id(), len(centers)))
             for c in centers:
                 fh.write(struct.pack("<d", c))
-            fh.write(struct.pack("<Q", len(self._records)))
-            for i in order:
-                fh.write(_record_bytes(self._records[i]))
+            fh.write(struct.pack("<Q", len(order)))
+            for key, ts, soft, payload in zip(
+                    self.keys[order].tolist(), self.timestamps[order].tolist(),
+                    self.soft_labels[order].tolist(), self.payloads[order]):
+                fh.write(_record_bytes(key, ts, soft, payload.tobytes()))
 
     def codec_id(self) -> int:
-        from .quantization import CODEC_IDS
-
         return CODEC_IDS[self.codec.kind]
 
     @classmethod
     def load(cls, path) -> "SequenceStore":
+        """Every read is length-checked: a short file raises FormatError
+        naming the offset."""
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) < 14:
-            raise FormatError(f"truncated header: {len(blob)} bytes")
         if blob[:4] != _MAGIC:
             raise FormatError(f"bad magic {blob[:4]!r} at offset 0")
-        version, dim, codec_id, n_centers = struct.unpack_from("<IIBB", blob, 4)
+        (version, dim, codec_id, n_centers), off = unpack_from("<IIBB", blob, 4)
         if version != _VERSION:
             raise FormatError(f"unsupported store version {version}")
-        off = 14
-        centers = None
-        if n_centers:
-            centers = struct.unpack_from(f"<{n_centers}d", blob, off)
-            off += 8 * n_centers
+        centers, off = unpack_from(f"<{n_centers}d", blob, off)
         codec = codec_from_id(codec_id, centers)
-        (count,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        store = cls(dim, codec)
+        (count,), off = unpack_from("<Q", blob, off)
         payload_len = codec.payload_size(dim)
+        rows = []
         for i in range(count):
-            rec, off = _parse_record(blob, off, i, payload_len, codec_id, dim)
-            store.append(rec)
+            row, off = _parse_record(blob, off, i, payload_len)
+            rows.append(row)
         if off != len(blob):
             raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
+        keys, stamps, soft, payloads = zip(*rows) if rows else ((), (), (), ())
+        store = cls(dim, codec)
+        store.extend(np.array(keys, dtype=np.uint64), stamps, soft,
+                     np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(count, payload_len),
+                     dim)
         return store
 
 
-def _record_bytes(rec: EmbeddingRecord) -> bytes:
-    flag = 1 if rec.soft_label is not None else 0
-    body = struct.pack("<Qq", rec.key, rec.timestamp) + bytes([flag])
-    if flag:
-        body += struct.pack("<d", rec.soft_label)
-    body += rec.payload.payload
+def _record_bytes(key: int, timestamp: int, soft: float, payload: bytes) -> bytes:
+    if math.isnan(soft):
+        body = struct.pack("<QqB", key, timestamp, 0) + payload
+    else:
+        body = struct.pack("<QqBd", key, timestamp, 1, soft) + payload
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _parse_record(blob: bytes, off: int, index: int, payload_len: int,
-                  codec_id: int, dim: int):
+def _parse_record(blob: bytes, off: int, index: int, payload_len: int):
+    """(key, timestamp, soft label or NaN, payload bytes), next offset."""
     start = off
-    fixed = 8 + 8 + 1
-    if off + fixed > len(blob):
-        raise FormatError(f"record {index} truncated at offset {off}")
-    key, ts = struct.unpack_from("<Qq", blob, off)
-    flag = blob[off + 16]
-    off += fixed
+    (key, ts, flag), off = unpack_from("<QqB", blob, off)
     if flag not in (0, 1):
         raise FormatError(f"record {index}: bad soft-label flag {flag}")
-    soft = None
+    soft = math.nan
     if flag:
-        if off + 8 > len(blob):
-            raise FormatError(f"record {index} truncated at offset {off}")
-        (soft,) = struct.unpack_from("<d", blob, off)
-        off += 8
-    if off + payload_len + 4 > len(blob):
-        raise FormatError(f"record {index} truncated at offset {off}")
-    payload = blob[off : off + payload_len]
-    off += payload_len
-    (crc,) = struct.unpack_from("<I", blob, off)
-    off += 4
+        (soft,), off = unpack_from("<d", blob, off)
+    (payload, crc), off = unpack_from(f"<{payload_len}sI", blob, off)
     if zlib.crc32(blob[start : off - 4]) != crc:
         raise FormatError(f"record {index}: crc mismatch (corrupt payload)")
     if ts < 0:
         raise FormatError(f"record {index}: negative timestamp")
-    if soft is not None and not 0.0 <= soft <= 1.0:
+    if flag and not 0.0 <= soft <= 1.0:
         raise FormatError(f"record {index}: soft label {soft} outside [0, 1]")
-    return EmbeddingRecord(key, ts, QuantizedVec(codec_id, dim, payload), soft), off
+    return (key, ts, soft, payload), off
 
 
-def centroid_drift(store_a: SequenceStore, store_b: SequenceStore) -> float:
-    """L2 distance between the mean dequantized embeddings of two stores."""
-    if store_a.dim != store_b.dim:
-        raise DimensionError("stores have different dims")
-    return float(np.linalg.norm(store_a.centroid() - store_b.centroid()))
+def centroid_drift(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
+    """L2 distance between the mean rows of two (n, d) blocks of dequantized
+    embeddings; each mean sums its block in row order."""
+    if not len(rows_a) or not len(rows_b):
+        raise DataError("centroid of an empty block")
+    if rows_a.shape[1] != rows_b.shape[1]:
+        raise DimensionError("blocks have different dims")
+    return float(np.linalg.norm(rows_a.mean(axis=0) - rows_b.mean(axis=0)))

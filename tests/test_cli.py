@@ -147,3 +147,57 @@ def test_ablate_axis_writes_table(config_path, tmp_path):
     assert rc == 0
     table = (tmp_path / "abl" / "codec.tsv").read_text()
     assert "int4_kmeans" in table and "codec_mse" in table
+
+
+def teacher_columns(n=8, width=3):
+    return dict(keys=np.arange(n), timestamps=np.arange(n), chunks=np.full(n, 4),
+                labels=np.arange(n) % 2, soft=np.full(n, 0.5), emb=np.zeros((n, width)))
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", '{"codebook": []}', '{"kind": "int4_kmeans"}',
+    '{"kind": "int4_kmeans", "codebook": null}', '["fp32"]',
+    '{"kind": "int4_kmeans", "codebook": ' + json.dumps(["a"] * 16) + "}",
+])
+def test_malformed_codec_descriptor_exits_4(tmp_path, capsys, text):
+    from embhist.compression import AEConfig, MatryoshkaAE, save_ae
+
+    np.savez(tmp_path / "teacher.npz", **teacher_columns())
+    save_ae(tmp_path / "ae.lfmm", MatryoshkaAE(3, AEConfig(), seed=0))
+    (tmp_path / "codec.json").write_text(text)
+    rc = main(["build-store", "--teacher", str(tmp_path / "teacher.npz"),
+               "--ae", str(tmp_path / "ae.lfmm"), "--codec", str(tmp_path / "codec.json"),
+               "--out", str(tmp_path / "store.lfsq")])
+    assert rc == 4
+    assert "data error" in capsys.readouterr().err
+
+
+def test_teacher_file_missing_field_exits_4(tmp_path, capsys):
+    columns = teacher_columns()
+    del columns["soft"]
+    np.savez(tmp_path / "teacher.npz", **columns)
+    rc = main(["train-ae", "--teacher", str(tmp_path / "teacher.npz"),
+               "--out", str(tmp_path / "ae.lfmm")])
+    assert rc == 4
+    assert "soft" in capsys.readouterr().err
+
+
+def truncated_npz(path):
+    np.savez(path, **teacher_columns())
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def plain_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(b"not an npz file"), truncated_npz, plain_npy,
+], ids=["garbage", "truncated", "npy"])
+def test_unreadable_teacher_file_exits_4(tmp_path, capsys, make):
+    path = tmp_path / "teacher.npz"
+    make(path)
+    rc = main(["train-ae", "--teacher", str(path), "--out", str(tmp_path / "ae.lfmm")])
+    assert rc == 4
+    assert "data error" in capsys.readouterr().err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from embhist.compression import (
-    AEConfig, MatryoshkaAE, ae_train, decode_prefix, dimension_correlation_probe,
-    encode, load_ae, prefix_mse, save_ae,
+    AEConfig, MatryoshkaAE, ae_train, dimension_correlation_probe, load_ae,
+    prefix_mse, save_ae,
 )
 from embhist.errors import ConfigError, DataError, DimensionError
 
@@ -70,23 +70,23 @@ class TestEncodeDecode:
 
     def test_encode_deterministic(self, trained):
         ae, e = trained
-        assert np.array_equal(encode(ae, e[0]), encode(ae, e[0]))
+        assert np.array_equal(ae.encode_batch(e[:1]), ae.encode_batch(e[:1]))
 
     def test_dim_mismatch(self, trained):
         ae, _ = trained
         with pytest.raises(DimensionError):
-            encode(ae, np.zeros(11))
+            ae.encode_batch(np.zeros((1, 11)))
 
     def test_unknown_prefix_rejected(self, trained):
         ae, _ = trained
         with pytest.raises(ConfigError):
-            decode_prefix(ae, np.zeros(3), 3)
+            ae.decode_prefix_batch(np.zeros((1, 3)), 3)
 
     def test_full_prefix_is_plain_autoencoder(self, trained):
         ae, e = trained
-        z = encode(ae, e[0])
-        full = decode_prefix(ae, z, 8)
-        assert full.shape == (10,)
+        z = ae.encode_batch(e[:1])
+        full = ae.decode_prefix_batch(z, 8)
+        assert full.shape == (1, 10)
         # the full-width decoder is the best of the prefix family
         mse = prefix_mse(ae, e)
         assert mse[8] == min(mse.values())
@@ -95,7 +95,7 @@ class TestEncodeDecode:
         cfg = AEConfig(dims=(4,), use_hidden=False, encoder_activation="linear")
         ae = MatryoshkaAE(6, cfg, seed=0)
         ae.params.set_("dec4.out.w", np.zeros((4, 6)))
-        assert np.array_equal(decode_prefix(ae, np.zeros(4), 4), np.zeros(6))
+        assert np.array_equal(ae.decode_prefix_batch(np.zeros((1, 4)), 4), np.zeros((1, 6)))
 
 
 class TestCheckpoint:

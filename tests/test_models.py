@@ -8,7 +8,7 @@ from embhist import nncore as nn
 from embhist.errors import ConfigError, SchemaError
 from embhist.models import (
     Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
-    _pool, extract_embedding, history_index, joint_loss, make_attention_params,
+    _pool, extract_embedding, history_index, make_attention_params,
     make_fm_batch, make_vm_batch, read_checkpoint, schema_ids, write_checkpoint,
 )
 from embhist.seqstore import SequenceFeature
@@ -238,35 +238,55 @@ class TestVMForward:
         assert vm_predict(vm, log) == vm_predict(vm, perturbed)
 
 
+def kd_loss(p_v, p_f, y, lam):
+    """Student loss with distillation weight lam on one event with label y,
+    teacher soft label p_f, and student prediction p_v."""
+    vm = VMModel(schema(), VMConfig(), seed=0)
+    vm.params.set_("out.b", np.array([[math.log(p_v / (1.0 - p_v))]]))  # out.w is zero
+    log = sample_log()
+    row = int(np.flatnonzero(log.labels == y)[0])
+    batch = vm_batch(vm.schema, log, [row], soft_labels=np.array([p_f]))
+    return float(vm.loss_fn(batch, kd_weight=lam)(vm.params)[0].value[0, 0])
+
+
 class TestJointLoss:
     def test_lambda_zero_is_task_loss(self):
-        assert joint_loss(0.3, 0.9, 1, 0.0) == pytest.approx(nn.bce_loss(0.3, 1))
+        assert kd_loss(0.3, 0.9, 1, 0.0) == pytest.approx(-math.log(0.3))
 
     def test_hard_teacher_collapses(self):
-        got = joint_loss(0.3, 1.0, 1, 2.0)
+        got = kd_loss(0.3, 1.0, 1, 2.0)
         # clamped teacher target differs from the exact label only at 1e-7
-        assert got == pytest.approx(3.0 * nn.bce_loss(0.3, 1), rel=1e-5)
+        assert got == pytest.approx(-3.0 * math.log(0.3), rel=1e-5)
 
     def test_hand_case(self):
-        got = joint_loss(0.5, 0.8, 1, 1.0)
+        got = kd_loss(0.5, 0.8, 1, 1.0)
         assert got == pytest.approx(2 * math.log(2), rel=1e-9)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            joint_loss(0.5, 0.5, 1, -0.1)
+            kd_loss(0.5, 0.5, 1, -0.1)
 
 
 class TestGradChecks:
     """Finite differences through every model variant."""
 
-    def _fm(self, use_history):
+    def _fm(self, use_history, rows=np.arange(10)):
         fm = FMModel(schema(), FMConfig(use_history=use_history), seed=5)
         fm.params.set_("out.w", nn.glorot_uniform(*fm.params["out.w"].shape, 9, "probe"))
-        batch = fm_batch(fm.schema, sample_log(), np.arange(10), fm.config.history_len)
+        batch = fm_batch(fm.schema, sample_log(), rows, fm.config.history_len)
         return nn.grad_check(fm.loss_fn(batch), fm.params, n_probes=40, h=1e-5)
 
     def test_fm_with_attention(self):
         assert self._fm(True) < 1e-3
+
+    def test_fm_with_attention_over_past_events(self):
+        # the first rows are t=0 events with empty histories; these rows
+        # attend over real past events, and over different numbers of them
+        _, mask = history_index(sample_log().keys, FMConfig().history_len)
+        rows = np.flatnonzero(mask.any(axis=1))
+        rows = rows[np.linspace(0, len(rows) - 1, 10).astype(int)]
+        assert mask[rows].any(axis=1).all() and len(set(mask[rows].sum(axis=1))) > 1
+        assert self._fm(True, rows) < 1e-3
 
     def test_fm_without_attention(self):
         assert self._fm(False) < 1e-3

@@ -149,8 +149,9 @@ class TestStreamingExperiment:
 
     def test_store_payloads_match_per_row_quantize(self):
         from embhist.compression import AEConfig, ae_train
-        from embhist.pipeline import TeacherLog, build_store
+        from embhist.pipeline import TeacherLog, append_store
         from embhist.quantization import Codec, fit_kmeans_int4, quantize
+        from embhist.seqstore import SequenceStore
 
         rng = np.random.default_rng(5)
         n = 40
@@ -163,7 +164,8 @@ class TestStreamingExperiment:
         z = ae.encode_batch(teacher.emb)[:, :3]  # odd d'
         kmeans, _ = fit_kmeans_int4(rng.uniform(-1, 1, 200), seed=0)
         for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"), kmeans):
-            store = build_store(teacher, ae, codec, 3)
+            store = SequenceStore(3, codec)
+            append_store(store, teacher, ae, codec, 3)
             for rec, vec in zip(store.records, z):
                 assert rec.payload == quantize(codec, vec)
 

@@ -76,7 +76,7 @@ class TestUniformCodecs:
     def test_exhaustive_grid_error_bound(self):
         codec = Codec("int4_uniform")
         z = np.arange(-1.0, 1.0 + 1e-9, 1e-4)
-        out = dequantize_batch(codec, [quantize(codec, z).payload], len(z))[0]
+        out = dequantize_batch(codec, payload_matrix(codec, z[None, :]), len(z))[0]
         err = np.abs(out - z)
         inner = z <= 0.9375
         assert err[inner].max() <= 1 / 16 + 1e-12
@@ -148,7 +148,8 @@ class TestBatchDequantize:
                       Codec("int4_kmeans", cb)):
             vecs = rng.uniform(-1, 1, (20, 9))
             payloads = [quantize(codec, v).payload for v in vecs]
-            batch = dequantize_batch(codec, payloads, 9)
+            batch = dequantize_batch(
+                codec, np.array([np.frombuffer(p, np.uint8) for p in payloads]), 9)
             for i, payload in enumerate(payloads):
                 single = dequantize(codec, QuantizedVec(batch_codec_id(codec), 9, payload))
                 assert np.array_equal(batch[i], single)
@@ -191,3 +192,17 @@ class TestPayloadMatrix:
             for row, vec in zip(block, z):
                 assert row.tobytes() == quantize(codec, vec).payload
                 assert row.tobytes() == scalar_payload(codec, vec)
+
+    @pytest.mark.parametrize("dim", [1, 7, 8])
+    def test_dequantize_batch_inverts_payload_matrix(self, dim):
+        rng = np.random.default_rng(dim + 10)
+        cb = tuple(sorted(rng.uniform(-1, 1, 16)))
+        z = rng.uniform(-1.3, 1.3, (25, dim))
+        for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"),
+                      Codec("int4_kmeans", cb)):
+            values = dequantize_batch(codec, payload_matrix(codec, z), dim)
+            assert values.shape == (25, dim)
+            for row, vec in zip(values, z):
+                assert np.array_equal(row, dequantize(codec, quantize(codec, vec)))
+            empty = np.zeros((0, codec.payload_size(dim)), np.uint8)
+            assert dequantize_batch(codec, empty, dim).shape == (0, dim)

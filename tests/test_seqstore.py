@@ -63,6 +63,50 @@ class TestAppend:
             store.append(rec(1, 1, [0.0] * DIM))
 
 
+class TestExtend:
+    def test_matches_appends(self):
+        rng = np.random.default_rng(8)
+        records = [rec(int(rng.integers(0, 5)), int(rng.integers(0, 20)),
+                       rng.uniform(-1, 1, DIM), soft=[None, 0.25][i % 2])
+                   for i in range(30)]
+        store = SequenceStore(DIM, CODEC)
+        store.extend([r.key for r in records], [r.timestamp for r in records],
+                     [np.nan if r.soft_label is None else r.soft_label for r in records],
+                     np.array([np.frombuffer(r.payload.payload, np.uint8) for r in records]),
+                     DIM)
+        assert store.records == fresh_store(records).records
+        for key in range(5):
+            a = store.build_sequence(key, 15, 4, 10)
+            b = fresh_store(records).build_sequence(key, 15, 4, 10)
+            assert np.array_equal(a.entries, b.entries)
+            assert np.array_equal(a.timestamps, b.timestamps)
+
+    @pytest.mark.parametrize("change", [
+        dict(keys=[-1]), dict(timestamps=[-1]), dict(soft_labels=[1.5]),
+        dict(soft_labels=[-0.1]), dict(dim=DIM + 1),
+        dict(payloads=np.zeros((1, 3), np.uint8)),
+    ])
+    def test_rejects_bad_rows(self, change):
+        args = dict(keys=[1], timestamps=[0], soft_labels=[0.5],
+                    payloads=np.zeros((1, CODEC.payload_size(DIM)), np.uint8), dim=DIM)
+        args.update(change)
+        store = fresh_store()
+        with pytest.raises(FormatError):
+            store.extend(**args)
+        assert len(store) == 0
+
+    def test_frozen_store_rejects_extend(self):
+        store = fresh_store()
+        store.freeze()
+        with pytest.raises(ConfigError):
+            store.extend([1], [0], [0.5], np.zeros((1, 2), np.uint8), DIM)
+
+    def test_columns_read_only(self):
+        store = fresh_store([rec(1, 0, [0.1] * DIM)])
+        with pytest.raises(ValueError):
+            store.keys[0] = 2
+
+
 class TestBuildSequence:
     def test_record_at_t_cur_excluded(self):
         store = fresh_store([rec(1, 10, [0.5] * DIM)])
@@ -197,6 +241,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match="record 2"):
             SequenceStore.load(path)
 
+    @pytest.mark.parametrize("codec", [
+        Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"),
+        Codec("int4_kmeans", tuple(np.linspace(-0.9, 0.9, 16))),
+    ], ids=lambda c: c.kind)
+    def test_truncation_at_every_offset_is_format_error(self, tmp_path, codec):
+        store = SequenceStore(3, codec)
+        for t, soft in enumerate((0.5, None, 1.0)):
+            store.append(EmbeddingRecord(t % 2, t, quantize(codec, np.full(3, 0.3 * t)), soft))
+        path = tmp_path / "s.lfsq"
+        store.persist(path)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match="offset"):
+                SequenceStore.load(path)
+
     def test_quantized_payloads_bit_exact(self, tmp_path):
         rng = np.random.default_rng(6)
         records = [rec(0, t, rng.uniform(-1, 1, DIM)) for t in range(50)]
@@ -211,15 +271,15 @@ class TestPersistence:
 class TestCentroidDrift:
     def test_identical_stores_zero(self):
         records = [rec(1, t, [0.2, -0.4, 0.6, 0.0]) for t in range(5)]
-        assert centroid_drift(fresh_store(records), fresh_store(records)) == 0.0
+        assert centroid_drift(fresh_store(records).values, fresh_store(records).values) == 0.0
 
     def test_constant_shift(self):
         base = [np.full(DIM, 0.1), np.full(DIM, 0.3)]
         shift = 0.25  # exactly two int4 steps
         a = fresh_store([rec(1, t, v) for t, v in enumerate(base)])
         b = fresh_store([rec(1, t, v + shift) for t, v in enumerate(base)])
-        assert centroid_drift(a, b) == pytest.approx(np.sqrt(DIM) * shift, abs=1e-12)
+        assert centroid_drift(a.values, b.values) == pytest.approx(np.sqrt(DIM) * shift, abs=1e-12)
 
     def test_empty_store_rejected(self):
         with pytest.raises(DataError):
-            fresh_store().centroid()
+            centroid_drift(fresh_store().values, fresh_store([rec(1, 0, [0.0] * DIM)]).values)
