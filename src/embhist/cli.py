@@ -33,87 +33,50 @@ from .seqstore import SequenceStore
 from .synthworld import WorldSpec, generate
 
 
-def _parse_tuple(raw: str, cast=int) -> tuple:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(cast(x.strip()) for x in raw.split(","))
+# INI section -> the config dataclass whose fields its keys set
+_SECTIONS = {"world": WorldSpec, "fm": FMConfig, "vm": VMConfig, "ae": AEConfig,
+             "experiment": pipeline.ExperimentConfig}
+# fields no INI key sets: the per-feature probability tables, the student's
+# sequence width (set by the arm), the persistable compressor's shape, and
+# the nested configs (each is a section of its own)
+_NOT_IN_INI = {"vm_feature_probs", "extra_feature_probs", "seq_dim", "use_hidden",
+               "encoder_activation", *_SECTIONS}
 
 
-def _world_from_ini(sec) -> WorldSpec:
-    kwargs = {}
-    mapping = {
-        "n_users": int, "events_per_user": int, "base_logit": float,
-        "temporal_window": int, "temporal_cap": int, "beta_temporal": float,
-        "label_noise": float, "seed": int,
-    }
-    for key, cast in mapping.items():
-        if key in sec:
-            kwargs[key] = cast(sec[key])
-    for key in ("vm_cardinalities", "extra_cardinalities"):
-        if key in sec:
-            kwargs[key] = _parse_tuple(sec[key], int)
-    for key in ("vm_weights", "extra_weights"):
-        if key in sec:
-            kwargs[key] = _parse_tuple(sec[key], float)
-    return WorldSpec(**kwargs)
+def _ini_value(sec, key: str, default):
+    """An INI value cast like its field's default: bool, int, float or str; a
+    comma list cast like the default's first element; a None default reads
+    as str."""
+    if isinstance(default, bool):
+        return sec.getboolean(key)
+    raw = sec[key]
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x.strip()) for x in raw.split(",")) if raw.strip() else ()
+    return raw if default is None else type(default)(raw)
 
 
 def load_config(path) -> pipeline.ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    """Experiment config from an INI file: each section of _SECTIONS sets the
+    fields of its dataclass, unset keys keep their defaults, and `#` after
+    whitespace starts a comment. An unknown section or key is a ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        world = _world_from_ini(parser["world"]) if "world" in parser else WorldSpec()
-        fm_kwargs, vm_kwargs, ae_kwargs, exp_kwargs = {}, {}, {}, {}
-        if "fm" in parser:
-            sec = parser["fm"]
-            for key, cast in (("embed_dim", int), ("attn_hidden", int),
-                              ("history_len", int), ("lr", float),
-                              ("epochs", int), ("batch_size", int)):
-                if key in sec:
-                    fm_kwargs[key] = cast(sec[key])
-            if "hidden" in sec:
-                fm_kwargs["hidden"] = _parse_tuple(sec["hidden"], int)
-            if "use_history" in sec:
-                fm_kwargs["use_history"] = sec.getboolean("use_history")
-        if "vm" in parser:
-            sec = parser["vm"]
-            for key, cast in (("embed_dim", int), ("attn_hidden", int),
-                              ("lr", float), ("batch_size", int)):
-                if key in sec:
-                    vm_kwargs[key] = cast(sec[key])
-            if "hidden" in sec:
-                vm_kwargs["hidden"] = _parse_tuple(sec["hidden"], int)
-            if "seq_encoder" in sec:
-                vm_kwargs["seq_encoder"] = sec["seq_encoder"]
-        if "ae" in parser:
-            sec = parser["ae"]
-            for key, cast in (("hidden_scale", int), ("lr", float),
-                              ("epochs", int), ("batch_size", int)):
-                if key in sec:
-                    ae_kwargs[key] = cast(sec[key])
-            if "dims" in sec:
-                ae_kwargs["dims"] = _parse_tuple(sec["dims"], int)
-        if "experiment" in parser:
-            sec = parser["experiment"]
-            for key, cast in (("layer", str), ("active_dim", int),
-                              ("codec_kind", str), ("seq_len", int),
-                              ("window", int), ("kd_weight", float),
-                              ("checkpoint_policy", str),
-                              ("event_log_path", str)):
-                if key in sec:
-                    exp_kwargs[key] = cast(sec[key])
-            if "arms" in sec:
-                exp_kwargs["arms"] = _parse_tuple(sec["arms"], str)
-            if "seeds" in sec:
-                exp_kwargs["seeds"] = _parse_tuple(sec["seeds"], int)
-        return pipeline.ExperimentConfig(
-            world=world, fm=FMConfig(**fm_kwargs), vm=VMConfig(**vm_kwargs),
-            ae=AEConfig(**ae_kwargs), **exp_kwargs,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+        if unknown:
+            raise ConfigError(f"unknown section(s) {unknown} in {path}")
+        kwargs = {}
+        for name, cls in _SECTIONS.items():
+            sec = parser[name] if parser.has_section(name) else {}
+            defaults = {f.name: f.default for f in fields(cls) if f.name not in _NOT_IN_INI}
+            unknown = sorted(set(sec) - set(defaults))
+            if unknown:
+                raise ConfigError(f"unknown key(s) {unknown} in [{name}] of {path}")
+            kwargs[name] = {key: _ini_value(sec, key, defaults[key]) for key in sec}
+        nested = {name: _SECTIONS[name](**kwargs[name]) for name in ("world", "fm", "vm", "ae")}
+        return pipeline.ExperimentConfig(**nested, **kwargs["experiment"])
+    except (configparser.Error, ValueError, TypeError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
 
 
@@ -162,23 +125,22 @@ def cmd_train_fm(args):
     return 0
 
 
-def _restore_fm(cfg, path) -> FMModel:
+def _restore(cls, config, cfg, path):
+    """A model of class `cls` under `config` with the parameters of the
+    checkpoint at `path`, which must match the config world's schema."""
     schema = FeatureSchema.from_world(cfg.world)
     params, schema_hash, _ = read_checkpoint(path)
     if schema_hash != schema.hash64():
-        raise FormatError("checkpoint schema hash does not match the config world")
-    fm = FMModel(schema, cfg.fm, seed=0)
-    if params.names() != fm.params.names():
-        raise FormatError("checkpoint parameters do not match the configured teacher")
-    for name in fm.params.names():
-        fm.params.set_(name, params[name])
-    return fm
+        raise FormatError(f"checkpoint {path} schema hash does not match the config world")
+    model = cls(schema, config, seed=0)
+    model.params.restore(params)
+    return model
 
 
 def cmd_extract(args):
     cfg = _get_cfg(args)
     log = _load_log(cfg, args)
-    fm = _restore_fm(cfg, args.fm)
+    fm = _restore(FMModel, cfg.fm, cfg, args.fm)
     teacher = pipeline.log_teacher(fm, log, cfg.layer, pipeline.LOG_CHUNKS)
     out = _ensure_parent(Path(args.out))
     np.savez(out, keys=teacher.keys, timestamps=teacher.timestamps,
@@ -262,15 +224,8 @@ def cmd_eval(args):
     schema = FeatureSchema.from_world(cfg.world)
     store = SequenceStore.load(args.store) if args.store else None
     teacher = _load_teacher(args.teacher) if args.teacher else None
-    params, schema_hash, _ = read_checkpoint(args.vm)
-    if schema_hash != schema.hash64():
-        raise FormatError("student checkpoint does not match the config world")
     _, seq_dim = pipeline._arm_settings(args.arm, cfg)
-    vm = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed=0)
-    if params.names() != vm.params.names():
-        raise FormatError("checkpoint parameters do not match the configured student/arm")
-    for name in vm.params.names():
-        vm.params.set_(name, params[name])
+    vm = _restore(VMModel, replace(cfg.vm, seq_dim=seq_dim), cfg, args.vm)
     result = pipeline.eval_vm(vm, log, schema, cfg, args.arm, store, teacher,
                               chunk=args.chunk)
     print(f"arm={args.arm} chunk={args.chunk} auc={result.auc:.6f} "

@@ -11,13 +11,13 @@ the teacher is not even part of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from . import nncore as nn
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, FormatError
 from .nncore import ParamStore
 
 
@@ -169,16 +169,22 @@ def save_ae(path, ae: MatryoshkaAE) -> None:
     write_checkpoint(path, ae.params, schema_hash=ae.in_dim, extra_dims=ae.config.dims)
 
 
-def load_ae(path, config: AEConfig | None = None) -> MatryoshkaAE:
+def load_ae(path) -> MatryoshkaAE:
+    """The autoencoder saved at `path`. Its dim set comes from the header, its
+    input and hidden widths from the encoder weights; a header without a
+    valid dim set, or weights that do not fit it, is a FormatError."""
     from .models import read_checkpoint
 
     params, in_dim, dims = read_checkpoint(path)
-    config = config or AEConfig(dims=tuple(int(d) for d in dims))
-    if tuple(config.dims) != tuple(int(d) for d in dims):
-        raise ConfigError("checkpoint dim set does not match the requested config")
-    ae = MatryoshkaAE(int(in_dim), config, seed=0)
-    for name in ae.params.names():
-        ae.params.set_(name, params[name])
+    try:
+        config = AEConfig(dims=tuple(int(d) for d in dims))
+    except ConfigError as exc:
+        raise FormatError(f"{path} is not an autoencoder checkpoint: {exc}") from exc
+    if "enc.h.w" not in params or params["enc.h.w"].shape[0] != in_dim:
+        raise FormatError(f"{path}: encoder weights do not match input width {in_dim}")
+    hidden_scale = params["enc.h.w"].shape[1] // config.d_max
+    ae = MatryoshkaAE(in_dim, replace(config, hidden_scale=hidden_scale), seed=0)
+    ae.params.restore(params)
     return ae
 
 

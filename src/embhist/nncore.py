@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionError, NumericError
+from .errors import ContractViolation, DimensionError, FormatError, NumericError
 from .prng import derive_seed, uniform_array
 
 EPS_PROB = 1e-7  # probability clamp applied before every log
@@ -371,6 +371,18 @@ class ParamStore:
             raise DimensionError(f"shape of {name!r} is immutable")
         self._data[name] = value
         self.version += 1
+
+    def restore(self, saved: "ParamStore") -> None:
+        """Copy a checkpoint's parameters into this store; a checkpoint whose
+        names or shapes differ from this store's is a FormatError."""
+        shapes = {name: value.shape for name, value in self.items()}
+        saved_shapes = {name: value.shape for name, value in saved.items()}
+        if saved_shapes != shapes:
+            diff = sorted(n for n in shapes.keys() | saved_shapes.keys()
+                          if shapes.get(n) != saved_shapes.get(n))
+            raise FormatError(f"checkpoint parameters do not match the model: {diff}")
+        for name, value in saved.items():
+            self.set_(name, value)
 
     def as_nodes(self) -> dict[str, Node]:
         version = self.version

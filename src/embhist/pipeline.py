@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import nncore as nn
 from .compression import AEConfig, MatryoshkaAE, ae_train
-from .errors import ConfigError, DataError, VerificationError
+from .errors import ConfigError, DataError, FormatError, VerificationError
 from .infotheory import (
     TablePipeline, TRBoundParams, eval_tr_lower_bound, fixed_point_quantizer,
     grid_ae, identity_stage, posterior_embedding, random_table_pipeline,
@@ -36,7 +36,9 @@ from .models import (
     history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
-from .quantization import Codec, fit_kmeans_int4, payload_matrix, reconstruction_mse
+from .quantization import (
+    CODEC_IDS, Codec, fit_kmeans_int4, payload_matrix, reconstruction_mse,
+)
 from .seqstore import SequenceStore, centroid_drift
 from .synthworld import (
     EventLog, EventSample, WorldSpec, enumerate_world, generate,
@@ -90,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"active dim {self.active_dim} not in trained dims {self.ae.dims}"
             )
-        if self.codec_kind not in ("fp32", "int8_uniform", "int4_uniform", "int4_kmeans"):
+        if self.codec_kind not in CODEC_IDS:
             raise ConfigError(f"unknown codec {self.codec_kind!r}")
         if set(FM_TRAIN_CHUNKS) & set(VM_TRAIN_CHUNKS):
             raise ConfigError("teacher and student training chunks must be disjoint")
@@ -148,10 +150,26 @@ class TeacherLog:
     emb: np.ndarray
 
     def __post_init__(self):
-        self.index = {
-            (int(k), int(t)): i
-            for i, (k, t) in enumerate(zip(self.keys, self.timestamps))
-        }
+        lengths = {f.name: np.shape(getattr(self, f.name))[:1] for f in fields(self)}
+        if len(set(lengths.values())) != 1 or np.ndim(self.emb) != 2:
+            raise FormatError(f"teacher columns need one length and a 2-D emb: {lengths}")
+
+    def soft_at(self, keys: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
+        """Soft labels of the rows at each (key, timestamp); an event with no
+        teacher row is a DataError that names it."""
+        n = len(self.keys)
+        pairs = np.column_stack([np.concatenate([self.keys, keys]),
+                                 np.concatenate([self.timestamps, timestamps])])
+        _, ids = np.unique(pairs, axis=0, return_inverse=True)
+        ids = ids.ravel()
+        row = np.full(ids.max(initial=-1) + 1, -1)
+        row[ids[:n]] = np.arange(n)
+        found = row[ids[n:]]
+        if (found < 0).any():
+            i = int(np.argmax(found < 0))
+            raise DataError(f"no teacher row for the event with key {keys[i]} "
+                            f"at timestamp {timestamps[i]}")
+        return self.soft[found]
 
     def rows_in_chunk(self, chunk: int) -> np.ndarray:
         return np.flatnonzero(self.chunks == chunk)
@@ -271,23 +289,22 @@ def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
     state = nn.AdamState.for_params(vm.params, lr=cfg.vm.lr)
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(np.isin(log_.chunks, VM_TRAIN_CHUNKS))
-    for part in _batches(rows, cfg.vm.batch_size):
-        batch = _vm_batch(log_, ids, part, schema, cfg, seq_dim, lam, store, teacher)
+    soft = teacher.soft_at(log_.keys[rows], log_.timestamps[rows]) if lam > 0 else None
+    for start in range(0, len(rows), cfg.vm.batch_size):
+        part = slice(start, start + cfg.vm.batch_size)
+        batch = _vm_batch(log_, ids, rows[part], schema, cfg, seq_dim, store,
+                          None if soft is None else soft[part])
         loss, nodes = vm.loss_fn(batch, kd_weight=lam)(vm.params)
         nn.backward(loss)
         nn.adam_step(vm.params, nn.collect_grads(vm.params, nodes), state)
     return vm
 
 
-def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, lam, store, teacher):
-    keys, stamps = log_.keys[rows].tolist(), log_.timestamps[rows].tolist()
+def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, store, soft):
     seqs = None
     if seq_dim:
         seqs = [store.build_sequence(k, t, cfg.seq_len, cfg.window)
-                for k, t in zip(keys, stamps)]
-    soft = None
-    if lam > 0:
-        soft = teacher.soft[[teacher.index[kt] for kt in zip(keys, stamps)]]
+                for k, t in zip(log_.keys[rows].tolist(), log_.timestamps[rows].tolist())]
     return make_vm_batch(schema, ids, log_.labels, rows, seqs, soft,
                          seq_len=cfg.seq_len, seq_dim=seq_dim)
 
@@ -299,8 +316,7 @@ def eval_vm(vm: VMModel, log_: EventLog, schema: FeatureSchema,
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
     scores = [
-        vm.predict_batch(_vm_batch(log_, ids, part, schema, cfg, seq_dim, 0.0,
-                                   store, teacher))
+        vm.predict_batch(_vm_batch(log_, ids, part, schema, cfg, seq_dim, store, None))
         for part in _batches(rows, 512)
     ]
     return evaluate(np.concatenate(scores), log_.labels[rows])
@@ -420,7 +436,7 @@ def run_ablation(cfg: ExperimentConfig, axis: str, values=None) -> list[dict]:
             )
             rows.append(row)
     elif axis == "codec":
-        for kind in values or ("fp32", "int8_uniform", "int4_uniform", "int4_kmeans"):
+        for kind in values or CODEC_IDS:
             report = run_streaming_experiment(replace(cfg, codec_kind=kind))
             row = _axis_row("codec", kind, report)
             row["codec_mse"] = float(

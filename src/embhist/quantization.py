@@ -164,10 +164,7 @@ def dequantize_batch(codec: Codec, payloads: np.ndarray, dim: int) -> np.ndarray
 def reconstruction_mse(codec: Codec, z: np.ndarray) -> float:
     """Mean squared error of quantize->dequantize over an (n, d) batch."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if codec.kind == "fp32":
-        approx = np.clip(z, -1.0, 1.0).astype("<f4").astype(np.float64)
-    else:
-        approx = _decode_codes(codec, _codes_matrix(codec, z))
+    approx = dequantize_batch(codec, payload_matrix(codec, z), z.shape[1])
     return float(np.mean((z - approx) ** 2))
 
 

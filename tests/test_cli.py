@@ -1,9 +1,14 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from embhist.cli import load_config, main
+from embhist.pipeline import ExperimentConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 [world]
@@ -52,6 +57,39 @@ def test_load_config_round_trips_values(config_path):
     assert cfg.ae.dims == (4, 8)
     assert cfg.active_dim == 8
     assert cfg.arms == ("baseline", "kd_emb_hist")
+
+
+def readme_config_block():
+    text = (REPO / "README.md").read_text()
+    return text.split("## Config schema (INI)")[1].split("```ini")[1].split("```")[0]
+
+
+@pytest.mark.parametrize("source", ["readme", "example"])
+def test_documented_configs_load(tmp_path, source):
+    path = REPO / "scripts" / "example_config.ini"
+    if source == "readme":
+        path = tmp_path / "readme.ini"
+        path.write_text(readme_config_block())
+    cfg = load_config(path)
+    if source == "readme":
+        # the documented block spells out the defaults, apart from its seeds
+        assert cfg == replace(ExperimentConfig(), seeds=(0, 1, 2, 3, 4), event_log_path="")
+    else:
+        assert cfg.world.n_users == 128 and cfg.fm.epochs == 3 and cfg.seeds == (0, 1)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[fm]\nepoch = 1\n", "unknown key"), ("[experimnt]\nseeds = 0\n", "unknown section"),
+    ("[vm]\nseq_dim = 8\n", "unknown key"), ("[world]\nvm_feature_probs = 0.5\n", "unknown key"),
+    ("[fm]\nepochs = 1\n[extra]\n", "unknown section"),
+    ("epochs = 1\n", "no section headers"), ("[fm]\nepochs = 1\nepochs = 2\n", "already exists"),
+], ids=["key", "section", "seq_dim", "probs", "extra_section", "no_header", "duplicate"])
+def test_unknown_or_malformed_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    rc = main(["gen-world", "--config", str(path), "--out", str(tmp_path / "x.tsv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -201,3 +239,60 @@ def test_unreadable_teacher_file_exits_4(tmp_path, capsys, make):
     rc = main(["train-ae", "--teacher", str(path), "--out", str(tmp_path / "ae.lfmm")])
     assert rc == 4
     assert "data error" in capsys.readouterr().err
+
+
+def checkpoint_files(tmp_path, config_path):
+    """An untrained teacher and baseline student of the test config, saved."""
+    from embhist.models import FeatureSchema, FMModel, VMModel, write_checkpoint
+
+    cfg = load_config(config_path)
+    schema = FeatureSchema.from_world(cfg.world)
+    for name, model in (("fm", FMModel(schema, cfg.fm, seed=0)),
+                        ("vm", VMModel(schema, cfg.vm, seed=0))):
+        write_checkpoint(tmp_path / f"{name}.lfmm", model.params, schema.hash64())
+    np.savez(tmp_path / "teacher.npz", **teacher_columns())
+
+
+@pytest.mark.parametrize("case", ["fm_as_ae", "other_widths", "wrong_arm"])
+def test_mismatched_checkpoint_exits_4(tmp_path, capsys, config_path, case):
+    checkpoint_files(tmp_path, config_path)
+    if case == "fm_as_ae":
+        argv = ["quantize", "--teacher", str(tmp_path / "teacher.npz"),
+                "--ae", str(tmp_path / "fm.lfmm"), "--out", str(tmp_path / "codec.json")]
+    elif case == "other_widths":
+        wide = tmp_path / "wide.ini"
+        wide.write_text(Path(config_path).read_text().replace("hidden = 16,8,4",
+                                                              "hidden = 16,12,4"))
+        config_path = str(wide)
+        argv = ["extract", "--fm", str(tmp_path / "fm.lfmm"),
+                "--out", str(tmp_path / "t.npz")]
+    else:
+        argv = ["eval", "--vm", str(tmp_path / "vm.lfmm"), "--arm", "emb_hist"]
+    rc = main(argv + ["--config", config_path])
+    assert rc == 4
+    assert "data error" in capsys.readouterr().err
+
+
+def test_teacher_columns_of_unequal_length_exit_4(tmp_path, capsys, config_path):
+    from embhist.compression import AEConfig, MatryoshkaAE, save_ae
+
+    columns = teacher_columns()
+    columns["soft"] = columns["soft"][:5]
+    np.savez(tmp_path / "teacher.npz", **columns)
+    save_ae(tmp_path / "ae.lfmm", MatryoshkaAE(3, AEConfig(), seed=0))
+    (tmp_path / "codec.json").write_text('{"kind": "int4_uniform"}')
+    for argv in (["build-store", "--ae", str(tmp_path / "ae.lfmm"),
+                  "--codec", str(tmp_path / "codec.json"), "--out", str(tmp_path / "s.lfsq")],
+                 ["train-vm", "--arm", "kd", "--config", config_path,
+                  "--out", str(tmp_path / "vm.lfmm")]):
+        rc = main(argv + ["--teacher", str(tmp_path / "teacher.npz")])
+        assert rc == 4
+        assert "one length" in capsys.readouterr().err
+
+
+def test_teacher_file_missing_student_events_exits_4(tmp_path, capsys, config_path):
+    np.savez(tmp_path / "teacher.npz", **teacher_columns())
+    rc = main(["train-vm", "--arm", "kd", "--config", config_path,
+               "--teacher", str(tmp_path / "teacher.npz"), "--out", str(tmp_path / "vm.lfmm")])
+    assert rc == 4
+    assert "no teacher row for the event with key" in capsys.readouterr().err

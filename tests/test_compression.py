@@ -5,7 +5,7 @@ from embhist.compression import (
     AEConfig, MatryoshkaAE, ae_train, dimension_correlation_probe, load_ae,
     prefix_mse, save_ae,
 )
-from embhist.errors import ConfigError, DataError, DimensionError
+from embhist.errors import ConfigError, DataError, DimensionError, FormatError
 
 
 def toy_embeddings(n=256, d=10, seed=0):
@@ -113,6 +113,33 @@ class TestCheckpoint:
         ae = MatryoshkaAE(4, cfg, seed=0)
         with pytest.raises(ConfigError):
             save_ae(tmp_path / "x.lfmm", ae)
+
+    def test_round_trip_keeps_hidden_width(self, tmp_path):
+        e = toy_embeddings(64, 6, 2)
+        ae, _ = ae_train(e, AEConfig(dims=(2, 4), hidden_scale=3, epochs=2), seed=0)
+        save_ae(tmp_path / "ae.lfmm", ae)
+        loaded = load_ae(tmp_path / "ae.lfmm")
+        assert loaded.config.hidden_scale == 3
+        assert np.array_equal(loaded.encode_batch(e), ae.encode_batch(e))
+
+    @pytest.mark.parametrize("dims", [(), (4, 2)], ids=["none", "descending"])
+    def test_header_without_valid_dim_set_is_format_error(self, tmp_path, dims):
+        from embhist.models import write_checkpoint
+
+        ae = MatryoshkaAE(6, AEConfig(dims=(2, 4)), seed=0)
+        write_checkpoint(tmp_path / "x.lfmm", ae.params, schema_hash=6, extra_dims=dims)
+        with pytest.raises(FormatError):
+            load_ae(tmp_path / "x.lfmm")
+
+    @pytest.mark.parametrize("in_dim,dims", [(7, (2, 4)), (6, (2, 8))],
+                             ids=["input_width", "dim_set"])
+    def test_weights_not_matching_header_are_format_error(self, tmp_path, in_dim, dims):
+        from embhist.models import write_checkpoint
+
+        ae = MatryoshkaAE(6, AEConfig(dims=(2, 4)), seed=0)
+        write_checkpoint(tmp_path / "x.lfmm", ae.params, schema_hash=in_dim, extra_dims=dims)
+        with pytest.raises(FormatError):
+            load_ae(tmp_path / "x.lfmm")
 
 
 class TestCorrelationProbe:

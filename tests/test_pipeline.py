@@ -111,6 +111,21 @@ class TestStreamingExperiment:
     def test_teacher_beats_coin_flip_on_held_out_chunk(self, report):
         assert report.results[0].fm_result.auc > 0.5
 
+    def test_soft_labels_found_by_key_and_timestamp(self):
+        from embhist.pipeline import TeacherLog
+
+        rng = np.random.default_rng(3)
+        n = 50
+        keys, stamps = rng.integers(0, 6, n), rng.permutation(n) * 3
+        teacher = TeacherLog(keys=keys, timestamps=stamps, chunks=np.full(n, 4),
+                             labels=np.zeros(n), soft=rng.uniform(0, 1, n),
+                             emb=np.zeros((n, 2)))
+        query = rng.permutation(n)[:20]
+        assert np.array_equal(teacher.soft_at(keys[query], stamps[query]),
+                              teacher.soft[query])
+        with pytest.raises(DataError, match="key 99 at timestamp 3"):
+            teacher.soft_at(np.array([keys[0], 99]), np.array([stamps[0], 3]))
+
     def test_sequence_arm_requires_store(self):
         cfg = small_cfg()
         log = generate(cfg.world, 0)
