@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__, pipeline
 from .compression import AEConfig, ae_train, load_ae, save_ae
 from .errors import (
-    ConfigError, DataError, EmbhistError, FormatError, MetricError,
-    SchemaError, VerificationError,
+    ConfigError, DataError, DimensionError, EmbhistError, FormatError,
+    MetricError, SchemaError, VerificationError,
 )
 from .models import (
     FeatureSchema, FMConfig, FMModel, VMConfig, VMModel, read_checkpoint,
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, FormatError, SchemaError, MetricError) as exc:
+    except (DataError, DimensionError, FormatError, SchemaError, MetricError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

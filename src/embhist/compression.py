@@ -32,8 +32,8 @@ class AEConfig:
     batch_size: int = 128
 
     def __post_init__(self):
-        if not self.dims:
-            raise ConfigError("dimension set must be nonempty")
+        if not self.dims or min(self.dims) < 1:
+            raise ConfigError("dimension set must be nonempty and positive")
         if tuple(sorted(set(self.dims))) != tuple(self.dims):
             raise ConfigError("dims must be strictly ascending")
         if self.encoder_activation not in ("tanh", "linear"):
@@ -44,32 +44,30 @@ class AEConfig:
         return self.dims[-1]
 
 
+def _param_shapes(in_dim: int, config: AEConfig) -> dict[str, tuple[int, int]]:
+    """Name -> shape of every autoencoder parameter; biases end in ".b"."""
+    hidden = config.hidden_scale * config.d_max
+    layers = [("enc.h", in_dim, hidden)] if config.use_hidden else []
+    layers.append(("enc.out", hidden if config.use_hidden else in_dim, config.d_max))
+    for d in config.dims:
+        if config.use_hidden:
+            layers.append((f"dec{d}.h", d, hidden))
+        layers.append((f"dec{d}.out", hidden if config.use_hidden else d, in_dim))
+    shapes = {}
+    for name, fan_in, fan_out in layers:
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (fan_in, fan_out), (1, fan_out)
+    return shapes
+
+
 class MatryoshkaAE:
     def __init__(self, in_dim: int, config: AEConfig, seed: int):
         self.in_dim = in_dim
         self.config = config
         self.seed = seed
-        d_max = config.d_max
-        hidden = config.hidden_scale * d_max
-        p = ParamStore()
-        if config.use_hidden:
-            p.add("enc.h.w", nn.glorot_uniform(in_dim, hidden, seed, "ae.enc.h.w"))
-            p.add("enc.h.b", np.zeros((1, hidden)))
-            enc_in = hidden
-        else:
-            enc_in = in_dim
-        p.add("enc.out.w", nn.glorot_uniform(enc_in, d_max, seed, "ae.enc.out.w"))
-        p.add("enc.out.b", np.zeros((1, d_max)))
-        for d in config.dims:
-            if config.use_hidden:
-                p.add(f"dec{d}.h.w", nn.glorot_uniform(d, hidden, seed, f"ae.dec{d}.h.w"))
-                p.add(f"dec{d}.h.b", np.zeros((1, hidden)))
-                dec_in = hidden
-            else:
-                dec_in = d
-            p.add(f"dec{d}.out.w", nn.glorot_uniform(dec_in, in_dim, seed, f"ae.dec{d}.out.w"))
-            p.add(f"dec{d}.out.b", np.zeros((1, in_dim)))
-        self.params = p
+        self.params = ParamStore()
+        for name, (rows, cols) in _param_shapes(in_dim, config).items():
+            self.params.add(name, np.zeros((rows, cols)) if name.endswith(".b")
+                            else nn.glorot_uniform(rows, cols, seed, f"ae.{name}"))
 
     # -- graph builders ---------------------------------------------------
 
@@ -182,8 +180,11 @@ def load_ae(path) -> MatryoshkaAE:
         raise FormatError(f"{path} is not an autoencoder checkpoint: {exc}") from exc
     if "enc.h.w" not in params or params["enc.h.w"].shape[0] != in_dim:
         raise FormatError(f"{path}: encoder weights do not match input width {in_dim}")
-    hidden_scale = params["enc.h.w"].shape[1] // config.d_max
-    ae = MatryoshkaAE(in_dim, replace(config, hidden_scale=hidden_scale), seed=0)
+    config = replace(config, hidden_scale=params["enc.h.w"].shape[1] // config.d_max)
+    # checked before the model is built, so header dims cannot size an allocation
+    if {name: value.shape for name, value in params.items()} != _param_shapes(in_dim, config):
+        raise FormatError(f"{path}: weights do not match the header's dims {config.dims}")
+    ae = MatryoshkaAE(in_dim, config, seed=0)
     ae.params.restore(params)
     return ae
 

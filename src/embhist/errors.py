@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules, and the length-checked unpack
 that the binary readers use to turn a short file into a FormatError.
 
-The CLI maps these onto exit codes (config 2, verification 3, data/format 4).
+The CLI maps these onto exit codes (config 2, verification 3, data/format 4;
+a DimensionError is an artifact of the wrong width, so it exits 4 as well).
 """
 
 import struct

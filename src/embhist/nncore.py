@@ -6,6 +6,8 @@ it in reverse creation order. The op vocabulary is fixed to what the
 models in this package need (affine, a few activations, embedding gather,
 masked softmax, pooling, concat, clamped cross-entropy); this is manual
 backpropagation with a recorded cache, not a general autodiff system.
+Parameters live in one flat vector (`ParamStore.flat`) and one Adam step
+is a few whole-vector operations over it.
 """
 
 from __future__ import annotations
@@ -32,30 +34,43 @@ def _as_matrix(x) -> np.ndarray:
 
 
 class Node:
-    """One value in the recorded forward cache."""
+    """One value in the recorded forward cache.
 
-    __slots__ = ("value", "grad", "parents", "_bw", "_id", "_guard")
+    A node `flows` when it is a parameter or depends on one; gradients are
+    computed only into flowing nodes, so constants never get one.
+    """
+
+    __slots__ = ("value", "grad", "parents", "flows", "_bw", "_id", "_guard")
 
     def __init__(self, value: np.ndarray, parents=(), bw=None, guard=None):
         self.value = value
         self.grad = None
         self.parents = parents
+        self.flows = guard is not None or any(p.flows for p in parents)
         self._bw = bw
         self._id = next(_node_ids)
         self._guard = guard  # (ParamStore, version) for staleness checks
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 def constant(x) -> Node:
     return Node(_as_matrix(x))
 
 
-def backward(loss: Node, seed: float = 1.0) -> None:
-    """Fill .grad on every node reachable from `loss`.
+def _acc(node: Node, g: np.ndarray) -> None:
+    """Add one gradient contribution to `node`. The first is stored as is and
+    never mutated; a later one makes a new array, so a `g` handed to two
+    parents is never aliased into a sum."""
+    node.grad = g if node.grad is None else node.grad + g
 
+
+def backward(loss: Node, seed: float = 1.0) -> None:
+    """Fill .grad on every node between `loss` and the parameters.
+
+    Each op adds its contributions through `_acc`, in reverse creation order
+    of the ops, so a node's gradient is summed in the order a zero-filled
+    accumulator sums it and every nonzero value is bit-identical to one;
+    only the sign of an exact zero can differ. Nodes that depend on no
+    parameter (constants) are skipped and keep `grad` None.
     The forward cache must still match the parameter values it was
     recorded for; a ParamStore mutation in between raises ContractViolation.
     """
@@ -63,12 +78,12 @@ def backward(loss: Node, seed: float = 1.0) -> None:
         raise DimensionError(f"loss must be scalar (1,1), got {loss.value.shape}")
     if not np.isfinite(loss.value[0, 0]):
         raise NumericError("loss is not finite")
-    # collect reachable subgraph
+    # collect the reachable subgraph that leads to a parameter
     seen: dict[int, Node] = {}
     stack = [loss]
     while stack:
         node = stack.pop()
-        if node._id in seen:
+        if node._id in seen or not node.flows:
             continue
         seen[node._id] = node
         if node._guard is not None:
@@ -80,10 +95,10 @@ def backward(loss: Node, seed: float = 1.0) -> None:
         stack.extend(node.parents)
     order = sorted(seen.values(), key=lambda n: n._id, reverse=True)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.full((1, 1), float(seed))
     for node in order:
-        if node._bw is not None:
+        if node._bw is not None and node.grad is not None:
             node._bw(node.grad)
 
 
@@ -95,28 +110,28 @@ def backward(loss: Node, seed: float = 1.0) -> None:
 def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(f"matmul {a.value.shape} x {b.value.shape}")
-    out = Node(a.value @ b.value, (a, b))
 
     def bw(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        if a.flows:
+            _acc(a, g @ b.value.T)
+        if b.flows:
+            _acc(b, a.value.T @ g)
 
-    out._bw = bw
-    return out
+    return Node(a.value @ b.value, (a, b), bw)
 
 
 def add_bias(x: Node, b: Node) -> Node:
     """Row-broadcast bias: x (n,k) + b (1,k)."""
     if b.value.shape != (1, x.value.shape[1]):
         raise DimensionError(f"bias {b.value.shape} against {x.value.shape}")
-    out = Node(x.value + b.value, (x, b))
 
     def bw(g):
-        x.grad += g
-        b.grad += g.sum(axis=0, keepdims=True)
+        if x.flows:
+            _acc(x, g)
+        if b.flows:
+            _acc(b, g.sum(axis=0, keepdims=True))
 
-    out._bw = bw
-    return out
+    return Node(x.value + b.value, (x, b), bw)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -126,14 +141,14 @@ def affine(x: Node, w: Node, b: Node) -> Node:
 def _binary(a: Node, b: Node, fwd, bwa, bwb) -> Node:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"shape mismatch {a.value.shape} vs {b.value.shape}")
-    out = Node(fwd(a.value, b.value), (a, b))
 
     def bw(g):
-        a.grad += bwa(g, a.value, b.value)
-        b.grad += bwb(g, a.value, b.value)
+        if a.flows:
+            _acc(a, bwa(g, a.value, b.value))
+        if b.flows:
+            _acc(b, bwb(g, a.value, b.value))
 
-    out._bw = bw
-    return out
+    return Node(fwd(a.value, b.value), (a, b), bw)
 
 
 def add(a: Node, b: Node) -> Node:
@@ -149,45 +164,21 @@ def mul(a: Node, b: Node) -> Node:
 
 
 def scale(a: Node, s: float) -> Node:
-    out = Node(a.value * float(s), (a,))
-
-    def bw(g):
-        a.grad += g * float(s)
-
-    out._bw = bw
-    return out
+    return Node(a.value * float(s), (a,), lambda g: _acc(a, g * float(s)))
 
 
 def relu(x: Node) -> Node:
-    out = Node(np.maximum(x.value, 0.0), (x,))
-
-    def bw(g):
-        x.grad += g * (x.value > 0.0)
-
-    out._bw = bw
-    return out
+    return Node(np.maximum(x.value, 0.0), (x,), lambda g: _acc(x, g * (x.value > 0.0)))
 
 
 def tanh_(x: Node) -> Node:
     t = np.tanh(x.value)
-    out = Node(t, (x,))
-
-    def bw(g):
-        x.grad += g * (1.0 - t * t)
-
-    out._bw = bw
-    return out
+    return Node(t, (x,), lambda g: _acc(x, g * (1.0 - t * t)))
 
 
 def sigmoid(x: Node) -> Node:
     s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Node(s, (x,))
-
-    def bw(g):
-        x.grad += g * s * (1.0 - s)
-
-    out._bw = bw
-    return out
+    return Node(s, (x,), lambda g: _acc(x, g * s * (1.0 - s)))
 
 
 def concat_cols(nodes: list[Node]) -> Node:
@@ -195,63 +186,60 @@ def concat_cols(nodes: list[Node]) -> Node:
     for n in nodes:
         if n.value.shape[0] != rows:
             raise DimensionError("concat_cols row mismatch")
-    out = Node(np.concatenate([n.value for n in nodes], axis=1), tuple(nodes))
     widths = [n.value.shape[1] for n in nodes]
 
     def bw(g):
         off = 0
         for n, w in zip(nodes, widths):
-            n.grad += g[:, off : off + w]
+            if n.flows:
+                _acc(n, g[:, off : off + w])
             off += w
 
-    out._bw = bw
-    return out
+    return Node(np.concatenate([n.value for n in nodes], axis=1), tuple(nodes), bw)
 
 
 def slice_cols(x: Node, start: int, stop: int) -> Node:
-    out = Node(x.value[:, start:stop].copy(), (x,))
-
     def bw(g):
-        x.grad[:, start:stop] += g
+        full = np.zeros_like(x.value)  # owned, so the in-place add is safe
+        full[:, start:stop] += g
+        _acc(x, full)
 
-    out._bw = bw
-    return out
+    return Node(x.value[:, start:stop].copy(), (x,), bw)
 
 
 def reshape(x: Node, rows: int, cols: int) -> Node:
-    out = Node(x.value.reshape(rows, cols), (x,))
-
-    def bw(g):
-        x.grad += g.reshape(x.value.shape)
-
-    out._bw = bw
-    return out
+    return Node(x.value.reshape(rows, cols), (x,), lambda g: _acc(x, g.reshape(x.value.shape)))
 
 
 def gather_rows(table: Node, idx: np.ndarray) -> Node:
-    """Embedding lookup: select rows of `table` by integer index."""
+    """Embedding lookup: select rows of `table` by integer index.
+
+    The backward pass is one flat `np.bincount` over the cells `idx*d + col`.
+    A gradient the table already holds goes first in the index and weight
+    arrays, so every cell is summed in `np.add.at`'s order: existing value,
+    then the gathered rows in index order.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError("gather index must be 1-D")
-    out = Node(table.value[idx], (table,))
+    if idx.ndim != 1 or (idx.size and idx.min() < 0):
+        raise DimensionError("gather index must be 1-D and non-negative")
 
     def bw(g):
-        np.add.at(table.grad, idx, g)
+        n, d = table.value.shape
+        cells = (idx[:, None] * d + np.arange(d)).ravel()
+        weights = g.ravel()
+        if table.grad is not None:
+            cells = np.concatenate([np.arange(n * d), cells])
+            weights = np.concatenate([table.grad.ravel(), weights])
+        table.grad = np.bincount(cells, weights, minlength=n * d).reshape(n, d)
 
-    out._bw = bw
-    return out
+    return Node(table.value[idx], (table,), bw)
 
 
 def repeat_rows(x: Node, k: int) -> Node:
     """Tile each row k times consecutively: (B, d) -> (B*k, d)."""
     b, d = x.value.shape
-    out = Node(np.repeat(x.value, k, axis=0), (x,))
-
-    def bw(g):
-        x.grad += g.reshape(b, k, d).sum(axis=1)
-
-    out._bw = bw
-    return out
+    return Node(np.repeat(x.value, k, axis=0), (x,),
+                lambda g: _acc(x, g.reshape(b, k, d).sum(axis=1)))
 
 
 def masked_softmax(scores: Node, mask: np.ndarray) -> Node:
@@ -265,14 +253,12 @@ def masked_softmax(scores: Node, mask: np.ndarray) -> Node:
     expd = np.where(m, np.exp(shifted), 0.0)
     denom = expd.sum(axis=1, keepdims=True)
     soft = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
-    out = Node(soft, (scores,))
 
     def bw(g):
         dot = (g * soft).sum(axis=1, keepdims=True)
-        scores.grad += soft * (g - dot)
+        _acc(scores, soft * (g - dot))
 
-    out._bw = bw
-    return out
+    return Node(soft, (scores,), bw)
 
 
 def attn_pool(weights: Node, entries: Node, seq_len: int) -> Node:
@@ -285,24 +271,19 @@ def attn_pool(weights: Node, entries: Node, seq_len: int) -> Node:
         raise DimensionError("attn_pool layout mismatch")
     d = entries.value.shape[1]
     ent = entries.value.reshape(b, l, d)
-    out = Node(np.einsum("bl,bld->bd", weights.value, ent), (weights, entries))
 
     def bw(g):
-        weights.grad += np.einsum("bd,bld->bl", g, ent)
-        entries.grad += (weights.value[:, :, None] * g[:, None, :]).reshape(b * l, d)
+        if weights.flows:
+            _acc(weights, np.einsum("bd,bld->bl", g, ent))
+        if entries.flows:
+            _acc(entries, (weights.value[:, :, None] * g[:, None, :]).reshape(b * l, d))
 
-    out._bw = bw
-    return out
+    return Node(np.einsum("bl,bld->bd", weights.value, ent), (weights, entries), bw)
 
 
 def sum_all(x: Node) -> Node:
-    out = Node(np.array([[x.value.sum()]]), (x,))
-
-    def bw(g):
-        x.grad += g[0, 0]
-
-    out._bw = bw
-    return out
+    return Node(np.array([[x.value.sum()]]), (x,),
+                lambda g: _acc(x, np.full(x.value.shape, g[0, 0])))
 
 
 def mean_all(x: Node) -> Node:
@@ -321,14 +302,8 @@ def bce(p: Node, target: np.ndarray) -> Node:
         raise DimensionError("bce target shape mismatch")
     pc = np.clip(p.value, EPS_PROB, 1.0 - EPS_PROB)
     loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-    out = Node(loss, (p,))
     inside = (p.value > EPS_PROB) & (p.value < 1.0 - EPS_PROB)
-
-    def bw(g):
-        p.grad += g * inside * (pc - t) / (pc * (1.0 - pc))
-
-    out._bw = bw
-    return out
+    return Node(loss, (p,), lambda g: _acc(p, g * inside * (pc - t) / (pc * (1.0 - pc))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,39 +312,65 @@ def bce(p: Node, target: np.ndarray) -> Node:
 
 
 class ParamStore:
-    """Named float64 matrices with lexicographic iteration order.
+    """Named float64 matrices held as views into one contiguous vector.
 
-    Shapes are frozen when a name is first added; `set_` bumps a version
-    counter that invalidates forward caches recorded against older values.
+    `flat` holds every parameter in lexicographic name order and `store[name]`
+    is a reshaped view into it; gradients (`collect_grads`) and Adam's
+    moments use the same layout. Shapes are frozen when a name is first
+    added. `set_` writes through the view and `adam_step` updates `flat` in
+    place; both bump a version counter that invalidates forward caches
+    recorded against older values. Whole-vector arithmetic is elementwise,
+    so every parameter gets the bits a per-name update would give it.
     """
 
     def __init__(self):
-        self._data: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}
+        self._flat: np.ndarray | None = np.zeros(0)
         self.version = 0
 
     def add(self, name: str, value) -> None:
-        if name in self._data:
+        if name in self._views:
             raise ContractViolation(f"parameter {name!r} already exists")
-        self._data[name] = _as_matrix(value).copy()
+        self._views[name] = _as_matrix(value).copy()
+        self._flat = None  # laid out again on first use
+
+    def _layout(self) -> dict[str, np.ndarray]:
+        if self._flat is None:
+            self._views = {name: self._views[name] for name in sorted(self._views)}
+            self._flat = np.concatenate([v.ravel() for v in self._views.values()])
+            self._views = self.views(self._flat)
+        return self._views
+
+    @property
+    def flat(self) -> np.ndarray:
+        self._layout()
+        return self._flat
+
+    def views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> reshaped view of a vector laid out like `flat`."""
+        out, off = {}, 0
+        for name, value in self._layout().items():
+            out[name] = vec[off : off + value.size].reshape(value.shape)
+            off += value.size
+        return out
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._data[name]
+        return self._layout()[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._data
+        return name in self._views
 
     def names(self) -> list[str]:
-        return sorted(self._data)
+        return list(self._layout())
 
     def items(self):
-        for name in self.names():
-            yield name, self._data[name]
+        return self._layout().items()
 
     def set_(self, name: str, value: np.ndarray) -> None:
-        old = self._data[name]
-        if value.shape != old.shape:
+        view = self[name]
+        if value.shape != view.shape:
             raise DimensionError(f"shape of {name!r} is immutable")
-        self._data[name] = value
+        view[...] = value
         self.version += 1
 
     def restore(self, saved: "ParamStore") -> None:
@@ -381,23 +382,17 @@ class ParamStore:
             diff = sorted(n for n in shapes.keys() | saved_shapes.keys()
                           if shapes.get(n) != saved_shapes.get(n))
             raise FormatError(f"checkpoint parameters do not match the model: {diff}")
-        for name, value in saved.items():
-            self.set_(name, value)
+        self.flat[...] = saved.flat  # same names and shapes: same layout
+        self.version += 1
 
     def as_nodes(self) -> dict[str, Node]:
-        version = self.version
-        return {
-            name: Node(value, guard=(self, version)) for name, value in self.items()
-        }
+        return {name: Node(value, guard=(self, self.version)) for name, value in self.items()}
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()
-        for name, value in self.items():
-            dup.add(name, value)
+        dup._flat = self.flat.copy()
+        dup._views = self.views(dup._flat)
         return dup
-
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._data.values())
 
 
 def glorot_uniform(rows: int, cols: int, seed: int, name: str) -> np.ndarray:
@@ -409,47 +404,52 @@ def glorot_uniform(rows: int, cols: int, seed: int, name: str) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments; `m` and `v` are laid out like `ParamStore.flat`."""
+
     lr: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_params(cls, params: ParamStore, lr: float = 0.01) -> "AdamState":
-        state = cls(lr=lr)
-        for name, value in params.items():
-            state.m[name] = np.zeros_like(value)
-            state.v[name] = np.zeros_like(value)
-        return state
+        return cls(lr=lr, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ParamStore, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """Standard Adam update with bias correction; mutates params and state."""
+def adam_step(params: ParamStore, grads: np.ndarray, state: AdamState) -> None:
+    """Standard Adam update with bias correction over the flat vector;
+    `grads` is laid out like `params.flat`. Mutates params and state."""
+    flat = params.flat
+    if grads.shape != flat.shape:
+        raise DimensionError(f"gradient shape {grads.shape} != parameters {flat.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    for name, value in params.items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise DimensionError(f"gradient shape mismatch for {name!r}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        mhat = state.m[name] / c1
-        vhat = state.v[name] / c2
-        params.set_(name, value - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+    # in place; every element gets the bits of m = b1*m + (1-b1)*g,
+    # v = b2*v + (1-b2)*g*g and flat -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    step = state.m / c1
+    step *= state.lr
+    step /= np.sqrt(state.v / c2) + state.eps
+    flat -= step
+    params.version += 1
 
 
-def collect_grads(params: ParamStore, nodes: dict[str, Node]) -> dict[str, np.ndarray]:
-    """Gradients aligned with the store; untouched parameters get zeros."""
-    out = {}
+def collect_grads(params: ParamStore, nodes: dict[str, Node]) -> np.ndarray:
+    """The gradient laid out like `params.flat`; parameters the loss does not
+    reach get exact zeros."""
+    parts = [np.zeros(0)]  # so an empty store concatenates too
     for name, value in params.items():
-        node = nodes[name]
-        out[name] = node.grad if node.grad is not None else np.zeros_like(value)
-    return out
+        grad = nodes[name].grad
+        parts.append(np.zeros(value.size) if grad is None else grad.ravel())
+    return np.concatenate(parts)
 
 
 def grad_check(loss_fn, params: ParamStore, n_probes: int = 50, h: float = 1e-5,
@@ -457,7 +457,8 @@ def grad_check(loss_fn, params: ParamStore, n_probes: int = 50, h: float = 1e-5,
     """Max relative error between tape gradients and central differences.
 
     loss_fn(store) must return (loss Node, param-node dict) built fresh
-    from the given store.
+    from the given store. Each probe picks a parameter with probability
+    proportional to its size, then a cell of it.
     """
     loss, nodes = loss_fn(params)
     if not np.isfinite(loss.value[0, 0]):
@@ -465,26 +466,22 @@ def grad_check(loss_fn, params: ParamStore, n_probes: int = 50, h: float = 1e-5,
     backward(loss)
     grads = collect_grads(params, nodes)
 
-    names = params.names()
-    sizes = np.array([params[n].size for n in names], dtype=np.float64)
+    sizes = np.array([value.size for _, value in params.items()], dtype=np.float64)
+    ends = np.cumsum(sizes)
     u = uniform_array(derive_seed(seed, "gradcheck"), 2 * n_probes)
     worst = 0.0
     for k in range(n_probes):
-        pi = int(np.searchsorted(np.cumsum(sizes), u[2 * k] * sizes.sum(), side="right"))
-        pi = min(pi, len(names) - 1)
-        name = names[pi]
-        flat = min(int(u[2 * k + 1] * sizes[pi]), int(sizes[pi]) - 1)
-        idx = np.unravel_index(flat, params[name].shape)
+        pi = int(np.searchsorted(ends, u[2 * k] * sizes.sum(), side="right"))
+        pi = min(pi, len(sizes) - 1)
+        pos = int(ends[pi] - sizes[pi]) + min(int(u[2 * k + 1] * sizes[pi]), int(sizes[pi]) - 1)
 
         def loss_at(delta: float) -> float:
-            probe = params.copy()
-            bumped = probe[name].copy()
-            bumped[idx] += delta
-            probe.set_(name, bumped)
+            probe = params.copy()  # shares no memory with params
+            probe.flat[pos] += delta
             value, _ = loss_fn(probe)
             return float(value.value[0, 0])
 
         fd = (loss_at(h) - loss_at(-h)) / (2.0 * h)
-        an = float(grads[name][idx])
+        an = float(grads[pos])
         worst = max(worst, abs(an - fd) / (abs(an) + abs(fd) + 1e-12))
     return worst

@@ -296,3 +296,16 @@ def test_teacher_file_missing_student_events_exits_4(tmp_path, capsys, config_pa
                "--teacher", str(tmp_path / "teacher.npz"), "--out", str(tmp_path / "vm.lfmm")])
     assert rc == 4
     assert "no teacher row for the event with key" in capsys.readouterr().err
+
+
+def test_artifact_of_wrong_width_exits_4(tmp_path, capsys):
+    from embhist.compression import AEConfig, MatryoshkaAE, save_ae
+
+    np.savez(tmp_path / "teacher.npz", **teacher_columns(width=4))
+    save_ae(tmp_path / "ae.lfmm", MatryoshkaAE(3, AEConfig(), seed=0))
+    (tmp_path / "codec.json").write_text('{"kind": "int4_uniform"}')
+    rc = main(["build-store", "--teacher", str(tmp_path / "teacher.npz"),
+               "--ae", str(tmp_path / "ae.lfmm"), "--codec", str(tmp_path / "codec.json"),
+               "--out", str(tmp_path / "store.lfsq")])
+    assert rc == 4
+    assert "data error: expected dim 3, got 4" in capsys.readouterr().err

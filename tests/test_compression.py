@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from embhist import compression
 from embhist.compression import (
     AEConfig, MatryoshkaAE, ae_train, dimension_correlation_probe, load_ae,
     prefix_mse, save_ae,
@@ -122,7 +128,7 @@ class TestCheckpoint:
         assert loaded.config.hidden_scale == 3
         assert np.array_equal(loaded.encode_batch(e), ae.encode_batch(e))
 
-    @pytest.mark.parametrize("dims", [(), (4, 2)], ids=["none", "descending"])
+    @pytest.mark.parametrize("dims", [(), (4, 2), (0,)], ids=["none", "descending", "zero"])
     def test_header_without_valid_dim_set_is_format_error(self, tmp_path, dims):
         from embhist.models import write_checkpoint
 
@@ -140,6 +146,39 @@ class TestCheckpoint:
         write_checkpoint(tmp_path / "x.lfmm", ae.params, schema_hash=in_dim, extra_dims=dims)
         with pytest.raises(FormatError):
             load_ae(tmp_path / "x.lfmm")
+
+    def test_header_dim_without_weights_allocates_nothing(self, tmp_path):
+        """A 2,370-byte checkpoint whose header adds the dim 2**23 fails before
+        the model is built; building it first would take 64 MB."""
+        from embhist.models import write_checkpoint
+
+        ae = MatryoshkaAE(6, AEConfig(dims=(2, 4)), seed=0)
+        path = tmp_path / "x.lfmm"
+        write_checkpoint(path, ae.params, schema_hash=6, extra_dims=(2, 4, 2**23))
+        with pytest.raises(FormatError):
+            load_ae(path)
+        # Linux carries a process's peak RSS across exec, so a child of the test
+        # runner starts at the runner's peak; a process forked from a fresh
+        # interpreter starts at that interpreter's size instead
+        probe = (
+            "import os, resource, sys\n"
+            "from embhist.compression import load_ae\n"
+            "from embhist.errors import FormatError\n"
+            "pid = os.fork()\n"
+            "if pid:\n"
+            "    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    load_ae(sys.argv[1])\n"
+            "except FormatError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src = str(Path(compression.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", probe, str(path)], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert int(out.stdout) < 8 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestCorrelationProbe:

@@ -87,7 +87,7 @@ class TestBackward:
         loss, nodes = loss_fn(store)
         nn.backward(loss)
         grads = nn.collect_grads(store, nodes)
-        assert np.all(grads["w"] == 0.0)
+        assert np.all(store.views(grads)["w"] == 0.0)
 
     def test_affine_sigmoid_bce_matches_fd(self):
         store = nn.ParamStore()
@@ -206,7 +206,7 @@ class TestAdam:
         store.add("w", rand((2, 2), 0))
         before = store["w"].copy()
         state = nn.AdamState.for_params(store, lr=0.1)
-        nn.adam_step(store, {"w": np.zeros((2, 2))}, state)
+        nn.adam_step(store, np.zeros(4), state)
         assert np.array_equal(store["w"], before)
         assert state.t == 1
 
@@ -214,7 +214,7 @@ class TestAdam:
         store = nn.ParamStore()
         store.add("w", np.array([[1.0]]))
         state = nn.AdamState.for_params(store, lr=0.1)
-        nn.adam_step(store, {"w": np.array([[1.0]])}, state)
+        nn.adam_step(store, np.array([1.0]), state)
         # mhat = vhat = 1 after bias correction: a full lr-sized step
         assert store["w"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
 
@@ -224,7 +224,7 @@ class TestAdam:
         state = nn.AdamState.for_params(store, lr=0.05)
         values = [store["w"][0, 0]]
         for _ in range(2):
-            nn.adam_step(store, {"w": np.array([[1.0]])}, state)
+            nn.adam_step(store, np.array([1.0]), state)
             values.append(store["w"][0, 0])
         assert values[0] > values[1] > values[2]
 
@@ -249,3 +249,121 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
         limit = math.sqrt(6.0 / 11.0)
         assert np.all(np.abs(a) <= limit)
+
+
+class TestLeanTape:
+    """The flat store, fused Adam and sparse gradients keep the zero-filled,
+    per-name tape's results bit for bit."""
+
+    def test_gather_backward_matches_add_at(self):
+        rng = np.random.default_rng(4)
+        table = rng.uniform(-1, 1, (5, 3))
+        idx1, idx2 = np.array([3, 1, 3, 0, 3]), np.array([1, 3, 3, 1])
+        # wide dynamic range, so a different summation order changes the bits
+        c1 = rng.normal(size=(5, 3)) * 10.0 ** rng.uniform(-8, 8, (5, 3))
+        c2 = rng.normal(size=(4, 3)) * 10.0 ** rng.uniform(-8, 8, (4, 3))
+        # cell (3, 0): 1e16 then two 0.75s rounds back to 1e16 added one at a
+        # time, and to 1e16 + 2 when the two are summed first
+        c2[1, 0], c2[2, 0], c1[0, 0], c1[2, 0], c1[4, 0] = 1e16, 0.0, 0.75, 0.75, 0.0
+        c1[1, 1], c1[3, 2], c2[0, :] = -0.0, -0.0, -0.0
+        store = nn.ParamStore()
+        store.add("t", table)
+        nodes = store.as_nodes()
+        e1 = nn.gather_rows(nodes["t"], idx1)
+        e2 = nn.gather_rows(nodes["t"], idx2)
+        loss = nn.add(nn.sum_all(nn.mul(e1, nn.constant(c1))),
+                      nn.sum_all(nn.mul(e2, nn.constant(c2))))
+        nn.backward(loss)
+
+        # the zero-filled tape: the later gather's rows first, then the earlier's
+        ref = np.zeros_like(table)
+        np.add.at(ref, idx2, c2)
+        np.add.at(ref, idx1, c1)
+        # the data tells apart other orders: the earlier gather first, or each
+        # gather's rows summed before the existing gradient is added
+        other, later, earlier = (np.zeros_like(table) for _ in range(3))
+        np.add.at(other, idx1, c1)
+        np.add.at(other, idx2, c2)
+        np.add.at(later, idx2, c2)
+        np.add.at(earlier, idx1, c1)
+        assert other.tobytes() != ref.tobytes()
+        assert (later + earlier).tobytes() != ref.tobytes()
+        assert nodes["t"].grad.tobytes() == ref.tobytes()
+        assert nn.collect_grads(store, nodes).tobytes() == ref.tobytes()
+
+    def test_gather_rejects_negative_index(self):
+        with pytest.raises(DimensionError):
+            nn.gather_rows(nn.constant(rand((3, 2), 0)), np.array([0, -1]))
+
+    def test_fused_adam_matches_per_name_update(self):
+        rng = np.random.default_rng(7)
+        # small parameters, so every bit of each step shows in the result
+        init = {"b": rng.normal(size=(1, 30)) * 1e-3, "a": rng.normal(size=(20, 2)) * 1e-3}
+        store = nn.ParamStore()
+        for name, value in init.items():
+            store.add(name, value)
+        state = nn.AdamState.for_params(store, lr=0.03)
+        ref = {name: value.copy() for name, value in init.items()}
+        m = {name: np.zeros_like(value) for name, value in init.items()}
+        v = {name: np.zeros_like(value) for name, value in init.items()}
+        b1, b2, lr, eps = 0.9, 0.999, 0.03, 1e-8
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=value.shape) for name, value in init.items()}
+            grads["a"][0, 0] = 0.0
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                mhat = m[name] / (1.0 - b1**t)
+                vhat = v[name] / (1.0 - b2**t)
+                ref[name] = ref[name] - lr * mhat / (np.sqrt(vhat) + eps)
+            nn.adam_step(store, np.concatenate([grads["a"].ravel(), grads["b"].ravel()]),
+                         state)
+        for name in init:
+            assert store[name].tobytes() == ref[name].tobytes()
+            assert store.views(state.m)[name].tobytes() == m[name].tobytes()
+            assert store.views(state.v)[name].tobytes() == v[name].tobytes()
+
+    def test_constant_leaves_get_no_gradient(self):
+        store = nn.ParamStore()
+        store.add("w", rand((3, 2), 0))
+        store.add("unused", rand((2, 2), 1))
+        nodes = store.as_nodes()
+        x, target = nn.constant(rand((4, 3), 2)), nn.constant(rand((4, 2), 3))
+        diff = nn.sub(nn.matmul(x, nodes["w"]), target)
+        nn.backward(nn.mean_all(nn.mul(diff, diff)))
+        assert x.grad is None and target.grad is None
+        assert nodes["unused"].grad is None
+        unused = store.views(nn.collect_grads(store, nodes))["unused"]
+        assert np.all(unused == 0.0) and not np.signbit(unused).any()
+        assert np.all(store.views(nn.collect_grads(store, nodes))["w"] != 0.0)
+
+    def test_adam_step_invalidates_forward_cache(self):
+        store = nn.ParamStore()
+        store.add("w", rand((2, 2), 0))
+        nodes = store.as_nodes()
+        out = nn.mean_all(nn.matmul(nn.constant(rand((3, 2), 1)), nodes["w"]))
+        version = store.version
+        nn.adam_step(store, np.ones(4), nn.AdamState.for_params(store))
+        assert store.version > version
+        with pytest.raises(ContractViolation):
+            nn.backward(out)
+
+    def test_views_alias_flat_and_copy_shares_nothing(self):
+        store = nn.ParamStore()
+        store.add("z", rand((2, 3), 0))
+        store.add("a", rand((1, 3), 1))
+        assert store.names() == ["a", "z"]
+        assert np.array_equal(store.flat, np.concatenate([store["a"].ravel(),
+                                                          store["z"].ravel()]))
+        for _, view in store.items():
+            assert np.shares_memory(view, store.flat)
+        store.set_("a", np.full((1, 3), 5.0))
+        assert np.array_equal(store.flat[:3], [5.0, 5.0, 5.0])
+        dup = store.copy()
+        assert np.array_equal(dup.flat, store.flat)
+        assert not np.shares_memory(dup.flat, store.flat)
+        for name, view in dup.items():
+            assert np.shares_memory(view, dup.flat)
+            assert not np.shares_memory(view, store.flat)
+        dup.flat[:] = 0.0
+        assert np.array_equal(store["a"], np.full((1, 3), 5.0))
