@@ -11,7 +11,8 @@ eta is a ratio of small MIs, so it gets a rounding-error budget instead of
 an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 3-4). Let u = 2^-53, gamma_k = k u / (1 - k u), N the world's cells.
 - A marginal probability p is a sum of at most N non-negative cells
-  (bincount, then numpy sums): relative error at most gamma_N in any order.
+  (a row-major sequential scatter-add in remap, then numpy sums): relative
+  error at most gamma_N in any order.
 - -p log2 p then moves by at most |log2 p + log2 e| gamma_N p, so an entropy
   H moves by at most gamma_N (H + log2 e). log2, the product, the longdouble
   sum and the float64 result add a few u H: charge gamma_{N+4} (H + log2 e).
@@ -27,6 +28,7 @@ to 0; further below it raises (cross_sum_rounding_bound, clamp_eta).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -37,6 +39,8 @@ from .errors import DomainError, NumericError, SchemaError, SizeError
 
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
+_SLAB_CELLS = 1 << 16  # cells remap adds per np.add.at call
+_SHORT_RUN = 8  # trailing key runs this short are copied one index at a time
 _LOG2_E = math.log2(math.e)
 
 
@@ -53,6 +57,13 @@ def mixed_radix_decode(index: int, cards) -> tuple[int, ...]:
         out.append(index % c)
         index //= c
     return tuple(reversed(out))
+
+
+@functools.lru_cache(maxsize=8)
+def mixed_radix_table(cards: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """mixed_radix_decode of every index below prod(cards), in index order,
+    decoded once per cards tuple."""
+    return tuple(itertools.product(*(range(c) for c in cards)))
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -199,9 +210,10 @@ class JointTable:
 
         Each output column is a small grid that broadcasts against the
         table: an axis arange for a kept variable, the Derived codes looked
-        up by the mixed-radix grid of its source axes otherwise. Only the
-        folded cell key is materialized at full size, so peak memory is one
-        int64 per cell plus grids sized on their referenced axes.
+        up by the mixed-radix grid of its source axes otherwise. The grids
+        fold into one key sized on the referenced axes only, and _fold_cells
+        adds the table up against it slab by slab, so no key array the size
+        of the table is made unless every axis is referenced.
         """
         resolved = []  # (name, card, index grid)
         for spec in outputs:
@@ -226,9 +238,60 @@ class JointTable:
         key = np.zeros((1,) * len(self.cards), dtype=np.int64)
         for _, card, grid in resolved:
             key = key * card + grid
-        key = np.broadcast_to(key, self.probs.shape).ravel()
-        flat = np.bincount(key, weights=self.probs.ravel(), minlength=total)
+        flat = _fold_cells(key, self.probs, total)
         return JointTable(names, cards, flat.reshape(cards))
+
+
+def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
+    """out[k] = sum of probs over the cells whose key is k, where `key`
+    broadcasts against `probs`: np.bincount of the broadcast key, without
+    ever holding that key at full size.
+
+    The cells are walked in row-major order, one slab of at most
+    _SLAB_CELLS cells at a time, and each slab's key is copied into one
+    buffer reused for every slab. np.add.at, like np.bincount, adds the
+    cells into out in index order starting from +0.0, so every output cell
+    sees the same additions in the same order: the result is bit-identical.
+    """
+    # merge adjacent axes that are all broadcast or all real, so copies run
+    # along long axes; size-1 axes are dropped, and a leading size-1 axis
+    # keeps the lists non-empty
+    shape, real = [1], [True]
+    for n, k in zip(probs.shape, key.shape):
+        if n > 1 and real[-1] == (k == n):
+            shape[-1] *= n
+        elif n > 1:
+            shape.append(n)
+            real.append(k == n)
+    key = key.reshape([n if r else 1 for n, r in zip(shape, real)])
+    cells = probs.reshape(-1)
+    out = np.zeros(total)
+    # a slab is `rows` indices of axis `split` and all of the axes after it
+    split = next(i for i in range(len(shape)) if math.prod(shape[i + 1:]) <= _SLAB_CELLS)
+    inner = shape[split + 1:]
+    width = math.prod(inner)
+    rows = min(shape[split], _SLAB_CELLS // width)
+    # the trailing axes from `tail` on hold at most _SHORT_RUN cells: copy
+    # them one index at a time, so each copy runs along a longer axis
+    tail = len(inner)
+    while tail > 0 and math.prod(inner[tail - 1:]) <= _SHORT_RUN:
+        tail -= 1
+    runs = [(idx, tuple(i if r else 0 for i, r in zip(idx, real[split + 1 + tail:])))
+            for idx in np.ndindex(*inner[tail:])]
+    buf = np.empty(rows * width, dtype=np.int64)
+    start = 0
+    for outer in np.ndindex(*shape[:split]):
+        at = tuple(i if r else 0 for i, r in zip(outer, real))
+        for a in range(0, shape[split], rows):
+            b = min(a + rows, shape[split])
+            src = key[at + ((slice(a, b) if real[split] else slice(0, 1)),)]
+            count = (b - a) * width
+            dst = buf[:count].reshape(b - a, *inner)
+            for d, s in runs:
+                dst[(Ellipsis, *d)] = src[(Ellipsis, *s)]
+            np.add.at(out, buf[:count], cells[start:start + count])
+            start += count
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +346,8 @@ class TablePipeline:
     _stage_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stage_values(self, world: VerificationWorld, v_idx: int, e_idx: int):
-        vm = mixed_radix_decode(v_idx, world.vm_feature_cards)
-        ex = mixed_radix_decode(e_idx, world.extra_feature_cards)
+        vm = mixed_radix_table(world.vm_feature_cards)[v_idx]
+        ex = mixed_radix_table(world.extra_feature_cards)[e_idx]
         emb = tuple(self.emb_fn(vm, ex[: self.n_extras_visible]))
         z = tuple(self.ae_fn(emb))
         return emb, z, tuple(self.quant_fn(z))
@@ -659,8 +722,8 @@ def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,
 def _extras_derived(world: VerificationWorld, name: str, var: str, pick) -> Derived:
     """The extras features of `var` picked by `pick`: slice(k) is the
     prefix view of the first k features, an int j is feature j alone."""
-    cards = world.extra_feature_cards
-    return Derived(name, (var,), lambda e_idx: mixed_radix_decode(e_idx, cards)[pick])
+    decoded = mixed_radix_table(world.extra_feature_cards)
+    return Derived(name, (var,), lambda e_idx: decoded[e_idx][pick])
 
 
 def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):

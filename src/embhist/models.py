@@ -536,6 +536,8 @@ def read_checkpoint(path):
             raise FormatError(f"truncated parameter blob for {name!r} at offset {off}")
         value = np.frombuffer(blob[off : off + size], dtype="<f8").reshape(rows, cols)
         off += size
+        if name in params:
+            raise FormatError(f"parameter {name!r} appears twice")
         params.add(name, value)
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes after parameters")

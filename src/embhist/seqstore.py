@@ -63,10 +63,11 @@ class SequenceStore:
     def __init__(self, dim: int, codec: Codec):
         self.dim = dim
         self.codec = codec
-        self.keys = np.zeros(0, dtype=np.uint64)
-        self.timestamps = np.zeros(0, dtype=np.int64)
-        self.soft_labels = np.zeros(0)
-        self.payloads = np.zeros((0, codec.payload_size(dim)), dtype=np.uint8)
+        # columns are read-only views of the first len(self) rows of these
+        # buffers, which grow geometrically, so appends cost amortized O(1)
+        self._buffers = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
+                         np.zeros(0), np.zeros((0, codec.payload_size(dim)), dtype=np.uint8))
+        self.keys, self.timestamps, self.soft_labels, self.payloads = self._buffers
         self._frozen = False
         self._index = None
 
@@ -112,10 +113,15 @@ class SequenceStore:
             raise FormatError("key and timestamp must be non-negative")
         if ((soft < 0.0) | (soft > 1.0)).any():
             raise FormatError("soft label must lie in [0, 1]")
-        self.keys = np.concatenate([self.keys, keys.astype(np.uint64)])
-        self.timestamps = np.concatenate([self.timestamps, timestamps.astype(np.int64)])
-        self.soft_labels = np.concatenate([self.soft_labels, soft])
-        self.payloads = np.concatenate([self.payloads, payloads])
+        n, total = len(self), len(self) + len(keys)
+        if total > len(self._buffers[0]):
+            capacity = max(total, 2 * len(self._buffers[0]))
+            self._buffers = tuple(_grown(buf, n, capacity) for buf in self._buffers)
+        added = (keys.astype(np.uint64), timestamps.astype(np.int64), soft, payloads)
+        for buf, column in zip(self._buffers, added):
+            buf[n:total] = column
+        self.keys, self.timestamps, self.soft_labels, self.payloads = (
+            buf[:total] for buf in self._buffers)
         for column in (self.keys, self.timestamps, self.soft_labels, self.payloads):
             column.flags.writeable = False
         self._index = None
@@ -205,6 +211,13 @@ class SequenceStore:
                      np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(count, payload_len),
                      dim)
         return store
+
+
+def _grown(buf: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """A `rows`-row buffer holding the first n rows of `buf`."""
+    out = np.empty((rows, *buf.shape[1:]), dtype=buf.dtype)
+    out[:n] = buf[:n]
+    return out
 
 
 def _record_bytes(key: int, timestamp: int, soft: float, payload: bytes) -> bytes:

@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,3 +310,26 @@ def test_artifact_of_wrong_width_exits_4(tmp_path, capsys):
                "--out", str(tmp_path / "store.lfsq")])
     assert rc == 4
     assert "data error: expected dim 3, got 4" in capsys.readouterr().err
+
+
+def test_checkpoint_naming_a_parameter_twice_exits_4(tmp_path, capsys):
+    from embhist.compression import AEConfig, MatryoshkaAE, save_ae
+
+    np.savez(tmp_path / "teacher.npz", **teacher_columns())
+    path = tmp_path / "ae.lfmm"
+    save_ae(path, MatryoshkaAE(3, AEConfig(), seed=0))
+    blob = path.read_bytes()
+    # magic, <IQ version and schema hash, <H dim count, the <I dims, <I parameter count
+    (n_dims,) = struct.unpack_from("<H", blob, 16)
+    count_at = 18 + 4 * n_dims
+    (n_params,) = struct.unpack_from("<I", blob, count_at)
+    first = count_at + 4
+    (name_len,) = struct.unpack_from("<H", blob, first)
+    rows, cols = struct.unpack_from("<II", blob, first + 2 + name_len)
+    end = first + 2 + name_len + 8 + 8 * rows * cols
+    path.write_bytes(blob[:count_at] + struct.pack("<I", n_params + 1)
+                     + blob[first:end] + blob[first:])
+    rc = main(["quantize", "--teacher", str(tmp_path / "teacher.npz"),
+               "--ae", str(path), "--out", str(tmp_path / "codec.json")])
+    assert rc == 4
+    assert "appears twice" in capsys.readouterr().err

@@ -1,16 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embhist import infotheory
 from embhist.errors import DomainError, NumericError, SchemaError
 from embhist.infotheory import (
     Derived, JointTable, TablePipeline, TRBoundParams, clamp_eta, cmi_from_terms,
     cross_sum_rounding_bound, eval_tr_lower_bound, grid_ae, identity_stage,
-    posterior_embedding, random_table_pipeline, uniform_quantizer,
+    mixed_radix_decode, mixed_radix_table, posterior_embedding, random_table_pipeline,
+    uniform_quantizer,
     verify_gain_decomposition, verify_gain_sandwich, verify_monotone_L,
     verify_pipeline, verify_tr_bound_population, xi_from_capacity,
 )
@@ -172,6 +175,40 @@ class TestJointTable:
     def test_remap_matches_per_cell_reference(self, case):
         table, outputs = case
         assert_remap_exact(table, outputs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(remap_cases())
+    def test_remap_exact_across_slab_boundaries(self, case):
+        table, outputs = case
+        names, cards, probs = brute_remap(table, outputs)
+        for slab, short in itertools.product((1, 2, 3, 7), (1, 8)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(infotheory, "_SLAB_CELLS", slab)
+                mp.setattr(infotheory, "_SHORT_RUN", short)
+                got = table.remap(outputs)
+            assert (got.names, got.cards) == (names, cards)
+            assert np.array_equal(got.probs, probs)
+
+    def test_mixed_radix_table_matches_decode(self):
+        for cards in ((), (3,), (2, 1, 4), (3, 2, 2)):
+            table = mixed_radix_table(cards)
+            assert table == tuple(mixed_radix_decode(i, cards) for i in range(math.prod(cards)))
+
+    def test_remap_never_holds_a_key_per_cell(self):
+        # 2^20 cells; the middle axis is unreferenced and the inner run is 2
+        t = random_table(("a", "b", "c"), (4, 2**17, 2), 13)
+        pair = lookup_derived("ac", ("c", "a"), (2, 4), [0, 1, 2, 0, 1, 2, 0, 1])
+        tracemalloc.start()
+        try:
+            r = t.remap(["c", pair])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.probs.size  # a byte per cell; an int64 key is 8 bytes per cell
+        want = np.zeros((2, 3))
+        codes = np.array([[0, 1, 2, 0], [1, 2, 0, 1]])
+        np.add.at(want, (np.arange(2)[:, None], codes), t.marginal_array(("c", "a")))
+        assert np.allclose(r.probs, want, rtol=1e-12, atol=0.0)
 
     def test_remap_exact_on_named_shapes(self):
         t = random_table(("a", "b", "c", "d"), (3, 2, 4, 2), 11)

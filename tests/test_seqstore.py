@@ -21,6 +21,16 @@ def fresh_store(records=()):
     return store
 
 
+def extended_store(records):
+    """The same records as fresh_store, entered by one extend call."""
+    store = SequenceStore(DIM, CODEC)
+    store.extend([r.key for r in records], [r.timestamp for r in records],
+                 [np.nan if r.soft_label is None else r.soft_label for r in records],
+                 np.array([np.frombuffer(r.payload.payload, np.uint8) for r in records]),
+                 DIM)
+    return store
+
+
 def brute_force_sequence(records, key, t_cur, seq_len, window):
     """Oracle: filter + sort the raw record list."""
     eligible = [
@@ -56,6 +66,23 @@ class TestAppend:
         with pytest.raises(FormatError):
             store.append(bad)
 
+    def test_appends_grow_geometrically(self, tmp_path):
+        rng = np.random.default_rng(3)
+        records = [rec(int(rng.integers(0, 9)), int(rng.integers(0, 50)),
+                       rng.uniform(-1, 1, DIM), soft=[None, 0.5][i % 2])
+                   for i in range(3000)]
+        store, buffers, reallocs = fresh_store(), None, 0
+        for r in records:
+            store.append(r)
+            reallocs += store.keys.base is not buffers
+            buffers = store.keys.base
+            assert not store.keys.flags.writeable and not store.payloads.flags.writeable
+        assert reallocs == 13  # capacities 1, 2, 4, ..., 4096
+        appended, extended = tmp_path / "appended.lfsq", tmp_path / "extended.lfsq"
+        store.persist(appended)
+        extended_store(records).persist(extended)
+        assert appended.read_bytes() == extended.read_bytes()
+
     def test_frozen_store_rejects_appends(self):
         store = fresh_store([rec(1, 0, [0.0] * DIM)])
         store.freeze()
@@ -69,11 +96,7 @@ class TestExtend:
         records = [rec(int(rng.integers(0, 5)), int(rng.integers(0, 20)),
                        rng.uniform(-1, 1, DIM), soft=[None, 0.25][i % 2])
                    for i in range(30)]
-        store = SequenceStore(DIM, CODEC)
-        store.extend([r.key for r in records], [r.timestamp for r in records],
-                     [np.nan if r.soft_label is None else r.soft_label for r in records],
-                     np.array([np.frombuffer(r.payload.payload, np.uint8) for r in records]),
-                     DIM)
+        store = extended_store(records)
         assert store.records == fresh_store(records).records
         for key in range(5):
             a = store.build_sequence(key, 15, 4, 10)
