@@ -223,11 +223,9 @@ def cmd_eval(args):
     log = _load_log(cfg, args)
     schema = FeatureSchema.from_world(cfg.world)
     store = SequenceStore.load(args.store) if args.store else None
-    teacher = _load_teacher(args.teacher) if args.teacher else None
     _, seq_dim = pipeline._arm_settings(args.arm, cfg)
     vm = _restore(VMModel, replace(cfg.vm, seq_dim=seq_dim), cfg, args.vm)
-    result = pipeline.eval_vm(vm, log, schema, cfg, args.arm, store, teacher,
-                              chunk=args.chunk)
+    result = pipeline.eval_vm(vm, log, schema, cfg, args.arm, store, chunk=args.chunk)
     print(f"arm={args.arm} chunk={args.chunk} auc={result.auc:.6f} "
           f"logloss={result.logloss:.6f} ne={result.ne:.6f} n={result.n_samples}")
     return 0
@@ -313,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         store={"default": None}, teacher={"default": None}, out={"required": True})
     add("eval", cmd_eval, events={"default": None}, vm={"required": True},
         arm={"default": "kd_emb_hist", "choices": pipeline.ARMS},
-        store={"default": None}, teacher={"default": None},
-        chunk={"type": int, "default": pipeline.TEST_CHUNK})
+        store={"default": None}, chunk={"type": int, "default": pipeline.TEST_CHUNK})
     add("run-experiment", cmd_run_experiment, out={"default": None})
     p = add("ablate", cmd_ablate, out={"default": None})
     p.add_argument("axis", choices=pipeline.ABLATION_AXES)

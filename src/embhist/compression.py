@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from . import nncore as nn
 from .errors import ConfigError, DataError, DimensionError, FormatError
+from .metrics import midranks
 from .nncore import ParamStore
 
 
@@ -207,5 +207,8 @@ def dimension_correlation_probe(z: np.ndarray, soft_labels, labels):
 
     corr_soft = corr_with(soft)
     corr_true = corr_with(y)
-    rho = float(stats.spearmanr(corr_soft, corr_true).statistic)
+    # Spearman's rho is Pearson's r of the midranks; NaN if a profile is constant
+    ranks = np.stack([midranks(corr_soft), midranks(corr_true)])
+    varies = (ranks != ranks[:, :1]).any(axis=1).all()
+    rho = float(np.corrcoef(ranks)[0, 1]) if varies else np.nan
     return corr_soft, corr_true, rho

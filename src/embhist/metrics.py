@@ -19,17 +19,14 @@ class EvalResult:
     base_rate: float
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
+def midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
     xs = x[order]
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # run k of equal sorted values is xs[bounds[k]:bounds[k + 1]]
+    bounds = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    ranks = np.empty(len(xs), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0, np.diff(bounds))
     return ranks
 
 
@@ -41,7 +38,7 @@ def auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: need at least one positive and one negative")
-    ranks = _midranks(s)
+    ranks = midranks(s)
     pos_rank_sum = ranks[y == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

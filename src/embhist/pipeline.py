@@ -310,7 +310,7 @@ def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, store, soft):
 
 
 def eval_vm(vm: VMModel, log_: EventLog, schema: FeatureSchema,
-            cfg: ExperimentConfig, arm: str, store, teacher,
+            cfg: ExperimentConfig, arm: str, store,
             chunk: int = TEST_CHUNK) -> EvalResult:
     lam, seq_dim = _arm_settings(arm, cfg)
     ids = schema_ids(schema, log_)
@@ -385,7 +385,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     arm_results = {}
     for arm in cfg.arms:
         vm = train_vm(log_, schema, cfg, arm, stack.store, stack.teacher, seed)
-        arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, stack.store, stack.teacher)
+        arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, stack.store)
 
     test_rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
     fm_result = evaluate(stack.teacher.soft[test_rows], stack.teacher.labels[test_rows])
@@ -525,7 +525,7 @@ def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES, m1: int = 1,
         schema = _subschema(world, n_extras)
         stack = teacher_stack(log_, schema, cfg, checkpoint_segments("fixed", teacher_seed))
         vm = train_vm(log_, schema, cfg, "kd_emb_hist", stack.store, stack.teacher, seed)
-        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", stack.store, stack.teacher)
+        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", stack.store)
         rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
         return res, evaluate(stack.teacher.soft[rows], stack.teacher.labels[rows])
 
@@ -702,7 +702,7 @@ def tr_sweep_suite(seed: int = 0, deltas=DELTA_VALUES) -> TheorySuiteResult:
         launch.holds)
 
     # crafted neg-transfer: new teacher sees more but ships a coarser pipeline
-    neg = negative_transfer_example(seed)
+    neg = negative_transfer_example(seed, world)
     add("negative_transfer_a3_violated", "crafted", 0.0 if neg.a3_holds else 1.0,
         1.0, not neg.a3_holds)
     add("negative_transfer_tr_negative", "crafted", neg.tr_pop, 0.0,
@@ -710,10 +710,12 @@ def tr_sweep_suite(seed: int = 0, deltas=DELTA_VALUES) -> TheorySuiteResult:
     return TheorySuiteResult(checks)
 
 
-def negative_transfer_example(seed: int = 0):
+def negative_transfer_example(seed: int = 0, world=None):
     """Teacher upgrade whose pipeline is strictly coarser: the old stack
-    is lossless, the new one crushes the posterior to its sign."""
-    world = enumerate_world(delta_sweep_world(seed), n_hist=1)
+    is lossless, the new one crushes the posterior to its sign. `world`:
+    `delta_sweep_world(seed)` enumerated with `n_hist=1`, if already built."""
+    if world is None:
+        world = enumerate_world(delta_sweep_world(seed), n_hist=1)
     pipe1 = new_generation_pipe(world, 2)
     pipe2 = TablePipeline(
         n_extras_visible=3,

@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,8 +135,7 @@ def test_staged_pipeline_end_to_end(config_path, tmp_path, capsys):
          "--arm", "kd_emb_hist", "--store", str(art / "store.lfsq"),
          "--teacher", str(art / "teacher.npz"), "--out", str(art / "vm.lfmm")],
         ["eval", "--events", str(art / "events.tsv"), "--vm", str(art / "vm.lfmm"),
-         "--arm", "kd_emb_hist", "--store", str(art / "store.lfsq"),
-         "--teacher", str(art / "teacher.npz")],
+         "--arm", "kd_emb_hist", "--store", str(art / "store.lfsq")],
     ]
     for step in steps:
         rc = main(step + ["--config", config_path, "--seed", "0"])
@@ -333,3 +335,13 @@ def test_checkpoint_naming_a_parameter_twice_exits_4(tmp_path, capsys):
                "--ae", str(path), "--out", str(tmp_path / "codec.json")])
     assert rc == 4
     assert "appears twice" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: importing the CLI and the pipeline in a
+    # fresh interpreter must not load it
+    probe = ("import sys, embhist.cli, embhist.pipeline\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,3 +193,32 @@ class TestCorrelationProbe:
         labels = (rng.uniform(0, 1, n) < soft).astype(float)
         _, _, rho = dimension_correlation_probe(z, soft, labels)
         assert rho > 0.5
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_rho_matches_scipy_spearman(self, ties):
+        from scipy.stats import spearmanr
+
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, d = int(rng.integers(4, 40)), int(rng.integers(3, 12))
+            z = rng.normal(0, 1, (n, d))
+            if ties:
+                # a copied column ties exactly; constant columns tie at 0
+                z[:, 1] = z[:, 0]
+                z[:, 2] = 1.0
+                z[:, d - 1] = -2.0
+            soft = rng.uniform(0, 1, n)
+            labels = (rng.uniform(0, 1, n) < soft).astype(float)
+            corr_soft, corr_true, rho = dimension_correlation_probe(z, soft, labels)
+            assert (len(np.unique(corr_soft)) < d) == ties
+            assert rho == pytest.approx(spearmanr(corr_soft, corr_true).statistic, abs=1e-12)
+
+    def test_constant_profile_gives_nan_without_warning(self):
+        rng = np.random.default_rng(5)
+        z = rng.normal(0, 1, (50, 6))
+        labels = rng.integers(0, 2, 50).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr_soft, _, rho = dimension_correlation_probe(z, np.full(50, 0.5), labels)
+        assert not corr_soft.any()
+        assert math.isnan(rho)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embhist.errors import MetricError
-from embhist.metrics import auc, evaluate, logloss, normalized_entropy, transfer_ratio
+from embhist.metrics import (
+    auc, evaluate, logloss, midranks, normalized_entropy, transfer_ratio,
+)
 
 
 def pair_count_auc_simple(scores, labels):
@@ -17,6 +19,38 @@ def pair_count_auc_simple(scores, labels):
     neg = s[y == 0]
     wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
     return wins / (len(pos) * len(neg))
+
+
+def midranks_loop(x):
+    """Run-by-run reference: each run of equal sorted values gets the mean
+    of the 1-based positions it spans."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=np.float64)
+    xs = x[order]
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[j + 1] == xs[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestMidranks:
+    def test_matches_loop_and_rankdata(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(7)
+        for trial in range(500):
+            n = int(rng.integers(0, 50))
+            x = rng.integers(0, 6, n).astype(float) if trial % 2 else rng.normal(0, 1, n)
+            ranks = midranks(x)
+            assert np.array_equal(ranks, midranks_loop(x))
+            assert np.array_equal(ranks, rankdata(x))
+
+    def test_signed_zeros_tie(self):
+        assert midranks(np.array([0.0, -0.0, 1.0])).tolist() == [1.5, 1.5, 3.0]
 
 
 class TestAUC:

@@ -82,7 +82,7 @@ class TestStreamingExperiment:
         log = generate(cfg.world, 0)
         schema = FeatureSchema.from_world(cfg.world)
         vm = train_vm(log, schema, cfg, "baseline", None, None, 0)
-        direct = eval_vm(vm, log, schema, cfg, "baseline", None, None)
+        direct = eval_vm(vm, log, schema, cfg, "baseline", None)
         assert direct == report.results[0].arm_results["baseline"]
 
     def test_no_test_label_leakage(self):
