@@ -109,10 +109,8 @@ def cmd_gen_world(args):
 
 
 def _load_log(cfg, args):
-    path = getattr(args, "events", None) or cfg.event_log_path
-    if path:
-        return pipeline.load_event_log(path, cfg.world)
-    return generate(cfg.world, args.seed)
+    return pipeline._load_log(replace(cfg, event_log_path=args.events or cfg.event_log_path),
+                              args.seed)
 
 
 def cmd_train_fm(args):
@@ -223,7 +221,9 @@ def cmd_eval(args):
     log = _load_log(cfg, args)
     schema = FeatureSchema.from_world(cfg.world)
     store = SequenceStore.load(args.store) if args.store else None
-    _, seq_dim = pipeline._arm_settings(args.arm, cfg)
+    # a checkpoint of another arm (exit 4) is reported before a missing store,
+    # which eval_vm rejects (exit 2)
+    seq_dim = cfg.active_dim if args.arm in pipeline._SEQ_ARMS else 0
     vm = _restore(VMModel, replace(cfg.vm, seq_dim=seq_dim), cfg, args.vm)
     result = pipeline.eval_vm(vm, log, schema, cfg, args.arm, store, chunk=args.chunk)
     print(f"arm={args.arm} chunk={args.chunk} auc={result.auc:.6f} "

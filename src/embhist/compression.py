@@ -18,6 +18,7 @@ import numpy as np
 from . import nncore as nn
 from .errors import ConfigError, DataError, DimensionError, FormatError
 from .metrics import midranks
+from .models import read_checkpoint, write_checkpoint
 from .nncore import ParamStore
 
 
@@ -160,8 +161,6 @@ def prefix_mse(ae: MatryoshkaAE, embeddings: np.ndarray) -> dict[int, float]:
 
 def save_ae(path, ae: MatryoshkaAE) -> None:
     """Same container as model checkpoints; the dim set rides in the header."""
-    from .models import write_checkpoint
-
     if ae.config.encoder_activation != "tanh" or not ae.config.use_hidden:
         raise ConfigError("only the default tanh architecture is persistable")
     write_checkpoint(path, ae.params, schema_hash=ae.in_dim, extra_dims=ae.config.dims)
@@ -171,8 +170,6 @@ def load_ae(path) -> MatryoshkaAE:
     """The autoencoder saved at `path`. Its dim set comes from the header, its
     input and hidden widths from the encoder weights; a header without a
     valid dim set, or weights that do not fit it, is a FormatError."""
-    from .models import read_checkpoint
-
     params, in_dim, dims = read_checkpoint(path)
     try:
         config = AEConfig(dims=tuple(int(d) for d in dims))

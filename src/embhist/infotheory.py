@@ -163,10 +163,6 @@ class JointTable:
         perm = [kept_sorted.index(a) for a in axes]
         return np.transpose(m, perm) if perm != list(range(len(axes))) else m
 
-    def marginal(self, names) -> "JointTable":
-        arr = self.marginal_array(names)
-        return JointTable(names, arr.shape, arr)
-
     def entropy(self, names=None) -> float:
         """H(names) in bits; 0*log 0 := 0."""
         if names is None:

@@ -32,8 +32,8 @@ from .infotheory import (
 )
 from .metrics import EvalResult, evaluate
 from .models import (
-    FeatureSchema, FMConfig, FMModel, VMConfig, VMModel, extract_embedding,
-    history_index, make_fm_batch, make_vm_batch, schema_ids,
+    SELECTORS, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
+    extract_embedding, history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
 from .quantization import (
@@ -55,10 +55,20 @@ ARMS = ("baseline", "kd", "emb_hist", "kd_emb_hist")
 _KD_ARMS = ("kd", "kd_emb_hist")
 _SEQ_ARMS = ("emb_hist", "kd_emb_hist")
 
-ABLATION_AXES = ("layer", "seqlen", "dim", "checkpoint", "codec", "deltasweep")
 SEQLEN_VALUES = (10, 25, 50, 75, 100)
 DIM_VALUES = (8, 16, 32, 64, 128)
 DELTA_VALUES = (1, 2, 4, 8)
+# ablation axis -> (the ExperimentConfig field it sets, its default settings,
+# None or an extra column and its per-seed value, averaged over the seeds)
+_ABLATIONS = {
+    "layer": ("layer", SELECTORS, None),
+    "seqlen": ("seq_len", SEQLEN_VALUES, None),
+    "dim": ("active_dim", DIM_VALUES, None),
+    "checkpoint": ("checkpoint_policy", ("fixed", "per_split"),
+                   ("mean_drift", lambda res: np.mean(res.drift_per_chunk_pair))),
+    "codec": ("codec_kind", tuple(CODEC_IDS), ("codec_mse", lambda res: res.codec_mse)),
+}
+ABLATION_AXES = (*_ABLATIONS, "deltasweep")
 
 
 @dataclass(frozen=True)
@@ -271,18 +281,20 @@ def _concat_teacher(parts: list[TeacherLog]) -> TeacherLog:
                          for f in fields(TeacherLog)})
 
 
-def _arm_settings(arm: str, cfg: ExperimentConfig):
+def _arm_settings(arm: str, cfg: ExperimentConfig, store: SequenceStore | None):
+    """(KD weight, sequence width) of `arm`; a sequence arm without a store
+    is a ConfigError."""
     lam = cfg.kd_weight if arm in _KD_ARMS else 0.0
     seq_dim = cfg.active_dim if arm in _SEQ_ARMS else 0
+    if seq_dim and store is None:
+        raise ConfigError(f"arm {arm!r} needs a populated sequence store")
     return lam, seq_dim
 
 
 def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
              arm: str, store: SequenceStore | None, teacher: TeacherLog | None,
              seed: int) -> VMModel:
-    lam, seq_dim = _arm_settings(arm, cfg)
-    if seq_dim and store is None:
-        raise ConfigError(f"arm {arm!r} needs a populated sequence store")
+    lam, seq_dim = _arm_settings(arm, cfg, store)
     if lam > 0 and teacher is None:
         raise ConfigError(f"arm {arm!r} needs teacher soft labels")
     vm = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed)
@@ -312,7 +324,7 @@ def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, store, soft):
 def eval_vm(vm: VMModel, log_: EventLog, schema: FeatureSchema,
             cfg: ExperimentConfig, arm: str, store,
             chunk: int = TEST_CHUNK) -> EvalResult:
-    lam, seq_dim = _arm_settings(arm, cfg)
+    _, seq_dim = _arm_settings(arm, cfg, store)
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
     scores = [
@@ -377,19 +389,24 @@ def _load_log(cfg: ExperimentConfig, seed: int) -> EventLog:
     return generate(cfg.world, seed)
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
-    log_ = _load_log(cfg, seed)
-    schema = FeatureSchema.from_world(cfg.world)
-    stack = teacher_stack(log_, schema, cfg, checkpoint_segments(cfg.checkpoint_policy, seed))
-
+def run_protocol(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
+                 segments, seed: int) -> SeedResult:
+    """The teacher stack of `segments` (see checkpoint_segments), then each
+    arm of `cfg.arms` trained and scored on TEST_CHUNK, then the teacher
+    scored on the same chunk."""
+    stack = teacher_stack(log_, schema, cfg, segments)
     arm_results = {}
     for arm in cfg.arms:
         vm = train_vm(log_, schema, cfg, arm, stack.store, stack.teacher, seed)
         arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, stack.store)
-
     test_rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
     fm_result = evaluate(stack.teacher.soft[test_rows], stack.teacher.labels[test_rows])
     return SeedResult(arm_results, fm_result, stack.drift, stack.codec_mse)
+
+
+def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
+    return run_protocol(_load_log(cfg, seed), FeatureSchema.from_world(cfg.world), cfg,
+                        checkpoint_segments(cfg.checkpoint_policy, seed), seed)
 
 
 def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -407,44 +424,23 @@ def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
 
 def run_ablation(cfg: ExperimentConfig, axis: str, values=None) -> list[dict]:
     """One row per axis setting; every row reruns the full protocol."""
-    if axis not in ABLATION_AXES:
+    if axis == "deltasweep":
+        return run_delta_sweep(cfg, values or DELTA_VALUES)
+    if axis not in _ABLATIONS:
         raise ConfigError(f"unknown ablation axis {axis!r}")
+    name, defaults, extra = _ABLATIONS[axis]
+    settings = tuple(values or defaults)
     rows = []
-    if axis == "layer":
-        from .models import SELECTORS
-
-        for sel in values or SELECTORS:
-            report = run_streaming_experiment(replace(cfg, layer=sel))
-            rows.append(_axis_row("layer", sel, report))
-    elif axis == "seqlen":
-        for seq_len in values or SEQLEN_VALUES:
-            report = run_streaming_experiment(replace(cfg, seq_len=seq_len))
-            rows.append(_axis_row("seqlen", seq_len, report))
-    elif axis == "dim":
-        dims = tuple(values or DIM_VALUES)
-        for d in dims:
-            ae_cfg = replace(cfg.ae, dims=dims)
-            report = run_streaming_experiment(replace(cfg, ae=ae_cfg, active_dim=d))
-            rows.append(_axis_row("dim", d, report))
-    elif axis == "checkpoint":
-        for policy in values or ("fixed", "per_split"):
-            report = run_streaming_experiment(replace(cfg, checkpoint_policy=policy))
-            row = _axis_row("checkpoint", policy, report)
-            row["mean_drift"] = float(
-                np.mean([np.mean(report.results[s].drift_per_chunk_pair)
-                         for s in report.seeds])
-            )
-            rows.append(row)
-    elif axis == "codec":
-        for kind in values or CODEC_IDS:
-            report = run_streaming_experiment(replace(cfg, codec_kind=kind))
-            row = _axis_row("codec", kind, report)
-            row["codec_mse"] = float(
-                np.mean([report.results[s].codec_mse for s in report.seeds])
-            )
-            rows.append(row)
-    else:
-        rows = run_delta_sweep(cfg, values or DELTA_VALUES)
+    for setting in settings:
+        changes = {name: setting}
+        if name == "active_dim":  # the compressor must train every active dim
+            changes["ae"] = replace(cfg.ae, dims=settings)
+        report = run_streaming_experiment(replace(cfg, **changes))
+        row = _axis_row(axis, setting, report)
+        if extra:
+            column, per_seed = extra
+            row[column] = float(np.mean([per_seed(report.results[s]) for s in report.seeds]))
+        rows.append(row)
     return rows
 
 
@@ -520,23 +516,22 @@ def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES, m1: int = 1,
     world = delta_sweep_world(seed)
     log_ = generate(world, seed)
     enum_world = enumerate_world(world, n_hist=1)
+    kd_cfg = replace(cfg, arms=("kd_emb_hist",))
 
-    def transfer(n_extras, teacher_seed):
-        schema = _subschema(world, n_extras)
-        stack = teacher_stack(log_, schema, cfg, checkpoint_segments("fixed", teacher_seed))
-        vm = train_vm(log_, schema, cfg, "kd_emb_hist", stack.store, stack.teacher, seed)
-        res = eval_vm(vm, log_, schema, cfg, "kd_emb_hist", stack.store)
-        rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
-        return res, evaluate(stack.teacher.soft[rows], stack.teacher.labels[rows])
+    def transfer(n_extras):
+        res = run_protocol(log_, _subschema(world, n_extras), kd_cfg,
+                           checkpoint_segments("fixed", derive_seed(seed, "teacher", n_extras)),
+                           seed)
+        return res.arm_results["kd_emb_hist"], res.fm_result
 
-    base_vm, base_fm = transfer(m1, derive_seed(seed, "teacher", m1))
+    base_vm, base_fm = transfer(m1)
     pops = tr_delta_sweep(
         enum_world, old_generation_pipe(enum_world, m1),
         lambda m2: new_generation_pipe(enum_world, m2), tuple(deltas),
     )
     rows = []
     for delta, pop in zip(deltas, pops):
-        new_vm, new_fm = transfer(m1 + delta, derive_seed(seed, "teacher", m1 + delta))
+        new_vm, new_fm = transfer(m1 + delta)
         d_fm = base_fm.ne - new_fm.ne
         tr_emp = (base_vm.ne - new_vm.ne) / d_fm if d_fm != 0 else float("nan")
         rows.append({
@@ -586,13 +581,18 @@ def _hist_cells(spec: WorldSpec, n_hist: int) -> int:
     return per_step ** (n_hist + 1)
 
 
+def _check(name: str, world: str, value, threshold: float,
+           below: bool = False) -> TheoryCheck:
+    """A check that passes when `value >= threshold`, or `value < threshold`
+    when `below`, so the threshold it reports is the gate it applied."""
+    value = float(value)
+    return TheoryCheck(name, world, value, threshold,
+                       value < threshold if below else value >= threshold)
+
+
 def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
     """Randomized identity/inequality battery over enumerable worlds."""
     checks: list[TheoryCheck] = []
-
-    def add(name, world_id, value, threshold, passed):
-        checks.append(TheoryCheck(name, world_id, float(value), threshold, passed))
-
     for k in range(n_worlds):
         spec = random_enumerable_spec(derive_seed(seed, "battery", k))
         n_hist = 2 if _hist_cells(spec, 2) <= 300_000 else 1
@@ -601,43 +601,31 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
         pipe = random_table_pipeline(world, derive_seed(seed, "pipe", k))
 
         gain = verify_gain_decomposition(world, pipe)
-        add("gain_identity_residual", wid, gain.identity_residual, 1e-10,
-            gain.identity_residual < 1e-10)
-        add("dpi_cross_le_raw", wid, gain.i_feature_raw - gain.i_cross, -1e-9,
-            gain.i_cross <= gain.i_feature_raw + 1e-9)
-
         rep = verify_pipeline(world, pipe)
-        add("cross_identity_residual", wid, rep.cross_identity_residual, 1e-10,
-            rep.cross_identity_residual < 1e-10)
-        add("pipeline_bound_slack", wid, rep.pipeline_bound_slack, -1e-9,
-            rep.pipeline_bound_slack >= -1e-9)
-        add("eta_in_unit_interval", wid, rep.eta, 1.0 + 1e-9,
-            -1e-12 <= rep.eta <= 1.0 + 1e-9)
-
         sand = verify_gain_sandwich(gain, rep)
-        add("gain_sandwich", wid, min(sand.lower_slack, sand.upper_slack), -1e-9,
-            sand.holds)
-
         gains_by_len = verify_monotone_L(world, pipe)
-        diffs = np.diff(gains_by_len)
-        add("monotone_history_gain", wid, float(diffs.min(initial=0.0)), -1e-10,
-            bool((diffs >= -1e-10).all()))
         cap = world.table.cond_entropy(("Y",), ("V",))
-        add("gain_capped_by_label_entropy", wid, cap - gains_by_len[-1], -1e-10,
-            gains_by_len[-1] <= cap + 1e-10)
+        checks += [
+            _check("gain_identity_residual", wid, gain.identity_residual, 1e-10, below=True),
+            _check("dpi_cross_le_raw", wid, gain.i_feature_raw - gain.i_cross, -1e-9),
+            _check("cross_identity_residual", wid, rep.cross_identity_residual, 1e-10,
+                   below=True),
+            _check("pipeline_bound_slack", wid, rep.pipeline_bound_slack, -1e-9),
+            _check("eta_in_unit_interval", wid, rep.eta, 1.0 + 1e-9, below=True),
+            _check("gain_sandwich", wid, min(sand.lower_slack, sand.upper_slack), -1e-9),
+            _check("monotone_history_gain", wid, np.diff(gains_by_len).min(initial=0.0),
+                   -1e-10),
+            _check("gain_capped_by_label_entropy", wid, cap - gains_by_len[-1], -1e-10),
+        ]
 
         # conditioning reduces entropy along growing conditioning sets
-        hv = world.hist_vm_vars()
-        h_prev = world.table.cond_entropy(("Y",), ("V",))
-        ok, worst = True, 0.0
-        cond = ["V"]
-        for v in hv + world.hist_extra_vars():
-            cond.append(v)
-            h_next = world.table.cond_entropy(("Y",), tuple(cond))
+        h_prev, worst, cond = cap, 0.0, ("V",)
+        for v in world.hist_vm_vars() + world.hist_extra_vars():
+            cond += (v,)
+            h_next = world.table.cond_entropy(("Y",), cond)
             worst = min(worst, h_prev - h_next)
-            ok = ok and (h_next <= h_prev + 1e-10)
             h_prev = h_next
-        add("conditioning_reduces_entropy", wid, worst, -1e-10, ok)
+        checks.append(_check("conditioning_reduces_entropy", wid, worst, -1e-10))
 
         # finer quantization cannot worsen the pipeline (A3-style pair)
         fine = TablePipeline(pipe.n_extras_visible, pipe.emb_fn, pipe.ae_fn,
@@ -646,33 +634,30 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
         cross_fine = rep_fine.l_repr_cross + rep_fine.l_ae_cross + rep_fine.l_q_cross
         cross_coarse = rep.l_repr_cross + rep.l_ae_cross + rep.l_q_cross
         if cross_fine <= cross_coarse + 1e-12 and rep.i_feature_raw > 1e-12:
-            add("a3_implies_eta_ordering", wid, rep.eta - rep_fine.eta, -1e-9,
-                rep_fine.eta <= rep.eta + 1e-9)
+            checks.append(_check("a3_implies_eta_ordering", wid, rep.eta - rep_fine.eta,
+                                 -1e-9))
     return TheorySuiteResult(checks)
 
 
 def tr_sweep_suite(seed: int = 0, deltas=DELTA_VALUES) -> TheorySuiteResult:
     """Population transfer-ratio bound across the feature-gap sweep, plus
-    the monotone bound grid, initial launch, and negative transfer."""
-    checks: list[TheoryCheck] = []
-
-    def add(name, wid, value, threshold, passed):
-        checks.append(TheoryCheck(name, wid, float(value), threshold, passed))
-
+    the monotone bound grid, initial launch, and negative transfer. The
+    result does not depend on `seed`: delta_sweep_world(seed) differs only
+    in WorldSpec.seed, which exact enumeration never reads."""
     world = enumerate_world(delta_sweep_world(seed), n_hist=1)
     m1 = 1
     pops = tr_delta_sweep(world, old_generation_pipe(world, m1),
                           lambda m2: new_generation_pipe(world, m2), tuple(deltas))
+    checks: list[TheoryCheck] = []
     prev_lb = -math.inf
     for delta, pop in zip(deltas, pops):
         wid = f"delta{delta}"
-        add("a3_holds_on_sweep", wid, 1.0 if pop.a3_holds else 0.0, 1.0, pop.a3_holds)
-        add("tr_bound_applicable", wid, 1.0 if pop.bound_applicable else 0.0, 1.0,
-            pop.bound_applicable)
-        add("tr_pop_ge_lb", wid, pop.tr_pop - pop.tr_lb, -1e-9,
-            pop.tr_pop >= pop.tr_lb - 1e-9)
-        add("tr_lb_nondecreasing_in_delta", wid, pop.tr_lb - prev_lb, 0.0,
-            pop.tr_lb >= prev_lb - 1e-12)
+        checks += [
+            _check("a3_holds_on_sweep", wid, pop.a3_holds, 1.0),
+            _check("tr_bound_applicable", wid, pop.bound_applicable, 1.0),
+            _check("tr_pop_ge_lb", wid, pop.tr_pop - pop.tr_lb, -1e-9),
+            _check("tr_lb_nondecreasing_in_delta", wid, pop.tr_lb - prev_lb, -1e-12),
+        ]
         prev_lb = pop.tr_lb
 
     # closed-form bound is monotone on a dense grid under valid constants
@@ -685,37 +670,32 @@ def tr_sweep_suite(seed: int = 0, deltas=DELTA_VALUES) -> TheorySuiteResult:
         eval_tr_lower_bound(replace(params0, delta=float(d)))
         for d in range(1, 65)
     ]
-    diffs = np.diff(grid)
-    add("tr_lb_grid_monotone", "grid64", float(diffs.min()), 0.0,
-        bool((diffs >= -1e-12).all()))
     limit = (1.0 - params0.eta1) * params0.kappa_gap_hist_lo / params0.kappa_gap_hi
-    add("tr_lb_grid_below_limit", "grid64", limit - grid[-1], 0.0,
-        grid[-1] <= limit + 1e-12)
+    checks += [
+        _check("tr_lb_grid_monotone", "grid64", np.diff(grid).min(), -1e-12),
+        _check("tr_lb_grid_below_limit", "grid64", limit - grid[-1], -1e-12),
+    ]
 
     # initial launch: no prior sequence feature, gain can only help
     launch = verify_tr_bound_population(
         world, None, new_generation_pipe(world, m1 + 2), m1_features=m1
     )
-    add("initial_launch_tr_nonneg", "launch", launch.tr_pop, 0.0,
-        launch.tr_pop >= -1e-12)
-    add("initial_launch_bound_holds", "launch", launch.tr_pop - launch.tr_lb, -1e-9,
-        launch.holds)
-
     # crafted neg-transfer: new teacher sees more but ships a coarser pipeline
-    neg = negative_transfer_example(seed, world)
-    add("negative_transfer_a3_violated", "crafted", 0.0 if neg.a3_holds else 1.0,
-        1.0, not neg.a3_holds)
-    add("negative_transfer_tr_negative", "crafted", neg.tr_pop, 0.0,
-        neg.tr_pop < 0.0)
+    neg = negative_transfer_example(world)
+    checks += [
+        _check("initial_launch_tr_nonneg", "launch", launch.tr_pop, -1e-12),
+        _check("initial_launch_bound_holds", "launch",
+               launch.tr_pop - max(launch.tr_lb, 0.0), -1e-9),
+        _check("negative_transfer_a3_violated", "crafted", not neg.a3_holds, 1.0),
+        _check("negative_transfer_tr_negative", "crafted", neg.tr_pop, 0.0, below=True),
+    ]
     return TheorySuiteResult(checks)
 
 
-def negative_transfer_example(seed: int = 0, world=None):
+def negative_transfer_example(world):
     """Teacher upgrade whose pipeline is strictly coarser: the old stack
     is lossless, the new one crushes the posterior to its sign. `world`:
-    `delta_sweep_world(seed)` enumerated with `n_hist=1`, if already built."""
-    if world is None:
-        world = enumerate_world(delta_sweep_world(seed), n_hist=1)
+    `delta_sweep_world()` enumerated with `n_hist=1`."""
     pipe1 = new_generation_pipe(world, 2)
     pipe2 = TablePipeline(
         n_extras_visible=3,

@@ -43,15 +43,6 @@ class SequenceFeature:
     timestamps: np.ndarray  # (L,) int64, -1 on padding
     length: int
 
-    @classmethod
-    def empty(cls, seq_len: int, dim: int) -> "SequenceFeature":
-        return cls(
-            entries=np.zeros((seq_len, dim)),
-            mask=np.zeros(seq_len, dtype=bool),
-            timestamps=np.full(seq_len, -1, dtype=np.int64),
-            length=0,
-        )
-
 
 class SequenceStore:
     """Records in insertion order as columns: `keys` (u64), `timestamps`
@@ -156,12 +147,12 @@ class SequenceStore:
         lo = start + stamps[start:stop].searchsorted(t_cur - window)
         hi = start + stamps[start:stop].searchsorted(t_cur)
         rows = order[max(lo, hi - seq_len):hi][::-1]  # equal stamps: later insert first
-        out = SequenceFeature.empty(seq_len, self.dim)
         n = len(rows)
-        out.entries[:n] = values[rows]
-        out.mask[:n] = True
-        out.timestamps[:n] = self.timestamps[rows]
-        return SequenceFeature(out.entries, out.mask, out.timestamps, n)
+        entries = np.zeros((seq_len, self.dim))
+        entries[:n] = values[rows]
+        times = np.full(seq_len, -1, dtype=np.int64)
+        times[:n] = self.timestamps[rows]
+        return SequenceFeature(entries, np.arange(seq_len) < n, times, n)
 
     # -- persistence -------------------------------------------------------
 

@@ -149,6 +149,21 @@ def test_staged_pipeline_end_to_end(config_path, tmp_path, capsys):
     assert np.all(np.diff(codec["codebook"]) > 0)
 
 
+@pytest.mark.parametrize("command", ["train-vm", "eval"])
+def test_sequence_arm_without_store_exits_2(config_path, tmp_path, capsys, command):
+    from embhist.models import FeatureSchema, VMModel, write_checkpoint
+
+    cfg = load_config(config_path)
+    schema = FeatureSchema.from_world(cfg.world)
+    vm = VMModel(schema, replace(cfg.vm, seq_dim=cfg.active_dim), seed=0)
+    write_checkpoint(tmp_path / "vm.lfmm", vm.params, schema.hash64())
+    args = {"train-vm": ["--out", str(tmp_path / "out.lfmm")],
+            "eval": ["--vm", str(tmp_path / "vm.lfmm")]}[command]
+    rc = main([command, "--config", config_path, "--arm", "emb_hist", *args])
+    assert rc == 2
+    assert "arm 'emb_hist' needs a populated sequence store" in capsys.readouterr().err
+
+
 def test_run_experiment_and_report(config_path, tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main(["run-experiment", "--config", config_path, "--out", str(out_dir)])

@@ -214,10 +214,10 @@ def test_vm_batch_matches_per_sample_oracle():
         if length is None:
             seqs.append(None)
             continue
-        seq = SequenceFeature.empty(5, 3)
+        seq = SequenceFeature(np.zeros((5, 3)), np.arange(5) < length,
+                              np.full(5, -1, dtype=np.int64), length)
         seq.entries[:length] = rng.uniform(-1, 1, (length, 3))
-        seq.mask[:length] = True
-        seqs.append(replace(seq, length=length))
+        seqs.append(seq)
     soft = rng.uniform(0.05, 0.95, 4)
     batch = make_vm_batch(schema, schema_ids(schema, log), log.labels, rows, seqs, soft,
                           seq_len=5, seq_dim=3)

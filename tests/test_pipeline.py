@@ -1,16 +1,18 @@
 import logging
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from embhist import pipeline
 from embhist.errors import ConfigError, DataError
 from embhist.models import FMConfig, FeatureSchema, VMConfig
 from embhist.pipeline import (
     ExperimentConfig, FM_TRAIN_CHUNKS, TEST_CHUNK, VM_TRAIN_CHUNKS,
     eval_vm, ingest_event_log, load_event_log, run_ablation,
-    run_streaming_experiment, theory_battery, train_vm, write_tsv,
+    run_streaming_experiment, theory_battery, tr_sweep_suite, train_vm, write_tsv,
 )
 from embhist.synthworld import WorldSpec, generate
 
@@ -318,3 +320,41 @@ class TestTheoryBattery:
         write_tsv(tmp_path / "rows.tsv", result.to_rows())
         text = (tmp_path / "rows.tsv").read_text()
         assert text.startswith("check\tworld\tvalue\tthreshold\tpassed")
+
+
+# checks that pass strictly below their threshold; every other check passes
+# at or above it
+_BELOW = {"gain_identity_residual", "cross_identity_residual", "eta_in_unit_interval",
+          "negative_transfer_tr_negative"}
+
+
+def _assert_threshold_is_gate(result):
+    for c in result.checks:
+        gate = c.value < c.threshold if c.name in _BELOW else c.value >= c.threshold
+        assert c.passed == gate, c
+
+
+class TestTheoryGates:
+    def test_reported_threshold_is_the_gate(self):
+        _assert_threshold_is_gate(tr_sweep_suite(0))
+        _assert_threshold_is_gate(theory_battery(4, 11))
+
+    def test_values_just_below_zero_meet_the_reported_gate(self, monkeypatch):
+        """Bound values within rounding of a zero gate: each check passes,
+        and the threshold it reports admits the value."""
+        eps = 5e-13
+        pops = [SimpleNamespace(a3_holds=True, bound_applicable=True, tr_pop=1.0, tr_lb=lb)
+                for lb in (0.1, 0.1 - eps, 0.1 - eps, 0.1 - eps)]
+        monkeypatch.setattr(pipeline, "tr_delta_sweep", lambda *args: pops)
+        # a grid just above the bound's limit (0.14) that dips at its last point
+        monkeypatch.setattr(pipeline, "eval_tr_lower_bound",
+                            lambda p: 0.14 + (eps / 2 if p.delta == 64 else eps))
+        monkeypatch.setattr(pipeline, "verify_tr_bound_population", lambda *a, **kw:
+                            SimpleNamespace(tr_pop=-eps, tr_lb=-1.0, holds=True,
+                                            a3_holds=False))
+        result = tr_sweep_suite(0)
+        assert result.all_passed, result.failures()
+        names = {c.name for c in result.checks if -1e-12 < c.value < 0.0}
+        assert {"tr_lb_nondecreasing_in_delta", "tr_lb_grid_monotone",
+                "tr_lb_grid_below_limit", "initial_launch_tr_nonneg"} <= names
+        _assert_threshold_is_gate(result)
