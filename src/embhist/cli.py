@@ -160,7 +160,7 @@ def _load_teacher(path) -> pipeline.TeacherLog:
 def cmd_train_ae(args):
     cfg = _get_cfg(args)
     teacher = _load_teacher(args.teacher)
-    rows = teacher.rows_in_chunk(4)
+    rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
     ae, history = ae_train(teacher.emb[rows], cfg.ae, args.seed)
     save_ae(_ensure_parent(Path(args.out)), ae)
     print(f"compressor trained on {len(rows)} embeddings; "
@@ -172,7 +172,7 @@ def cmd_quantize(args):
     cfg = _get_cfg(args)
     teacher = _load_teacher(args.teacher)
     ae = load_ae(args.ae)
-    rows = teacher.rows_in_chunk(4)
+    rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
     z = ae.encode_batch(teacher.emb[rows])[:, : cfg.active_dim]
     codec = pipeline.fit_codec(cfg.codec_kind, z, args.seed)
     descriptor = {"kind": codec.kind}

@@ -96,13 +96,14 @@ def cross_sum_rounding_bound(raw_terms, s_terms, cross_losses, n_cells: int) -> 
 def clamp_eta(cross_sum: float, i_raw: float, cross_err: float) -> float:
     """eta = cross_sum / i_raw, where cross_sum is exactly >= 0 up to its
     rounding error cross_err: clamped to 0 within cross_err / i_raw below 0,
-    NumericError further below."""
+    NumericError further below. It is not clamped from above, so an eta
+    above 1 reaches PipelineReport's check."""
     if i_raw <= 1e-15:
         return 0.0
     eta = cross_sum / i_raw
     if eta < -cross_err / i_raw:
         raise NumericError(f"eta {eta} below its rounding bound {-cross_err / i_raw}")
-    return min(max(eta, 0.0), 1.0 + 1e-9)
+    return max(eta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -396,13 +397,12 @@ def uniform_quantizer(bits: int):
     return fn
 
 
-def fixed_point_quantizer(decimals: int = 9):
+def fixed_point_quantizer():
     """High-resolution fixed-point codes; lossless whenever distinct
-    coordinates differ by more than 10^-decimals (the b -> inf limit)."""
-    scale = 10**decimals
+    coordinates differ by more than 1e-9 (the b -> inf limit)."""
 
     def fn(z):
-        return tuple(int(round(v * scale)) for v in z)
+        return tuple(int(round(v * 10**9)) for v in z)
 
     return fn
 
@@ -439,18 +439,14 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
     return fn
 
 
-def random_table_pipeline(world: VerificationWorld, seed: int,
-                          n_visible: int | None = None) -> TablePipeline:
+def random_table_pipeline(world: VerificationWorld, seed: int) -> TablePipeline:
     """Random small pipeline for the verification battery: a random or
     posterior-table teacher map, an optional coarse grid compressor, and a
     1-3 bit scalar quantizer. Identities must hold for every draw."""
     from .prng import Stream, derive_seed  # local import avoids cycles at module load
 
     stream = Stream(derive_seed(seed, "battery-pipeline"))
-    total = len(world.extra_feature_cards)
-    if n_visible is None:
-        n_visible = 1 + stream.randint(total)
-    n_visible = max(1, min(n_visible, total))
+    n_visible = 1 + stream.randint(len(world.extra_feature_cards))
 
     kind = stream.randint(3)
     if kind == 0:
@@ -679,8 +675,7 @@ def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineRe
     )
 
 
-def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport,
-                         slack: float = 1e-9) -> SandwichResult:
+def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport) -> SandwichResult:
     """(1-tau)*I_temporal + (1-eta)*I_raw <= gain <= I_temporal + (1-eta)*I_raw."""
     lower = (1.0 - pipe.tau) * gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
     upper = gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
@@ -689,7 +684,7 @@ def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport,
     return SandwichResult(
         lower=lower, upper=upper, value=gain.i_loopgain,
         lower_slack=lo_slack, upper_slack=up_slack,
-        holds=(lo_slack >= -slack and up_slack >= -slack),
+        holds=(lo_slack >= -1e-9 and up_slack >= -1e-9),
     )
 
 

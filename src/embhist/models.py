@@ -109,15 +109,15 @@ class FeatureSchema:
 
 @dataclass
 class FMBatch:
-    ids: dict[str, np.ndarray]        # (B,) per feature
-    hist_ids: dict[str, np.ndarray]   # (B, Lh) per feature, 0-padded
-    hist_mask: np.ndarray             # (B, Lh) bool
-    labels: np.ndarray                # (B, 1)
+    ids: np.ndarray          # (B, m_k) in schema feature order
+    hist_ids: np.ndarray     # (B, Lh, m_k), 0 where masked
+    hist_mask: np.ndarray    # (B, Lh) bool
+    labels: np.ndarray       # (B, 1)
 
 
 @dataclass
 class VMBatch:
-    ids: dict[str, np.ndarray]
+    ids: np.ndarray          # (B, m_s) in schema order of the visible features
     labels: np.ndarray
     soft_labels: np.ndarray | None = None
     seq_entries: np.ndarray | None = None  # (B, L, d)
@@ -166,11 +166,9 @@ def make_fm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
     and `history` its `history_index`; history ids are 0 where masked.
     """
     hist_rows, hist_mask = history[0][rows], history[1][rows]
-    batch_ids = ids[rows]
-    hist_ids = np.where(hist_mask[:, :, None], ids[hist_rows], 0)
     return FMBatch(
-        ids={f.name: batch_ids[:, j] for j, f in enumerate(schema.features)},
-        hist_ids={f.name: hist_ids[:, :, j] for j, f in enumerate(schema.features)},
+        ids=ids[rows],
+        hist_ids=np.where(hist_mask[:, :, None], ids[hist_rows], 0),
         hist_mask=hist_mask,
         labels=labels[rows].astype(np.float64)[:, None],
     )
@@ -185,7 +183,7 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
     seqstore.SequenceFeature or None for row rows[i].
     """
     b = len(rows)
-    batch_ids = ids[rows]
+    vm_cols = [j for j, f in enumerate(schema.features) if f.owner == VM_OWNER]
     soft = None
     if soft_labels is not None:
         soft = np.asarray(soft_labels, dtype=np.float64).reshape(b, 1)
@@ -198,15 +196,15 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
                 entries[i, : seq.length] = seq.entries[: seq.length]
                 mask[i, : seq.length] = True
     return VMBatch(
-        ids={f.name: batch_ids[:, j] for j, f in enumerate(schema.features)
-             if f.owner == VM_OWNER},
+        ids=ids[rows][:, vm_cols],
         labels=labels[rows].astype(np.float64)[:, None],
         soft_labels=soft, seq_entries=entries, seq_mask=mask,
     )
 
 
 # ---------------------------------------------------------------------------
-# sequence encoders
+# layers shared by teacher and student: sequence encoders, one embedding
+# table, one MLP tower
 # ---------------------------------------------------------------------------
 
 
@@ -249,6 +247,45 @@ def _pool(kind: str, entries: Node, mask: np.ndarray, query: Node | None,
     raise ConfigError(f"unknown sequence encoder {kind!r}")
 
 
+def add_embedding(features: tuple[Feature, ...], dim: int, seed: int, prefix: str,
+                  params: ParamStore) -> np.ndarray:
+    """One `emb` table: each feature's rows drawn as `<prefix>emb.<name>`,
+    stacked in feature order. Returns each feature's first row."""
+    params.add("emb", np.vstack([
+        nn.glorot_uniform(f.cardinality, dim, seed, f"{prefix}emb.{f.name}") for f in features
+    ]))
+    return np.cumsum([0, *(f.cardinality for f in features[:-1])])
+
+
+def lookup(table: Node, ids: np.ndarray, offsets: np.ndarray) -> Node:
+    """(..., m) ids -> (rows, m * d) concatenated feature embeddings: one
+    gather over the shifted ids and one reshape. Each table cell's gradient
+    is summed in batch order, as by one gather per feature."""
+    flat = (ids + offsets).ravel()
+    return nn.reshape(nn.gather_rows(table, flat), flat.size // len(offsets),
+                      len(offsets) * table.value.shape[1])
+
+
+def add_tower(widths, seed: int, prefix: str, params: ParamStore) -> None:
+    """ReLU layers `mlp0..` over `widths` and a zero sigmoid head `out`, so
+    an untrained model predicts 0.5."""
+    for i in range(len(widths) - 1):
+        params.add(f"mlp{i}.w", nn.glorot_uniform(widths[i], widths[i + 1], seed,
+                                                  f"{prefix}.mlp{i}.w"))
+        params.add(f"mlp{i}.b", np.zeros((1, widths[i + 1])))
+    params.add("out.w", np.zeros((widths[-1], 1)))
+    params.add("out.b", np.zeros((1, 1)))
+
+
+def tower(nodes: dict[str, Node], x: Node, depth: int) -> tuple[Node, list[Node]]:
+    """The prediction and the hidden activations of an `add_tower` stack."""
+    hidden = []
+    for i in range(depth):
+        x = nn.relu(nn.affine(x, nodes[f"mlp{i}.w"], nodes[f"mlp{i}.b"]))
+        hidden.append(x)
+    return nn.sigmoid(nn.affine(x, nodes["out.w"], nodes["out.b"])), hidden
+
+
 # ---------------------------------------------------------------------------
 # teacher (attention over raw past events + 3-layer MLP)
 # ---------------------------------------------------------------------------
@@ -271,13 +308,13 @@ class ActivationBundle:
     """Named activations of one forward pass plus the embedding layout."""
 
     values: dict[str, np.ndarray]
-    emb_slices: dict[str, tuple[int, int]]
-    item_features: tuple[str, ...]
+    item_cols: np.ndarray  # columns of emb_layer that hold item-side features
 
 
 class FMModel:
-    """Wide teacher: per-feature embeddings, optional attention over the
-    raw ids of the user's recent events, then hidden_0/hidden_1/deep."""
+    """Wide teacher: one embedding table over every feature, optional
+    attention over the raw ids of the user's recent events, then
+    hidden_0/hidden_1/deep."""
 
     def __init__(self, schema: FeatureSchema, config: FMConfig, seed: int):
         self.schema = schema
@@ -285,54 +322,32 @@ class FMModel:
         self.seed = seed
         d = config.embed_dim
         self.emb_width = d * schema.m_k
-        self.emb_slices = {
-            f.name: (i * d, (i + 1) * d) for i, f in enumerate(schema.features)
-        }
+        self.item_cols = np.arange(self.emb_width).reshape(schema.m_k, d)[
+            [f.item_side for f in schema.features]].ravel()
         p = ParamStore()
-        for f in schema.features:
-            p.add(f"emb.{f.name}", nn.glorot_uniform(f.cardinality, d, seed, f"emb.{f.name}"))
+        self.offsets = add_embedding(schema.features, d, seed, "", p)
         if config.use_history:
             make_attention_params(self.emb_width, config.attn_hidden, seed, "attn", p)
-        widths = [self.emb_width * (2 if config.use_history else 1), *config.hidden]
-        for i in range(3):
-            p.add(f"mlp{i}.w", nn.glorot_uniform(widths[i], widths[i + 1], seed, f"fm.mlp{i}.w"))
-            p.add(f"mlp{i}.b", np.zeros((1, widths[i + 1])))
-        p.add("out.w", np.zeros((config.hidden[2], 1)))  # zero head: untrained -> 0.5
-        p.add("out.b", np.zeros((1, 1)))
+        add_tower([self.emb_width * (2 if config.use_history else 1), *config.hidden],
+                  seed, "fm", p)
         self.params = p
 
     def _forward(self, nodes: dict[str, Node], batch: FMBatch):
-        embs = [
-            nn.gather_rows(nodes[f"emb.{f.name}"], batch.ids[f.name])
-            for f in self.schema.features
-        ]
-        emb_layer = nn.concat_cols(embs)
+        emb_layer = lookup(nodes["emb"], batch.ids, self.offsets)
         x = emb_layer
         if self.config.use_history:
-            b, lh = batch.hist_mask.shape
-            hist_embs = [
-                nn.gather_rows(nodes[f"emb.{f.name}"], batch.hist_ids[f.name].reshape(-1))
-                for f in self.schema.features
-            ]
-            hist_emb = nn.concat_cols(hist_embs)
+            hist_emb = lookup(nodes["emb"], batch.hist_ids, self.offsets)
             pooled = _pool("din_attention", hist_emb, batch.hist_mask,
                            emb_layer, nodes, "attn")
             x = nn.concat_cols([emb_layer, pooled])
-        h0 = nn.relu(nn.affine(x, nodes["mlp0.w"], nodes["mlp0.b"]))
-        h1 = nn.relu(nn.affine(h0, nodes["mlp1.w"], nodes["mlp1.b"]))
-        h2 = nn.relu(nn.affine(h1, nodes["mlp2.w"], nodes["mlp2.b"]))
-        p = nn.sigmoid(nn.affine(h2, nodes["out.w"], nodes["out.b"]))
+        p, (h0, h1, h2) = tower(nodes, x, len(self.config.hidden))
         acts = {"emb_layer": emb_layer, "hidden_0": h0, "hidden_1": h1,
                 "deep": h2, "softlabel": p}
         return p, acts
 
     def predict_batch(self, batch: FMBatch):
         p, acts = self._forward(self.params.as_nodes(), batch)
-        bundle = ActivationBundle(
-            values={k: v.value for k, v in acts.items()},
-            emb_slices=dict(self.emb_slices),
-            item_features=tuple(f.name for f in self.schema.item_features),
-        )
+        bundle = ActivationBundle({k: v.value for k, v in acts.items()}, self.item_cols)
         return p.value[:, 0].copy(), bundle
 
     def loss_fn(self, batch: FMBatch):
@@ -344,7 +359,6 @@ class FMModel:
         return fn
 
     def layer_width(self, selector: str) -> int:
-        d = self.config.embed_dim
         widths = {
             "emb_layer": self.emb_width,
             "hidden_0": self.config.hidden[0],
@@ -352,7 +366,7 @@ class FMModel:
             "deep": self.config.hidden[2],
             "all_joint": self.emb_width + sum(self.config.hidden),
             "softlabel_only": 1,
-            "item_only": d * len(self.schema.item_features),
+            "item_only": len(self.item_cols),
         }
         if selector not in widths:
             raise ConfigError(f"unknown layer selector {selector!r}")
@@ -371,10 +385,9 @@ def extract_embedding(bundle: ActivationBundle, selector: str) -> np.ndarray:
     if selector == "softlabel_only":
         return v["softlabel"].copy()
     if selector == "item_only":
-        if not bundle.item_features:
+        if not len(bundle.item_cols):
             raise ConfigError("schema has no item-side features")
-        cols = [v["emb_layer"][:, slice(*bundle.emb_slices[n])] for n in bundle.item_features]
-        return np.concatenate(cols, axis=1)
+        return v["emb_layer"][:, bundle.item_cols]
     return v[selector].copy()
 
 
@@ -410,8 +423,7 @@ class VMModel:
         d = config.embed_dim
         self.emb_width = d * schema.m_s
         p = ParamStore()
-        for f in schema.vm_features:
-            p.add(f"emb.{f.name}", nn.glorot_uniform(f.cardinality, d, seed, f"vm.emb.{f.name}"))
+        self.offsets = add_embedding(schema.vm_features, d, seed, "vm.", p)
         in_width = self.emb_width
         if config.use_sequence:
             p.add("seqq.w", nn.glorot_uniform(self.emb_width, config.seq_dim, seed, "vm.seqq.w"))
@@ -419,29 +431,18 @@ class VMModel:
             if config.seq_encoder == "din_attention":
                 make_attention_params(config.seq_dim, config.attn_hidden, seed, "attn", p)
             in_width += config.seq_dim + 1  # pooled vector + presence flag
-        widths = [in_width, *config.hidden]
-        for i in range(2):
-            w = nn.glorot_uniform(widths[i], widths[i + 1], seed, f"vm.mlp{i}.w")
-            if i == 0 and config.use_sequence:
-                # the pooled-sequence block starts as a no-op: first-step
-                # predictions match the branch-less student, and the branch
-                # fades in through training instead of injecting cold noise
-                w[self.emb_width :, :] = 0.0
-            p.add(f"mlp{i}.w", w)
-            p.add(f"mlp{i}.b", np.zeros((1, widths[i + 1])))
-        p.add("out.w", np.zeros((config.hidden[1], 1)))
-        p.add("out.b", np.zeros((1, 1)))
+        add_tower([in_width, *config.hidden], seed, "vm", p)
+        # the pooled-sequence block starts as a no-op: first-step predictions
+        # match the branch-less student, and the branch fades in through
+        # training instead of injecting cold noise
+        p["mlp0.w"][self.emb_width :, :] = 0.0
         self.params = p
 
     def _forward(self, nodes: dict[str, Node], batch: VMBatch) -> Node:
         has_seq = batch.seq_entries is not None
         if has_seq != self.config.use_sequence:
             raise ConfigError("sequence input must match the configured branch")
-        embs = [
-            nn.gather_rows(nodes[f"emb.{f.name}"], batch.ids[f.name])
-            for f in self.schema.vm_features
-        ]
-        emb = nn.concat_cols(embs)
+        emb = lookup(nodes["emb"], batch.ids, self.offsets)
         x = emb
         if self.config.use_sequence:
             b, l, d = batch.seq_entries.shape
@@ -457,9 +458,7 @@ class VMModel:
                 batch.seq_mask.any(axis=1, keepdims=True).astype(float)
             )
             x = nn.concat_cols([emb, pooled, presence])
-        h0 = nn.relu(nn.affine(x, nodes["mlp0.w"], nodes["mlp0.b"]))
-        h1 = nn.relu(nn.affine(h0, nodes["mlp1.w"], nodes["mlp1.b"]))
-        return nn.sigmoid(nn.affine(h1, nodes["out.w"], nodes["out.b"]))
+        return tower(nodes, x, len(self.config.hidden))[0]
 
     def predict_batch(self, batch: VMBatch) -> np.ndarray:
         return self._forward(self.params.as_nodes(), batch).value[:, 0].copy()

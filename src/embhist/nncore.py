@@ -63,7 +63,7 @@ def _acc(node: Node, g: np.ndarray) -> None:
     node.grad = g if node.grad is None else node.grad + g
 
 
-def backward(loss: Node, seed: float = 1.0) -> None:
+def backward(loss: Node) -> None:
     """Fill .grad on every node between `loss` and the parameters.
 
     Each op adds its contributions through `_acc`, in reverse creation order
@@ -96,7 +96,7 @@ def backward(loss: Node, seed: float = 1.0) -> None:
     order = sorted(seen.values(), key=lambda n: n._id, reverse=True)
     for node in order:
         node.grad = None
-    loss.grad = np.full((1, 1), float(seed))
+    loss.grad = np.ones((1, 1))
     for node in order:
         if node._bw is not None and node.grad is not None:
             node._bw(node.grad)

@@ -185,10 +185,8 @@ class TeacherLog:
         return np.flatnonzero(self.chunks == chunk)
 
 
-def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks,
-                batch_size: int = 256) -> TeacherLog:
-    batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks,
-                                batch_size)
+def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks) -> TeacherLog:
+    batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks, 256)
     soft_parts, emb_parts = [], []
     for batch in batches:
         probs, bundle = fm.predict_batch(batch)
@@ -455,7 +453,7 @@ def _axis_row(axis: str, setting, report: RunReport) -> dict:
     return row
 
 
-def delta_sweep_world(seed: int = 0) -> WorldSpec:
+def delta_sweep_world() -> WorldSpec:
     """World for teacher-generation comparisons: one always-visible extra
     plus eight sweepable ones, all binary, every weight bounded away from 0."""
     weights = (0.9, -0.75, 0.7, -0.65, 0.6, -0.55, 0.5, -0.5, 0.45)
@@ -470,7 +468,6 @@ def delta_sweep_world(seed: int = 0) -> WorldSpec:
         temporal_window=8,
         temporal_cap=3,
         beta_temporal=0.6,
-        seed=seed,
     )
 
 
@@ -508,12 +505,12 @@ def _subschema(world: WorldSpec, n_extras: int) -> FeatureSchema:
     return FeatureSchema.from_world(spec)
 
 
-def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES, m1: int = 1,
-                    seed: int | None = None) -> list[dict]:
+def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES) -> list[dict]:
     """Empirical transfer ratio for teacher pairs with growing feature gap,
-    next to the population-level lower bound for the same world."""
-    seed = cfg.seeds[0] if seed is None else seed
-    world = delta_sweep_world(seed)
+    next to the population-level lower bound for the same world; the old
+    teacher sees one extra, on the first configured seed's log."""
+    seed, m1 = cfg.seeds[0], 1
+    world = delta_sweep_world()
     log_ = generate(world, seed)
     enum_world = enumerate_world(world, n_hist=1)
     kd_cfg = replace(cfg, arms=("kd_emb_hist",))
@@ -639,18 +636,18 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
     return TheorySuiteResult(checks)
 
 
-def tr_sweep_suite(seed: int = 0, deltas=DELTA_VALUES) -> TheorySuiteResult:
+def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
     """Population transfer-ratio bound across the feature-gap sweep, plus
     the monotone bound grid, initial launch, and negative transfer. The
-    result does not depend on `seed`: delta_sweep_world(seed) differs only
-    in WorldSpec.seed, which exact enumeration never reads."""
-    world = enumerate_world(delta_sweep_world(seed), n_hist=1)
+    result does not depend on `seed`: exact enumeration of
+    delta_sweep_world() draws nothing."""
+    world = enumerate_world(delta_sweep_world(), n_hist=1)
     m1 = 1
     pops = tr_delta_sweep(world, old_generation_pipe(world, m1),
-                          lambda m2: new_generation_pipe(world, m2), tuple(deltas))
+                          lambda m2: new_generation_pipe(world, m2), DELTA_VALUES)
     checks: list[TheoryCheck] = []
     prev_lb = -math.inf
-    for delta, pop in zip(deltas, pops):
+    for delta, pop in zip(DELTA_VALUES, pops):
         wid = f"delta{delta}"
         checks += [
             _check("a3_holds_on_sweep", wid, pop.a3_holds, 1.0),

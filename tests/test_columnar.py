@@ -89,11 +89,12 @@ def oracle_fm_batch(schema, samples, histories, history_len):
     return ids, hist_ids, mask, labels
 
 
-def assert_same_ids(got: dict, want: dict):
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name].dtype == want[name].dtype
-        assert np.array_equal(got[name], want[name]), name
+def assert_same_ids(got: np.ndarray, want: dict):
+    """`got`'s last axis holds the columns of `want`, in its order."""
+    assert got.shape[-1] == len(want)
+    for j, name in enumerate(want):
+        assert got[..., j].dtype == want[name].dtype
+        assert np.array_equal(got[..., j], want[name]), name
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ WORLDS = {
     "label_noise": (replace(WorldSpec(n_users=24, events_per_user=32), label_noise=0.2), 2),
     "random_enumerable": (random_enumerable_spec(5), 5),
     "verification": (default_verification_spec(), 0),
-    "delta_sweep": (replace(delta_sweep_world(1), n_users=40), 1),
+    "delta_sweep": (replace(delta_sweep_world(), seed=1, n_users=40), 1),
 }
 
 
@@ -191,7 +192,7 @@ def test_history_index_on_all_rows():
 
 def test_prefix_schema_reads_leading_extra_columns():
     # a teacher over the first 3 of 9 extras, as in the delta sweep
-    world = replace(delta_sweep_world(0), n_users=8)
+    world = replace(delta_sweep_world(), seed=0, n_users=8)
     log = generate(world, 0)
     schema = _subschema(world, 3)
     rows = np.arange(0, len(log.labels), 7)

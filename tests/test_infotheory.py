@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,6 +360,14 @@ class TestEtaRoundingBudget:
         assert clamp_eta(0.25 * i_raw, i_raw, err) == 0.25
         with pytest.raises(NumericError):
             clamp_eta(-1e-6, i_raw, err)
+        # no clamp from above: an eta above 1 is reported as it is
+        assert clamp_eta(1.5 * i_raw, i_raw, err) == 1.5
+
+    def test_eta_above_one_raises_in_report(self):
+        world = enumerate_world(random_enumerable_spec(3), n_hist=1)
+        rep = verify_pipeline(world, random_table_pipeline(world, seed=0))
+        with pytest.raises(NumericError):
+            replace(rep, eta=1.5)
 
 
 class TestSandwich:

@@ -8,8 +8,9 @@ from embhist import nncore as nn
 from embhist.errors import ConfigError, SchemaError
 from embhist.models import (
     Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
-    _pool, extract_embedding, history_index, make_attention_params,
-    make_fm_batch, make_vm_batch, read_checkpoint, schema_ids, write_checkpoint,
+    _pool, extract_embedding, history_index, lookup,
+    make_attention_params, make_fm_batch, make_vm_batch, read_checkpoint, schema_ids,
+    write_checkpoint,
 )
 from embhist.seqstore import SequenceFeature
 from embhist.synthworld import WorldSpec, generate
@@ -113,6 +114,68 @@ class TestFMForward:
         bad = with_ids(log, 0, (99, 0, *log.ids[0, 2:]))
         with pytest.raises(SchemaError):
             fm_batch(fm.schema, bad, [0])
+
+
+class TestOneTable:
+    def test_lookup_matches_per_feature_gathers(self):
+        # an event lookup, then a history lookup on the same table, as the
+        # teacher does, against per-feature parameters (row slices of the
+        # table) with one gather each and a column concat
+        rng = np.random.default_rng(7)
+        cards, d, b, lh = (3, 5, 2, 4), 3, 6, 4
+        offsets = np.cumsum([0, *cards[:-1]])
+        table = rng.uniform(-1, 1, (sum(cards), d))
+        ids = np.stack([rng.integers(0, c, b) for c in cards], axis=1)
+        hist = np.stack([rng.integers(0, c, (b, lh)) for c in cards], axis=2)
+        up = rng.uniform(-1, 1, (b, len(cards) * d))
+        up_hist = rng.uniform(-1, 1, (b * lh, len(cards) * d))
+
+        def loss(layer, hist_layer):
+            return nn.add(nn.sum_all(nn.mul(layer, nn.constant(up))),
+                          nn.sum_all(nn.mul(hist_layer, nn.constant(up_hist))))
+
+        one = nn.ParamStore()
+        one.add("emb", table)
+        nodes = one.as_nodes()
+        layer = lookup(nodes["emb"], ids, offsets)
+        hist_layer = lookup(nodes["emb"], hist, offsets)
+        nn.backward(loss(layer, hist_layer))
+
+        per = nn.ParamStore()
+        for j, (start, card) in enumerate(zip(offsets, cards)):
+            per.add(f"emb.{j}", table[start : start + card])
+        ref = per.as_nodes()
+        tables = [ref[f"emb.{j}"] for j in range(len(cards))]
+        ref_layer = nn.concat_cols([nn.gather_rows(t, ids[:, j]) for j, t in enumerate(tables)])
+        ref_hist = nn.concat_cols([nn.gather_rows(t, hist[:, :, j].reshape(-1))
+                                   for j, t in enumerate(tables)])
+        nn.backward(loss(ref_layer, ref_hist))
+
+        assert np.array_equal(layer.value, ref_layer.value)
+        assert np.array_equal(hist_layer.value, ref_hist.value)
+        assert np.array_equal(nodes["emb"].grad, np.vstack([t.grad for t in tables]))
+
+    def test_one_table_and_one_gather_per_lookup(self, monkeypatch):
+        calls = []
+        gather = nn.gather_rows
+        monkeypatch.setattr(nn, "gather_rows", lambda *a: calls.append(1) or gather(*a))
+        log = sample_log()
+        fm = FMModel(schema(), FMConfig(), seed=0)
+        vm = VMModel(schema(), VMConfig(seq_dim=4), seed=0)
+        for model, features, prefix in ((fm, fm.schema.features, ""),
+                                        (vm, vm.schema.vm_features, "vm.")):
+            names = model.params.names()
+            assert "emb" in names and not [n for n in names if n.startswith("emb.")]
+            # each feature's rows keep their per-feature init stream
+            d = model.config.embed_dim
+            assert np.array_equal(model.params["emb"], np.vstack([
+                nn.glorot_uniform(f.cardinality, d, 0, f"{prefix}emb.{f.name}")
+                for f in features]))
+        fm.predict_batch(fm_batch(fm.schema, log, np.arange(8)))
+        assert len(calls) == 2  # the events, then their histories
+        seq = make_seq(np.zeros((1, 4)), 4)
+        vm.predict_batch(vm_batch(vm.schema, log, [0], sequences=[seq], seq_len=4, seq_dim=4))
+        assert len(calls) == 3
 
 
 @pytest.fixture(scope="module")

@@ -160,9 +160,7 @@ class TestStreamingExperiment:
         from dataclasses import replace as dc_replace
 
         seqvm = VMModel(schema, dc_replace(cfg.vm, seq_dim=cfg.active_dim), seed=3)
-        for f in schema.vm_features:
-            assert np.array_equal(plain.params[f"emb.{f.name}"],
-                                  seqvm.params[f"emb.{f.name}"])
+        assert np.array_equal(plain.params["emb"], seqvm.params["emb"])
 
     def test_store_payloads_match_per_row_quantize(self):
         from embhist.compression import AEConfig, ae_train
