@@ -148,6 +148,11 @@ def cmd_extract(args):
     return 0
 
 
+def _segment_seeds(seed: int) -> tuple[int, int, int]:
+    """The (teacher, autoencoder, codec) seeds `run-experiment` uses for `seed`."""
+    return pipeline.checkpoint_segments("fixed", seed)[0][2]
+
+
 def _load_teacher(path) -> pipeline.TeacherLog:
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -161,7 +166,7 @@ def cmd_train_ae(args):
     cfg = _get_cfg(args)
     teacher = _load_teacher(args.teacher)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
-    ae, history = ae_train(teacher.emb[rows], cfg.ae, args.seed)
+    ae, history = ae_train(teacher.emb[rows], cfg.ae, _segment_seeds(args.seed)[1])
     save_ae(_ensure_parent(Path(args.out)), ae)
     print(f"compressor trained on {len(rows)} embeddings; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; saved to {args.out}")
@@ -174,7 +179,7 @@ def cmd_quantize(args):
     ae = load_ae(args.ae)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
     z = ae.encode_batch(teacher.emb[rows])[:, : cfg.active_dim]
-    codec = pipeline.fit_codec(cfg.codec_kind, z, args.seed)
+    codec = pipeline.fit_codec(cfg.codec_kind, z, _segment_seeds(args.seed)[2])
     descriptor = {"kind": codec.kind}
     if codec.codebook:
         descriptor["codebook"] = list(codec.codebook)

@@ -85,22 +85,20 @@ class MatryoshkaAE:
             h = nn.relu(nn.affine(h, nodes[f"dec{d}.h.w"], nodes[f"dec{d}.h.b"]))
         return nn.affine(h, nodes[f"dec{d}.out.w"], nodes[f"dec{d}.out.b"])
 
-    def loss_fn(self, batch: np.ndarray):
+    def loss(self, nodes) -> nn.Node:
         """Mean over the batch of the summed per-prefix squared errors."""
-        target = nn.constant(batch)
+        target = nodes["x"]
+        z = self._encode_node(nodes, target)
+        total = None
+        for d in self.config.dims:
+            recon = self._decode_node(nodes, nn.slice_cols(z, 0, d), d)
+            diff = nn.sub(recon, target)
+            term = nn.sum_all(nn.mul(diff, diff))
+            total = term if total is None else nn.add(total, term)
+        return nn.scale(total, 1.0 / len(target.value))
 
-        def fn(store: ParamStore):
-            nodes = store.as_nodes()
-            z = self._encode_node(nodes, target)
-            total = None
-            for d in self.config.dims:
-                recon = self._decode_node(nodes, nn.slice_cols(z, 0, d), d)
-                diff = nn.sub(recon, target)
-                term = nn.sum_all(nn.mul(diff, diff))
-                total = term if total is None else nn.add(total, term)
-            return nn.scale(total, 1.0 / len(batch)), nodes
-
-        return fn
+    def loss_fn(self, batch: np.ndarray):
+        return nn.loss_fn(self.loss, {"x": batch})
 
     # -- numpy API ----------------------------------------------------------
 
@@ -108,8 +106,8 @@ class MatryoshkaAE:
         e = np.atleast_2d(np.asarray(e, dtype=np.float64))
         if e.shape[1] != self.in_dim:
             raise DimensionError(f"expected dim {self.in_dim}, got {e.shape[1]}")
-        nodes = self.params.as_nodes()
-        return self._encode_node(nodes, nn.constant(e)).value
+        nodes = self.params.as_nodes({"x": e})
+        return self._encode_node(nodes, nodes["x"]).value
 
     def decode_prefix_batch(self, z_prefix: np.ndarray, d: int) -> np.ndarray:
         if d not in self.config.dims:
@@ -117,12 +115,13 @@ class MatryoshkaAE:
         z_prefix = np.atleast_2d(np.asarray(z_prefix, dtype=np.float64))
         if z_prefix.shape[1] != d:
             raise DimensionError(f"prefix width {z_prefix.shape[1]} != {d}")
-        nodes = self.params.as_nodes()
-        return self._decode_node(nodes, nn.constant(z_prefix), d).value
+        nodes = self.params.as_nodes({"z": z_prefix})
+        return self._decode_node(nodes, nodes["z"], d).value
 
 
 def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
-    """Fit the autoencoder on a frozen embedding set.
+    """Fit the autoencoder on a frozen embedding set; each batch shape's step
+    is traced once and replayed (nncore.Trace).
 
     Returns (ae, per-epoch mean losses); epoch 0 is the pre-training loss,
     so history[-1] < history[0] on any non-degenerate run.
@@ -131,7 +130,7 @@ def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
     if e.size == 0:
         raise DataError("empty embedding training set")
     ae = MatryoshkaAE(e.shape[1], config, seed)
-    state = nn.AdamState.for_params(ae.params, lr=config.lr)
+    steps = nn.Trace(ae.loss, ae.params, nn.AdamState.for_params(ae.params, lr=config.lr))
     history = [float(ae.loss_fn(e)(ae.params)[0].value[0, 0])]
     n = len(e)
     bs = min(config.batch_size, n)
@@ -139,10 +138,7 @@ def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
         epoch_loss = 0.0
         for start in range(0, n, bs):
             batch = e[start : start + bs]
-            loss, nodes = ae.loss_fn(batch)(ae.params)
-            nn.backward(loss)
-            nn.adam_step(ae.params, nn.collect_grads(ae.params, nodes), state)
-            epoch_loss += float(loss.value[0, 0]) * len(batch)
+            epoch_loss += steps.step({"x": batch}) * len(batch)
         history.append(epoch_loss / n)
     return ae, history
 

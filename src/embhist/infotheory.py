@@ -232,9 +232,15 @@ class JointTable:
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
 
+        # key * card goes into one new array that takes the grid in place, so
+        # the old key, key * card and the sum are never all live at once.
+        # (Updating the key in place where the grid does not widen it keeps
+        # about 30 MB of glibc heap across repeated sweeps.)
         key = np.zeros((1,) * len(self.cards), dtype=np.int64)
         for _, card, grid in resolved:
-            key = key * card + grid
+            shape = np.broadcast_shapes(key.shape, grid.shape)
+            key = np.multiply(key, card, out=np.empty(shape, dtype=np.int64))
+            key += grid
         flat = _fold_cells(key, self.probs, total)
         return JointTable(names, cards, flat.reshape(cards))
 

@@ -216,21 +216,28 @@ def make_attention_params(dim: int, hidden: int, seed: int, prefix: str,
     params.add(f"{prefix}.s1.b", np.zeros((1, 1)))
 
 
-def _pool(kind: str, entries: Node, mask: np.ndarray, query: Node | None,
+def pool_input(kind: str, mask: np.ndarray) -> np.ndarray:
+    """The (B, L) array `_pool` reads for a sequence mask: the mean or sum
+    weights of the valid entries, or the mask itself for attention."""
+    if kind == "mean_pool":
+        return mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
+    return mask.astype(float) if kind == "sum_pool" else mask
+
+
+def _pool(kind: str, entries: Node, mask, query: Node | None,
           nodes: dict[str, Node] | None, prefix: str) -> Node:
-    """entries (B*L, d), mask (B, L); returns (B, d).
+    """entries (B*L, d); mask the (B, L) bool mask, or a node holding its
+    `pool_input`; returns (B, d).
 
     mean/sum are masked and permutation-invariant; attention scores each
     entry with an MLP on [z; q; z*q; z-q] then softmax-pools. Empty
     sequences pool to the zero vector.
     """
-    b, l = mask.shape
-    if kind == "mean_pool":
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1)
-        weights = nn.constant(mask / counts)
-        return nn.attn_pool(weights, entries, l)
-    if kind == "sum_pool":
-        return nn.attn_pool(nn.constant(mask.astype(float)), entries, l)
+    if not isinstance(mask, Node):
+        mask = Node(pool_input(kind, mask))
+    b, l = mask.value.shape
+    if kind in ("mean_pool", "sum_pool"):
+        return nn.attn_pool(mask, entries, l)
     if kind == "din_attention":
         if query is None or nodes is None:
             raise ConfigError("din_attention needs a query and score parameters")
@@ -257,13 +264,20 @@ def add_embedding(features: tuple[Feature, ...], dim: int, seed: int, prefix: st
     return np.cumsum([0, *(f.cardinality for f in features[:-1])])
 
 
-def lookup(table: Node, ids: np.ndarray, offsets: np.ndarray) -> Node:
+def lookup(table: Node, ids, offsets: np.ndarray) -> Node:
     """(..., m) ids -> (rows, m * d) concatenated feature embeddings: one
-    gather over the shifted ids and one reshape. Each table cell's gradient
-    is summed in batch order, as by one gather per feature."""
-    flat = (ids + offsets).ravel()
-    return nn.reshape(nn.gather_rows(table, flat), flat.size // len(offsets),
+    gather over the shifted ids and one reshape; `ids` may also be a node
+    holding `shift_ids(ids, offsets)`. Each table cell's gradient is summed
+    in batch order, as by one gather per feature."""
+    if not isinstance(ids, Node):
+        ids = Node(shift_ids(ids, offsets))
+    return nn.reshape(nn.gather_rows(table, ids), ids.value.size // len(offsets),
                       len(offsets) * table.value.shape[1])
+
+
+def shift_ids(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Table rows of (..., m) feature ids, raveled: each id plus its feature's offset."""
+    return (ids + offsets).ravel()
 
 
 def add_tower(widths, seed: int, prefix: str, params: ParamStore) -> None:
@@ -332,12 +346,20 @@ class FMModel:
                   seed, "fm", p)
         self.params = p
 
-    def _forward(self, nodes: dict[str, Node], batch: FMBatch):
-        emb_layer = lookup(nodes["emb"], batch.ids, self.offsets)
+    def arrays(self, batch: FMBatch) -> dict[str, np.ndarray]:
+        """Every per-batch array the teacher's graph reads."""
+        out = {"ids": shift_ids(batch.ids, self.offsets), "labels": batch.labels}
+        if self.config.use_history:
+            out["hist_ids"] = shift_ids(batch.hist_ids, self.offsets)
+            out["hist_mask"] = batch.hist_mask
+        return out
+
+    def _forward(self, nodes: dict[str, Node]):
+        emb_layer = lookup(nodes["emb"], nodes["ids"], self.offsets)
         x = emb_layer
         if self.config.use_history:
-            hist_emb = lookup(nodes["emb"], batch.hist_ids, self.offsets)
-            pooled = _pool("din_attention", hist_emb, batch.hist_mask,
+            hist_emb = lookup(nodes["emb"], nodes["hist_ids"], self.offsets)
+            pooled = _pool("din_attention", hist_emb, nodes["hist_mask"],
                            emb_layer, nodes, "attn")
             x = nn.concat_cols([emb_layer, pooled])
         p, (h0, h1, h2) = tower(nodes, x, len(self.config.hidden))
@@ -346,17 +368,15 @@ class FMModel:
         return p, acts
 
     def predict_batch(self, batch: FMBatch):
-        p, acts = self._forward(self.params.as_nodes(), batch)
+        p, acts = self._forward(self.params.as_nodes(self.arrays(batch)))
         bundle = ActivationBundle({k: v.value for k, v in acts.items()}, self.item_cols)
         return p.value[:, 0].copy(), bundle
 
-    def loss_fn(self, batch: FMBatch):
-        def fn(store: ParamStore):
-            nodes = store.as_nodes()
-            p, _ = self._forward(nodes, batch)
-            return nn.mean_all(nn.bce(p, batch.labels)), nodes
+    def loss(self, nodes: dict[str, Node]) -> Node:
+        return nn.mean_all(nn.bce(self._forward(nodes)[0], nodes["labels"]))
 
-        return fn
+    def loss_fn(self, batch: FMBatch):
+        return nn.loss_fn(self.loss, self.arrays(batch))
 
     def layer_width(self, selector: str) -> int:
         widths = {
@@ -438,46 +458,50 @@ class VMModel:
         p["mlp0.w"][self.emb_width :, :] = 0.0
         self.params = p
 
-    def _forward(self, nodes: dict[str, Node], batch: VMBatch) -> Node:
-        has_seq = batch.seq_entries is not None
-        if has_seq != self.config.use_sequence:
+    def arrays(self, batch: VMBatch) -> dict[str, np.ndarray]:
+        """Every per-batch array the student's graph reads."""
+        if (batch.seq_entries is not None) != self.config.use_sequence:
             raise ConfigError("sequence input must match the configured branch")
-        emb = lookup(nodes["emb"], batch.ids, self.offsets)
-        x = emb
+        out = {"ids": shift_ids(batch.ids, self.offsets), "labels": batch.labels}
+        if batch.soft_labels is not None:
+            out["soft_labels"] = batch.soft_labels
         if self.config.use_sequence:
             b, l, d = batch.seq_entries.shape
             if d != self.config.seq_dim:
                 raise nn.DimensionError(
                     f"sequence dim {d} != configured {self.config.seq_dim}"
                 )
-            entries = nn.constant(batch.seq_entries.reshape(b * l, d))
+            out["entries"] = batch.seq_entries.reshape(b * l, d)
+            out["pool"] = pool_input(self.config.seq_encoder, batch.seq_mask)
+            out["presence"] = batch.seq_mask.any(axis=1, keepdims=True).astype(float)
+        return out
+
+    def _forward(self, nodes: dict[str, Node]) -> Node:
+        emb = lookup(nodes["emb"], nodes["ids"], self.offsets)
+        x = emb
+        if self.config.use_sequence:
             query = nn.affine(emb, nodes["seqq.w"], nodes["seqq.b"])
-            pooled = _pool(self.config.seq_encoder, entries, batch.seq_mask,
+            pooled = _pool(self.config.seq_encoder, nodes["entries"], nodes["pool"],
                            query, nodes, "attn")
-            presence = nn.constant(
-                batch.seq_mask.any(axis=1, keepdims=True).astype(float)
-            )
-            x = nn.concat_cols([emb, pooled, presence])
+            x = nn.concat_cols([emb, pooled, nodes["presence"]])
         return tower(nodes, x, len(self.config.hidden))[0]
 
     def predict_batch(self, batch: VMBatch) -> np.ndarray:
-        return self._forward(self.params.as_nodes(), batch).value[:, 0].copy()
+        return self._forward(self.params.as_nodes(self.arrays(batch))).value[:, 0].copy()
+
+    def loss(self, nodes: dict[str, Node], kd_weight: float = 0.0) -> Node:
+        p = self._forward(nodes)
+        per = nn.bce(p, nodes["labels"])
+        if kd_weight > 0:
+            per = nn.add(per, nn.scale(nn.bce(p, nodes["soft_labels"]), kd_weight))
+        return nn.mean_all(per)
 
     def loss_fn(self, batch: VMBatch, kd_weight: float = 0.0):
         if kd_weight < 0:
             raise ConfigError("distillation weight must be >= 0")
         if kd_weight > 0 and batch.soft_labels is None:
             raise ConfigError("distillation needs teacher soft labels")
-
-        def fn(store: ParamStore):
-            nodes = store.as_nodes()
-            p = self._forward(nodes, batch)
-            per = nn.bce(p, batch.labels)
-            if kd_weight > 0:
-                per = nn.add(per, nn.scale(nn.bce(p, batch.soft_labels), kd_weight))
-            return nn.mean_all(per), nodes
-
-        return fn
+        return nn.loss_fn(lambda nodes: self.loss(nodes, kd_weight), self.arrays(batch))
 
 
 # ---------------------------------------------------------------------------

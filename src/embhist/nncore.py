@@ -1,19 +1,32 @@
 """Dense neural-net kernel: float64 arrays, reverse-mode tape, Adam.
 
-Everything is plain numpy float64; matrices are 2-D row-major arrays.
-Forward passes build a small graph of Node objects and `backward` replays
-it in reverse creation order. The op vocabulary is fixed to what the
-models in this package need (affine, a few activations, embedding gather,
-masked softmax, pooling, concat, clamped cross-entropy); this is manual
-backpropagation with a recorded cache, not a general autodiff system.
-Parameters live in one flat vector (`ParamStore.flat`) and one Adam step
-is a few whole-vector operations over it.
+Everything is plain numpy float64; matrices are 2-D row-major arrays. The
+op vocabulary is fixed to what the models in this package need (affine, a
+few activations, embedding gather, masked softmax, pooling, concat,
+clamped cross-entropy); this is manual backpropagation with a recorded
+cache, not a general autodiff system.
+
+Each op is a Node subclass with one forward/backward pair. A tape starts
+at `ParamStore.as_nodes` (a node per parameter and per batch array) and
+lists every op node built over them in creation order; each node holds its
+value, the op's auxiliary arrays and its gradient, and `backward` walks the
+tape once in reverse. `Trace` runs a training step eagerly once per batch
+shape and keeps its tape; every later batch of that shape replays it:
+rebind the batch arrays, rerun the forward and backward functions in
+recorded order into the first run's buffers (`out=` where numpy allows
+it), and write the gradient straight into a vector laid out like
+`ParamStore.flat`. A replay calls the same ufuncs and gemm routines on the
+same operands in the same order as the eager step, so the two give the same
+bits; this is the record-once, replay-many scheme of Frostig, Johnson and
+Leary, "Compiling machine learning programs via high-level tracing" (SysML
+2018), without the compiler. Parameters live in one flat vector, and one
+Adam step is a few whole-vector operations over it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +35,6 @@ from .errors import ContractViolation, DimensionError, FormatError, NumericError
 from .prng import derive_seed, uniform_array
 
 EPS_PROB = 1e-7  # probability clamp applied before every log
-
-_node_ids = itertools.count()
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -37,193 +48,286 @@ class Node:
     """One value in the recorded forward cache.
 
     A node `flows` when it is a parameter or depends on one; gradients are
-    computed only into flowing nodes, so constants never get one.
+    computed only into flowing nodes, so constants never get one. A node
+    joins the tape of its first parent that has one. Tapes hold weak
+    references, so a graph forms no reference cycle and is freed with its
+    last node. `gbuf` is the buffer a replay writes the gradient into.
     """
 
-    __slots__ = ("value", "grad", "parents", "flows", "_bw", "_id", "_guard")
+    __slots__ = ("value", "grad", "gbuf", "parents", "flows", "aux", "tape", "_guard",
+                 "__weakref__")
+    fw = bw = None  # an op's forward and backward function (see _Op)
 
-    def __init__(self, value: np.ndarray, parents=(), bw=None, guard=None):
-        self.value = value
-        self.grad = None
-        self.parents = parents
+    def __init__(self, value, parents=(), aux=None, guard=None, tape=None):
+        self.value, self.grad, self.gbuf, self.parents, self.aux = value, None, None, parents, aux
         self.flows = guard is not None or any(p.flows for p in parents)
-        self._bw = bw
-        self._id = next(_node_ids)
         self._guard = guard  # (ParamStore, version) for staleness checks
+        self.tape = next((p.tape for p in parents if p.tape is not None), tape)
+        if self.tape is not None:
+            self.tape.append(weakref.ref(self))
 
 
 def constant(x) -> Node:
     return Node(_as_matrix(x))
 
 
+def _live(tape: list) -> list[Node]:
+    """The nodes of a tape still alive, in creation order."""
+    return [node for ref in tape if (node := ref()) is not None]
+
+
+def _buf(node: Node):
+    """Where `node`'s next gradient contribution may be written: its replay
+    buffer if it is the first, else a new array."""
+    return node.gbuf if node.grad is None else None
+
+
 def _acc(node: Node, g: np.ndarray) -> None:
     """Add one gradient contribution to `node`. The first is stored as is and
-    never mutated; a later one makes a new array, so a `g` handed to two
-    parents is never aliased into a sum."""
-    node.grad = g if node.grad is None else node.grad + g
+    never mutated; later ones are summed into the node's own buffer (a new
+    array on an eager tape), so a `g` handed to two parents is never aliased
+    into a sum."""
+    node.grad = g if node.grad is None else np.add(node.grad, g, out=node.gbuf)
 
 
 def backward(loss: Node) -> None:
     """Fill .grad on every node between `loss` and the parameters.
 
-    Each op adds its contributions through `_acc`, in reverse creation order
-    of the ops, so a node's gradient is summed in the order a zero-filled
-    accumulator sums it and every nonzero value is bit-identical to one;
-    only the sign of an exact zero can differ. Nodes that depend on no
-    parameter (constants) are skipped and keep `grad` None.
-    The forward cache must still match the parameter values it was
-    recorded for; a ParamStore mutation in between raises ContractViolation.
+    Each op adds its contributions through `_acc`, in reverse tape order, so
+    a node's gradient is summed in the order a zero-filled accumulator sums
+    it and every nonzero value is bit-identical to one; only the sign of an
+    exact zero can differ. Nodes that depend on no parameter (constants)
+    keep `grad` None. The forward cache must still match the parameter
+    values it was recorded for; a ParamStore mutation in between raises
+    ContractViolation.
     """
     if loss.value.shape != (1, 1):
         raise DimensionError(f"loss must be scalar (1,1), got {loss.value.shape}")
+    nodes = _live(loss.tape) if loss.flows else []
+    for node in nodes:
+        if node._guard is not None and node._guard[0].version != node._guard[1]:
+            raise ContractViolation("stale forward cache: parameters changed since forward pass")
+    _backprop(loss, nodes, _backward_steps(nodes))
+
+
+def _backward_steps(nodes: list[Node]) -> list[tuple]:
+    """(node, its bound bw) of each op among `nodes`, in reverse tape order."""
+    return [(node, node.bw) for node in reversed(nodes) if node.bw is not None]
+
+
+def _backprop(loss: Node, nodes: list[Node], steps: list[tuple]) -> None:
+    """Reset the gradients of `nodes`, then run each backward step from `loss`
+    whose node has received a gradient."""
     if not np.isfinite(loss.value[0, 0]):
         raise NumericError("loss is not finite")
-    # collect the reachable subgraph that leads to a parameter
-    seen: dict[int, Node] = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if node._id in seen or not node.flows:
-            continue
-        seen[node._id] = node
-        if node._guard is not None:
-            store, version = node._guard
-            if store.version != version:
-                raise ContractViolation(
-                    "stale forward cache: parameters changed since forward pass"
-                )
-        stack.extend(node.parents)
-    order = sorted(seen.values(), key=lambda n: n._id, reverse=True)
-    for node in order:
+    for node in nodes:
         node.grad = None
     loss.grad = np.ones((1, 1))
-    for node in order:
-        if node._bw is not None and node.grad is not None:
-            node._bw(node.grad)
+    for node, bw in steps:
+        if node.grad is not None:
+            bw(node.grad)
 
 
 # ---------------------------------------------------------------------------
-# ops
+# ops: fw(out) returns the node's value, written into `out` when a replay
+# passes one; bw(g) adds the parents' gradient contributions
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(f"matmul {a.value.shape} x {b.value.shape}")
+class _Op(Node):
+    """An op's output node: it joins its parents' tape, then computes its value."""
 
-    def bw(g):
+    def __init__(self, *parents: Node, aux=None):
+        super().__init__(None, parents, aux)
+        self.value = self.fw(None)
+
+
+class _Unary(_Op):
+    """An op over one node; further arguments are its `aux`."""
+
+    def __init__(self, x: Node, *aux):
+        super().__init__(x, aux=aux)
+
+
+class matmul(_Op):
+    def __init__(self, a: Node, b: Node):
+        if a.value.shape[1] != b.value.shape[0]:
+            raise DimensionError(f"matmul {a.value.shape} x {b.value.shape}")
+        super().__init__(a, b)
+
+    def fw(self, out):
+        return np.matmul(self.parents[0].value, self.parents[1].value, out=out)
+
+    def bw(self, g):
+        a, b = self.parents[:2]
         if a.flows:
-            _acc(a, g @ b.value.T)
+            _acc(a, np.matmul(g, b.value.T, out=_buf(a)))
         if b.flows:
-            _acc(b, a.value.T @ g)
-
-    return Node(a.value @ b.value, (a, b), bw)
+            _acc(b, np.matmul(a.value.T, g, out=_buf(b)))
 
 
-def add_bias(x: Node, b: Node) -> Node:
-    """Row-broadcast bias: x (n,k) + b (1,k)."""
-    if b.value.shape != (1, x.value.shape[1]):
-        raise DimensionError(f"bias {b.value.shape} against {x.value.shape}")
+class affine(matmul):
+    """x @ w plus the row-broadcast bias b (1, k), as one op."""
 
-    def bw(g):
-        if x.flows:
-            _acc(x, g)
+    def __init__(self, x: Node, w: Node, b: Node):
+        if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
+            raise DimensionError(f"affine {x.value.shape} x {w.value.shape} + {b.value.shape}")
+        _Op.__init__(self, x, w, b)
+
+    def fw(self, out):
+        out = matmul.fw(self, out)
+        return np.add(out, self.parents[2].value, out=out)
+
+    def bw(self, g):
+        b = self.parents[2]
         if b.flows:
-            _acc(b, g.sum(axis=0, keepdims=True))
-
-    return Node(x.value + b.value, (x, b), bw)
-
-
-def affine(x: Node, w: Node, b: Node) -> Node:
-    return add_bias(matmul(x, w), b)
+            _acc(b, np.add.reduce(g, axis=0, keepdims=True, out=_buf(b)))
+        matmul.bw(self, g)
 
 
-def _binary(a: Node, b: Node, fwd, bwa, bwb) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"shape mismatch {a.value.shape} vs {b.value.shape}")
+class _Elementwise(_Op):
+    """`ufunc` over two nodes of one shape."""
 
-    def bw(g):
+    def __init__(self, a: Node, b: Node):
+        if a.value.shape != b.value.shape:
+            raise DimensionError(f"shape mismatch {a.value.shape} vs {b.value.shape}")
+        super().__init__(a, b)
+
+    def fw(self, out):
+        return self.ufunc(self.parents[0].value, self.parents[1].value, out=out)
+
+
+class add(_Elementwise):
+    ufunc = np.add
+
+    def bw(self, g):
+        for p in self.parents:
+            if p.flows:
+                _acc(p, g)
+
+
+class sub(_Elementwise):
+    ufunc = np.subtract
+
+    def bw(self, g):
+        a, b = self.parents
         if a.flows:
-            _acc(a, bwa(g, a.value, b.value))
+            _acc(a, g)
         if b.flows:
-            _acc(b, bwb(g, a.value, b.value))
-
-    return Node(fwd(a.value, b.value), (a, b), bw)
+            _acc(b, np.negative(g, out=_buf(b)))
 
 
-def add(a: Node, b: Node) -> Node:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+class mul(_Elementwise):
+    ufunc = np.multiply
+
+    def bw(self, g):
+        a, b = self.parents
+        if a.flows:
+            _acc(a, np.multiply(g, b.value, out=_buf(a)))
+        if b.flows:
+            _acc(b, np.multiply(g, a.value, out=_buf(b)))
 
 
-def sub(a: Node, b: Node) -> Node:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+class scale(_Unary):
+    """x * s for a float s."""
+
+    def fw(self, out):
+        return np.multiply(self.parents[0].value, float(self.aux[0]), out=out)
+
+    def bw(self, g):
+        x = self.parents[0]
+        _acc(x, np.multiply(g, float(self.aux[0]), out=_buf(x)))
 
 
-def mul(a: Node, b: Node) -> Node:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+class relu(_Unary):
+    def fw(self, out):
+        return np.maximum(self.parents[0].value, 0.0, out=out)
+
+    def bw(self, g):
+        x = self.parents[0]
+        _acc(x, np.multiply(g, x.value > 0.0, out=_buf(x)))
 
 
-def scale(a: Node, s: float) -> Node:
-    return Node(a.value * float(s), (a,), lambda g: _acc(a, g * float(s)))
+class tanh_(_Unary):
+    def fw(self, out):
+        return np.tanh(self.parents[0].value, out=out)
+
+    def bw(self, g):
+        x, t = self.parents[0], self.value
+        _acc(x, np.multiply(g, 1.0 - t * t, out=_buf(x)))
 
 
-def relu(x: Node) -> Node:
-    return Node(np.maximum(x.value, 0.0), (x,), lambda g: _acc(x, g * (x.value > 0.0)))
+class sigmoid(_Unary):
+    def fw(self, out):  # 1 / (1 + exp(-x)), one ufunc at a time in one buffer
+        out = np.exp(np.negative(self.parents[0].value, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, out, out=out), out=out)
+
+    def bw(self, g):
+        x, s = self.parents[0], self.value
+        _acc(x, np.multiply(g * s, 1.0 - s, out=_buf(x)))
 
 
-def tanh_(x: Node) -> Node:
-    t = np.tanh(x.value)
-    return Node(t, (x,), lambda g: _acc(x, g * (1.0 - t * t)))
-
-
-def sigmoid(x: Node) -> Node:
-    s = 1.0 / (1.0 + np.exp(-x.value))
-    return Node(s, (x,), lambda g: _acc(x, g * s * (1.0 - s)))
-
-
-def concat_cols(nodes: list[Node]) -> Node:
-    rows = nodes[0].value.shape[0]
-    for n in nodes:
-        if n.value.shape[0] != rows:
+class concat_cols(_Op):
+    def __init__(self, nodes: list[Node]):
+        if len({n.value.shape[0] for n in nodes}) != 1:
             raise DimensionError("concat_cols row mismatch")
-    widths = [n.value.shape[1] for n in nodes]
+        super().__init__(*nodes)
 
-    def bw(g):
+    def fw(self, out):
+        return np.concatenate([p.value for p in self.parents], axis=1, out=out)
+
+    def bw(self, g):
         off = 0
-        for n, w in zip(nodes, widths):
-            if n.flows:
-                _acc(n, g[:, off : off + w])
+        for p in self.parents:
+            w = p.value.shape[1]
+            if p.flows:
+                _acc(p, g[:, off : off + w])
             off += w
 
-    return Node(np.concatenate([n.value for n in nodes], axis=1), tuple(nodes), bw)
 
+class slice_cols(_Unary):
+    """Columns start:stop of x, as (x, start, stop)."""
 
-def slice_cols(x: Node, start: int, stop: int) -> Node:
-    def bw(g):
+    def fw(self, out):
+        return self.parents[0].value[:, slice(*self.aux)].copy()
+
+    def bw(self, g):
+        x = self.parents[0]
         full = np.zeros_like(x.value)  # owned, so the in-place add is safe
-        full[:, start:stop] += g
+        full[:, slice(*self.aux)] += g
         _acc(x, full)
 
-    return Node(x.value[:, start:stop].copy(), (x,), bw)
+
+class reshape(_Unary):
+    """x as a (rows, cols) matrix, as (x, rows, cols)."""
+
+    def fw(self, out):
+        return self.parents[0].value.reshape(self.aux)
+
+    def bw(self, g):
+        x = self.parents[0]
+        _acc(x, g.reshape(x.value.shape))
 
 
-def reshape(x: Node, rows: int, cols: int) -> Node:
-    return Node(x.value.reshape(rows, cols), (x,), lambda g: _acc(x, g.reshape(x.value.shape)))
-
-
-def gather_rows(table: Node, idx: np.ndarray) -> Node:
-    """Embedding lookup: select rows of `table` by integer index.
-
-    The backward pass is one flat `np.bincount` over the cells `idx*d + col`.
-    A gradient the table already holds goes first in the index and weight
-    arrays, so every cell is summed in `np.add.at`'s order: existing value,
-    then the gathered rows in index order.
+class gather_rows(_Op):
+    """Embedding lookup: rows of `table` by integer index (an array, or a
+    node holding one). The backward pass is one flat `np.bincount` over the
+    cells `idx*d + col`. A gradient the table already holds goes first, so
+    every cell is summed in `np.add.at`'s order: existing value, then the
+    gathered rows in index order.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1 or (idx.size and idx.min() < 0):
-        raise DimensionError("gather index must be 1-D and non-negative")
 
-    def bw(g):
+    def __init__(self, table: Node, idx):
+        idx = idx if isinstance(idx, Node) else Node(np.asarray(idx, dtype=np.int64))
+        if idx.value.ndim != 1 or (idx.value.size and idx.value.min() < 0):
+            raise DimensionError("gather index must be 1-D and non-negative")
+        super().__init__(table, idx)
+
+    def fw(self, out):
+        return self.parents[0].value[self.parents[1].value]
+
+    def bw(self, g):
+        table, idx = self.parents[0], self.parents[1].value
         n, d = table.value.shape
         cells = (idx[:, None] * d + np.arange(d)).ravel()
         weights = g.ravel()
@@ -232,58 +336,77 @@ def gather_rows(table: Node, idx: np.ndarray) -> Node:
             weights = np.concatenate([table.grad.ravel(), weights])
         table.grad = np.bincount(cells, weights, minlength=n * d).reshape(n, d)
 
-    return Node(table.value[idx], (table,), bw)
+
+class repeat_rows(_Unary):
+    """Tile each row k times consecutively: (B, d) -> (B*k, d), as (x, k)."""
+
+    def fw(self, out):
+        return np.repeat(self.parents[0].value, self.aux[0], axis=0)
+
+    def bw(self, g):
+        x = self.parents[0]
+        b, d = x.value.shape
+        _acc(x, g.reshape(b, self.aux[0], d).sum(axis=1, out=_buf(x)))
 
 
-def repeat_rows(x: Node, k: int) -> Node:
-    """Tile each row k times consecutively: (B, d) -> (B*k, d)."""
-    b, d = x.value.shape
-    return Node(np.repeat(x.value, k, axis=0), (x,),
-                lambda g: _acc(x, g.reshape(b, k, d).sum(axis=1)))
+class masked_softmax(_Op):
+    """Row-wise softmax over valid entries (`mask`, an array or a node
+    holding one); all-invalid rows give zeros."""
 
+    def __init__(self, scores: Node, mask):
+        mask = mask if isinstance(mask, Node) else Node(np.asarray(mask, dtype=bool))
+        if mask.value.shape != scores.value.shape:
+            raise DimensionError("mask shape mismatch")
+        super().__init__(scores, mask)
 
-def masked_softmax(scores: Node, mask: np.ndarray) -> Node:
-    """Row-wise softmax over valid entries; all-invalid rows give zeros."""
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != scores.value.shape:
-        raise DimensionError("mask shape mismatch")
-    neg = np.where(m, scores.value, -np.inf)
-    rows_any = m.any(axis=1, keepdims=True)
-    shifted = neg - np.where(rows_any, neg.max(axis=1, keepdims=True), 0.0)
-    expd = np.where(m, np.exp(shifted), 0.0)
-    denom = expd.sum(axis=1, keepdims=True)
-    soft = np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
+    def fw(self, out):
+        scores, m = self.parents[0].value, self.parents[1].value
+        neg = np.where(m, scores, -np.inf)
+        rows_any = m.any(axis=1, keepdims=True)
+        shifted = neg - np.where(rows_any, neg.max(axis=1, keepdims=True), 0.0)
+        expd = np.where(m, np.exp(shifted), 0.0)
+        denom = expd.sum(axis=1, keepdims=True)
+        return np.divide(expd, denom, out=np.zeros_like(expd), where=denom > 0)
 
-    def bw(g):
+    def bw(self, g):
+        scores, soft = self.parents[0], self.value
         dot = (g * soft).sum(axis=1, keepdims=True)
-        _acc(scores, soft * (g - dot))
-
-    return Node(soft, (scores,), bw)
+        _acc(scores, np.multiply(soft, g - dot, out=_buf(scores)))
 
 
-def attn_pool(weights: Node, entries: Node, seq_len: int) -> Node:
+class attn_pool(_Op):
     """Pool sequence entries with per-entry weights.
 
     weights: (B, L); entries: (B*L, d) laid out batch-major. Output (B, d).
     """
-    b, l = weights.value.shape
-    if l != seq_len or entries.value.shape[0] != b * l:
-        raise DimensionError("attn_pool layout mismatch")
-    d = entries.value.shape[1]
-    ent = entries.value.reshape(b, l, d)
 
-    def bw(g):
+    def __init__(self, weights: Node, entries: Node, seq_len: int):
+        b, l = weights.value.shape
+        if l != seq_len or entries.value.shape[0] != b * l:
+            raise DimensionError("attn_pool layout mismatch")
+        super().__init__(weights, entries)
+
+    def _entries(self):
+        weights, entries = self.parents[0].value, self.parents[1].value
+        return entries.reshape(*weights.shape, entries.shape[1])
+
+    def fw(self, out):
+        return np.einsum("bl,bld->bd", self.parents[0].value, self._entries(), out=out)
+
+    def bw(self, g):
+        weights, entries = self.parents
         if weights.flows:
-            _acc(weights, np.einsum("bd,bld->bl", g, ent))
+            _acc(weights, np.einsum("bd,bld->bl", g, self._entries(), out=_buf(weights)))
         if entries.flows:
-            _acc(entries, (weights.value[:, :, None] * g[:, None, :]).reshape(b * l, d))
-
-    return Node(np.einsum("bl,bld->bd", weights.value, ent), (weights, entries), bw)
+            _acc(entries, (weights.value[:, :, None] * g[:, None, :]).reshape(entries.value.shape))
 
 
-def sum_all(x: Node) -> Node:
-    return Node(np.array([[x.value.sum()]]), (x,),
-                lambda g: _acc(x, np.full(x.value.shape, g[0, 0])))
+class sum_all(_Unary):
+    def fw(self, out):
+        return np.array([[self.parents[0].value.sum()]])
+
+    def bw(self, g):
+        _acc(self.parents[0], np.full(self.parents[0].value.shape, g[0, 0]))
 
 
 def mean_all(x: Node) -> Node:
@@ -291,23 +414,33 @@ def mean_all(x: Node) -> Node:
     return scale(sum_all(x), 1.0 / n)
 
 
-def bce(p: Node, target: np.ndarray) -> Node:
-    """Elementwise cross-entropy against a (possibly soft) target in [0,1].
+class bce(_Op):
+    """Elementwise cross-entropy against a (possibly soft) target in [0,1]
+    (an array, or a node holding one).
 
     p is clamped into [EPS_PROB, 1-EPS_PROB] before the logs; the clamp
     zeroes the gradient outside the band.
     """
-    t = _as_matrix(target)
-    if t.shape != p.value.shape:
-        raise DimensionError("bce target shape mismatch")
-    pc = np.clip(p.value, EPS_PROB, 1.0 - EPS_PROB)
-    loss = -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
-    inside = (p.value > EPS_PROB) & (p.value < 1.0 - EPS_PROB)
-    return Node(loss, (p,), lambda g: _acc(p, g * inside * (pc - t) / (pc * (1.0 - pc))))
+
+    def __init__(self, p: Node, target):
+        target = target if isinstance(target, Node) else constant(target)
+        if target.value.shape != p.value.shape:
+            raise DimensionError("bce target shape mismatch")
+        super().__init__(p, target)
+
+    def fw(self, out):
+        p, t = self.parents[0].value, self.parents[1].value
+        pc = np.clip(p, EPS_PROB, 1.0 - EPS_PROB)
+        self.aux = pc, (p > EPS_PROB) & (p < 1.0 - EPS_PROB)
+        return -(t * np.log(pc) + (1.0 - t) * np.log(1.0 - pc))
+
+    def bw(self, g):
+        (pc, inside), t = self.aux, self.parents[1].value
+        _acc(self.parents[0], g * inside * (pc - t) / (pc * (1.0 - pc)))
 
 
 # ---------------------------------------------------------------------------
-# parameters and optimizer
+# parameters, optimizer and replayed training steps
 # ---------------------------------------------------------------------------
 
 
@@ -385,14 +518,29 @@ class ParamStore:
         self.flat[...] = saved.flat  # same names and shapes: same layout
         self.version += 1
 
-    def as_nodes(self) -> dict[str, Node]:
-        return {name: Node(value, guard=(self, self.version)) for name, value in self.items()}
+    def as_nodes(self, arrays=None) -> dict[str, Node]:
+        """A new tape: a node per parameter, then one per batch array of
+        `arrays` (name -> array, names distinct from the parameters')."""
+        tape: list = []  # weak references, see Node
+        nodes = {name: Node(value, guard=(self, self.version), tape=tape)
+                 for name, value in self.items()}
+        nodes.update((name, Node(value, tape=tape)) for name, value in (arrays or {}).items())
+        return nodes
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()
         dup._flat = self.flat.copy()
         dup._views = self.views(dup._flat)
         return dup
+
+
+def loss_fn(build, arrays):
+    """The eager step of `build` on one batch's arrays, as `grad_check` takes
+    it: store -> (loss, nodes)."""
+    def fn(store: ParamStore):
+        nodes = store.as_nodes(arrays)
+        return build(nodes), nodes
+    return fn
 
 
 def glorot_uniform(rows: int, cols: int, seed: int, name: str) -> np.ndarray:
@@ -450,6 +598,73 @@ def collect_grads(params: ParamStore, nodes: dict[str, Node]) -> np.ndarray:
         grad = nodes[name].grad
         parts.append(np.zeros(value.size) if grad is None else grad.ravel())
     return np.concatenate(parts)
+
+
+class Trace:
+    """The training steps of one model (see the module docstring).
+
+    `build(nodes)` makes the loss from `ParamStore.as_nodes(arrays)`, where
+    `arrays` holds every per-batch array the graph reads. Only these steps
+    may change the parameters: a step after any other ParamStore mutation
+    raises ContractViolation.
+    """
+
+    def __init__(self, build, params: ParamStore, state: AdamState):
+        self.build, self.params, self.state = build, params, state
+        self.grads = np.zeros_like(params.flat)
+        self.tapes: dict[tuple, tuple] = {}
+        self.version = params.version
+
+    def step(self, arrays: dict[str, np.ndarray]) -> float:
+        """One training step on a batch's arrays; returns its loss."""
+        if self.params.version != self.version:
+            raise ContractViolation("parameters changed outside the traced training steps")
+        key = tuple((name, value.shape) for name, value in arrays.items())
+        tape = self.tapes.get(key)
+        loss = self.trace(key, arrays) if tape is None else self.replay(tape, arrays)
+        adam_step(self.params, self.grads, self.state)
+        self.version = self.params.version
+        return loss
+
+    def trace(self, key: tuple, arrays: dict[str, np.ndarray]) -> float:
+        """One eager step; keeps its tape (batch leaves, op nodes, flowing
+        nodes, loss) with a gradient buffer per flowing node, a parameter's
+        being its view of `grads`."""
+        nodes = self.params.as_nodes(arrays)
+        loss = self.build(nodes)
+        backward(loss)
+        tape = _live(loss.tape)
+        if any(p.tape is not loss.tape for n in tape for p in n.parents):
+            raise ContractViolation("the step reads an array outside its batch arrays")
+        flowing = [n for n in tape if n.flows]
+        for n in flowing:
+            n.gbuf = np.empty_like(n.value)
+        for name, view in self.params.views(self.grads).items():
+            nodes[name].gbuf = view
+        params = [n for n in flowing if n._guard is not None]
+        self._collect(params)
+        self.tapes[key] = ([nodes[name] for name in arrays],
+                           [(n, n.fw) for n in tape if n.fw is not None],
+                           flowing, _backward_steps(flowing), params, loss)
+        return float(loss.value[0, 0])
+
+    def replay(self, tape: tuple, arrays: dict[str, np.ndarray]) -> float:
+        """Rebinds the batch arrays, then reruns forward and backward."""
+        leaves, forward, flowing, backward_steps, params, loss = tape
+        for leaf, value in zip(leaves, arrays.values()):
+            leaf.value = value
+        for n, fw in forward:
+            n.value = fw(n.value)
+        _backprop(loss, flowing, backward_steps)
+        self._collect(params)
+        return float(loss.value[0, 0])
+
+    @staticmethod
+    def _collect(params: list[Node]) -> None:
+        """Writes each parameter's gradient into its view of `grads`."""
+        for n in params:
+            if n.grad is not n.gbuf:
+                n.gbuf[...] = 0.0 if n.grad is None else n.grad
 
 
 def grad_check(loss_fn, params: ParamStore, n_probes: int = 50, h: float = 1e-5,

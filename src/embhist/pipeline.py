@@ -136,15 +136,13 @@ def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
 
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
              train_chunks=FM_TRAIN_CHUNKS) -> FMModel:
-    batches, _ = _fm_batches(log_, schema, cfg.history_len, train_chunks,
-                             cfg.batch_size)
     fm = FMModel(schema, cfg, seed)
-    state = nn.AdamState.for_params(fm.params, lr=cfg.lr)
+    steps = nn.Trace(fm.loss, fm.params, nn.AdamState.for_params(fm.params, lr=cfg.lr))
+    inputs = [fm.arrays(batch) for batch in _fm_batches(
+        log_, schema, cfg.history_len, train_chunks, cfg.batch_size)[0]]
     for _ in range(cfg.epochs):
-        for batch in batches:
-            loss, nodes = fm.loss_fn(batch)(fm.params)
-            nn.backward(loss)
-            nn.adam_step(fm.params, nn.collect_grads(fm.params, nodes), state)
+        for arrays in inputs:
+            steps.step(arrays)
     return fm
 
 
@@ -296,7 +294,8 @@ def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
     if lam > 0 and teacher is None:
         raise ConfigError(f"arm {arm!r} needs teacher soft labels")
     vm = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed)
-    state = nn.AdamState.for_params(vm.params, lr=cfg.vm.lr)
+    steps = nn.Trace(lambda nodes: vm.loss(nodes, lam), vm.params,
+                     nn.AdamState.for_params(vm.params, lr=cfg.vm.lr))
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(np.isin(log_.chunks, VM_TRAIN_CHUNKS))
     soft = teacher.soft_at(log_.keys[rows], log_.timestamps[rows]) if lam > 0 else None
@@ -304,9 +303,7 @@ def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
         part = slice(start, start + cfg.vm.batch_size)
         batch = _vm_batch(log_, ids, rows[part], schema, cfg, seq_dim, store,
                           None if soft is None else soft[part])
-        loss, nodes = vm.loss_fn(batch, kd_weight=lam)(vm.params)
-        nn.backward(loss)
-        nn.adam_step(vm.params, nn.collect_grads(vm.params, nodes), state)
+        steps.step(vm.arrays(batch))
     return vm
 
 
@@ -751,13 +748,18 @@ def ingest_event_log(path):
 
 
 def load_event_log(path, spec: WorldSpec) -> EventLog:
-    """Columnar log of an event file; rejects a repeated (key, timestamp)."""
+    """Columnar log of an event file; rejects a repeated (key, timestamp) and
+    a feature id outside [0, cardinality) of `spec`."""
     first_line, rows = {}, []
+    cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
     for line_no, s in ingest_event_log(path):
         if len(s.vm_values) != len(spec.vm_cardinalities):
             raise DataError(f"event at t={s.timestamp}: wrong visible feature count")
         if len(s.extra_values) != len(spec.extra_cardinalities):
             raise DataError(f"event at t={s.timestamp}: wrong extra feature count")
+        for j, (v, card) in enumerate(zip((*s.vm_values, *s.extra_values), cards)):
+            if not 0 <= v < card:
+                raise DataError(f"line {line_no}: feature {j} id {v} outside [0, {card})")
         first = first_line.setdefault((s.key, s.timestamp), line_no)
         if first != line_no:
             raise DataError(f"lines {first} and {line_no}: duplicate key {s.key} "

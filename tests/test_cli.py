@@ -143,6 +143,13 @@ def test_staged_pipeline_end_to_end(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "auc=" in out
 
+    # the staged chain reproduces run-experiment: same seeds for every stage
+    run = tmp_path / "run"
+    assert main(["run-experiment", "--config", config_path, "--out", str(run)]) == 0
+    rows = [line.split("\t") for line in (run / "report.tsv").read_text().splitlines()]
+    auc = next(float(row[2]) for row in rows if row[:2] == ["0", "kd_emb_hist"])
+    assert f"auc={auc:.6f}" in out
+
     codec = json.loads((art / "codec.json").read_text())
     assert codec["kind"] == "int4_kmeans"
     assert len(codec["codebook"]) == 16
@@ -360,3 +367,21 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("bad_id", [-1, 3])  # vm0 has cardinality 3 in CONFIG
+@pytest.mark.parametrize("command", ["train-fm", "extract", "train-vm", "eval"])
+def test_out_of_range_event_id_exits_4(config_path, tmp_path, capsys, command, bad_id):
+    events = tmp_path / "events.tsv"
+    assert main(["gen-world", "--config", config_path, "--out", str(events)]) == 0
+    lines = events.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[3] = ",".join([str(bad_id), *fields[3].split(",")[1:]])
+    lines[1] = "\t".join(fields)
+    events.write_text("\n".join(lines) + "\n")
+    # the log is read before any checkpoint, so these need not exist
+    args = {"extract": ["--fm", "fm.lfmm"], "eval": ["--vm", "vm.lfmm"]}.get(command, [])
+    out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
+    rc = main([command, "--config", config_path, "--events", str(events), *args, *out])
+    assert rc == 4
+    assert f"line 2: feature 0 id {bad_id} outside [0, 3)" in capsys.readouterr().err

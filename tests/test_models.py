@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from embhist import nncore as nn
-from embhist.errors import ConfigError, SchemaError
+from embhist.errors import ConfigError, ContractViolation, SchemaError
 from embhist.models import (
-    Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
+    SEQ_ENCODERS, Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
     _pool, extract_embedding, history_index, lookup,
     make_attention_params, make_fm_batch, make_vm_batch, read_checkpoint, schema_ids,
     write_checkpoint,
@@ -373,6 +373,117 @@ class TestGradChecks:
         err = nn.grad_check(vm.loss_fn(batch, kd_weight=1.0), vm.params,
                             n_probes=40, h=1e-5)
         assert err < 1e-3
+
+
+def _steps(make, batches, traced):
+    """(loss, gradient) of each training step over `batches` and the final
+    parameters: eager graphs with collect_grads, or one nncore.Trace."""
+    model, build = make()
+    state = nn.AdamState.for_params(model.params, lr=0.05)
+    trace, out = nn.Trace(build, model.params, state), []
+    for arrays in batches:
+        if traced:
+            out.append((trace.step(arrays), trace.grads.copy()))
+            continue
+        loss, nodes = nn.loss_fn(build, arrays)(model.params)
+        nn.backward(loss)
+        grads = nn.collect_grads(model.params, nodes)
+        nn.adam_step(model.params, grads, state)
+        out.append((float(loss.value[0, 0]), grads))
+    return out, model.params.flat.copy()
+
+
+def _seq_batch(vm, log, rows, rng, soft=False):
+    seqs = [make_seq(rng.uniform(-1, 1, (n, 4)), 5) if n else None
+            for n in rng.integers(0, 6, len(rows))]
+    return vm.arrays(vm_batch(vm.schema, log, rows, sequences=seqs, seq_len=5, seq_dim=4,
+                              soft_labels=rng.uniform(0.05, 0.95, len(rows)) if soft else None))
+
+
+class TestReplay:
+    """A replayed tape gives the eager step's bits: the loss, every gradient
+    and the parameters after each Adam step. The batches are two shapes
+    (full, then a short last batch), each traced once and replayed."""
+
+    SIZES = (16, 16, 7, 16, 7)
+
+    def _check(self, make, arrays_of):
+        rows = np.arange(sum(self.SIZES))
+        batches = [arrays_of(part) for part in np.split(rows, np.cumsum(self.SIZES)[:-1])]
+        (eager, eager_params), (replayed, replayed_params) = (
+            _steps(make, batches, traced) for traced in (False, True))
+        for (loss_e, grads_e), (loss_r, grads_r) in zip(eager, replayed):
+            assert loss_e == loss_r and np.array_equal(grads_e, grads_r)
+        assert np.array_equal(eager_params, replayed_params)
+
+    @pytest.mark.parametrize("use_history", [True, False])
+    def test_teacher(self, use_history):
+        log = sample_log()
+        cfg = FMConfig(embed_dim=4, hidden=(8, 6, 4), history_len=3, use_history=use_history)
+
+        def make():
+            fm = FMModel(schema(), cfg, seed=3)
+            return fm, fm.loss
+
+        probe = FMModel(schema(), cfg, seed=3)
+        self._check(make, lambda rows: probe.arrays(fm_batch(probe.schema, log, rows, 3)))
+
+    @pytest.mark.parametrize("arm", ["baseline", "kd"])
+    def test_student(self, arm):
+        log, rng = sample_log(), np.random.default_rng(1)
+        lam = 1.0 if arm == "kd" else 0.0
+
+        def make():
+            vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=5)
+            return vm, lambda nodes: vm.loss(nodes, lam)
+
+        probe = make()[0]
+        soft = rng.uniform(0.05, 0.95, len(log.labels))
+        self._check(make, lambda rows: probe.arrays(vm_batch(
+            probe.schema, log, rows, soft_labels=soft[rows] if lam else None)))
+
+    @pytest.mark.parametrize("encoder", SEQ_ENCODERS)
+    def test_student_sequence_encoders(self, encoder):
+        log, rng = sample_log(), np.random.default_rng(2)
+        cfg = VMConfig(hidden=(8, 4), seq_encoder=encoder, seq_dim=4, attn_hidden=6)
+
+        def make():
+            vm = VMModel(schema(), cfg, seed=5)
+            return vm, lambda nodes: vm.loss(nodes, 1.0)
+
+        probe = make()[0]
+        self._check(make, lambda rows: _seq_batch(probe, log, rows, rng, soft=True))
+
+    def test_autoencoder(self):
+        from embhist.compression import AEConfig, MatryoshkaAE
+
+        e = np.random.default_rng(3).uniform(-1, 1, (sum(self.SIZES), 10))
+
+        def make():
+            ae = MatryoshkaAE(10, AEConfig(dims=(2, 4, 8)), seed=1)
+            return ae, ae.loss
+
+        self._check(make, lambda rows: {"x": e[rows]})
+
+    def test_outside_mutation_rejected(self):
+        vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=5)
+        arrays = vm.arrays(vm_batch(vm.schema, sample_log(), np.arange(8)))
+        trace = nn.Trace(vm.loss, vm.params, nn.AdamState.for_params(vm.params))
+        trace.step(arrays)
+        trace.step(arrays)  # a replay after the trace's own Adam step
+        vm.params.set_("out.b", np.ones((1, 1)))
+        with pytest.raises(ContractViolation):
+            trace.step(arrays)
+
+    def test_array_outside_the_batch_rejected(self):
+        vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=5)
+        arrays = vm.arrays(vm_batch(vm.schema, sample_log(), np.arange(8)))
+
+        def build(nodes):  # the labels as a fixed constant, which replay could not rebind
+            return nn.mean_all(nn.bce(vm._forward(nodes), arrays["labels"]))
+
+        with pytest.raises(ContractViolation):
+            nn.Trace(build, vm.params, nn.AdamState.for_params(vm.params)).step(arrays)
 
 
 class TestCheckpoints:
