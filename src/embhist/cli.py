@@ -148,11 +148,6 @@ def cmd_extract(args):
     return 0
 
 
-def _segment_seeds(seed: int) -> tuple[int, int, int]:
-    """The (teacher, autoencoder, codec) seeds `run-experiment` uses for `seed`."""
-    return pipeline.checkpoint_segments("fixed", seed)[0][2]
-
-
 def _load_teacher(path) -> pipeline.TeacherLog:
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -166,7 +161,8 @@ def cmd_train_ae(args):
     cfg = _get_cfg(args)
     teacher = _load_teacher(args.teacher)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
-    ae, history = ae_train(teacher.emb[rows], cfg.ae, _segment_seeds(args.seed)[1])
+    _, ae_seed, _ = pipeline.checkpoint_segments("fixed", args.seed)[0][2]  # as run-experiment
+    ae, history = ae_train(teacher.emb[rows], cfg.ae, ae_seed)
     save_ae(_ensure_parent(Path(args.out)), ae)
     print(f"compressor trained on {len(rows)} embeddings; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}; saved to {args.out}")
@@ -179,7 +175,8 @@ def cmd_quantize(args):
     ae = load_ae(args.ae)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
     z = ae.encode_batch(teacher.emb[rows])[:, : cfg.active_dim]
-    codec = pipeline.fit_codec(cfg.codec_kind, z, _segment_seeds(args.seed)[2])
+    _, _, codec_seed = pipeline.checkpoint_segments("fixed", args.seed)[0][2]  # as run-experiment
+    codec = pipeline.fit_codec(cfg.codec_kind, z, codec_seed)
     descriptor = {"kind": codec.kind}
     if codec.codebook:
         descriptor["codebook"] = list(codec.codebook)

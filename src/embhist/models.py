@@ -224,17 +224,15 @@ def pool_input(kind: str, mask: np.ndarray) -> np.ndarray:
     return mask.astype(float) if kind == "sum_pool" else mask
 
 
-def _pool(kind: str, entries: Node, mask, query: Node | None,
+def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
           nodes: dict[str, Node] | None, prefix: str) -> Node:
-    """entries (B*L, d); mask the (B, L) bool mask, or a node holding its
-    `pool_input`; returns (B, d).
+    """entries (B*L, d); mask holds the `pool_input` of the (B, L) sequence
+    mask; returns (B, d).
 
     mean/sum are masked and permutation-invariant; attention scores each
     entry with an MLP on [z; q; z*q; z-q] then softmax-pools. Empty
     sequences pool to the zero vector.
     """
-    if not isinstance(mask, Node):
-        mask = Node(pool_input(kind, mask))
     b, l = mask.value.shape
     if kind in ("mean_pool", "sum_pool"):
         return nn.attn_pool(mask, entries, l)
@@ -264,15 +262,12 @@ def add_embedding(features: tuple[Feature, ...], dim: int, seed: int, prefix: st
     return np.cumsum([0, *(f.cardinality for f in features[:-1])])
 
 
-def lookup(table: Node, ids, offsets: np.ndarray) -> Node:
-    """(..., m) ids -> (rows, m * d) concatenated feature embeddings: one
-    gather over the shifted ids and one reshape; `ids` may also be a node
-    holding `shift_ids(ids, offsets)`. Each table cell's gradient is summed
-    in batch order, as by one gather per feature."""
-    if not isinstance(ids, Node):
-        ids = Node(shift_ids(ids, offsets))
-    return nn.reshape(nn.gather_rows(table, ids), ids.value.size // len(offsets),
-                      len(offsets) * table.value.shape[1])
+def lookup(table: Node, idx: Node, m: int) -> Node:
+    """`idx` holds the `shift_ids` of (n, m) feature ids -> (n, m * d)
+    concatenated feature embeddings: one gather and one reshape. Each table
+    cell's gradient is summed in batch order, as by one gather per feature."""
+    return nn.reshape(nn.gather_rows(table, idx), idx.value.size // m,
+                      m * table.value.shape[1])
 
 
 def shift_ids(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -355,10 +350,10 @@ class FMModel:
         return out
 
     def _forward(self, nodes: dict[str, Node]):
-        emb_layer = lookup(nodes["emb"], nodes["ids"], self.offsets)
+        emb_layer = lookup(nodes["emb"], nodes["ids"], len(self.offsets))
         x = emb_layer
         if self.config.use_history:
-            hist_emb = lookup(nodes["emb"], nodes["hist_ids"], self.offsets)
+            hist_emb = lookup(nodes["emb"], nodes["hist_ids"], len(self.offsets))
             pooled = _pool("din_attention", hist_emb, nodes["hist_mask"],
                            emb_layer, nodes, "attn")
             x = nn.concat_cols([emb_layer, pooled])
@@ -477,7 +472,7 @@ class VMModel:
         return out
 
     def _forward(self, nodes: dict[str, Node]) -> Node:
-        emb = lookup(nodes["emb"], nodes["ids"], self.offsets)
+        emb = lookup(nodes["emb"], nodes["ids"], len(self.offsets))
         x = emb
         if self.config.use_sequence:
             query = nn.affine(emb, nodes["seqq.w"], nodes["seqq.b"])

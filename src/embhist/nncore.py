@@ -99,11 +99,14 @@ def backward(loss: Node) -> None:
     exact zero can differ. Nodes that depend on no parameter (constants)
     keep `grad` None. The forward cache must still match the parameter
     values it was recorded for; a ParamStore mutation in between raises
-    ContractViolation.
+    ContractViolation, as does a gradient that would flow into another
+    `as_nodes` call's tape, which this walk would not visit.
     """
     if loss.value.shape != (1, 1):
         raise DimensionError(f"loss must be scalar (1,1), got {loss.value.shape}")
     nodes = _live(loss.tape) if loss.flows else []
+    if any(p.flows and p.tape is not loss.tape for node in nodes for p in node.parents):
+        raise ContractViolation("the loss mixes the tapes of two as_nodes calls")
     for node in nodes:
         if node._guard is not None and node._guard[0].version != node._guard[1]:
             raise ContractViolation("stale forward cache: parameters changed since forward pass")
@@ -310,15 +313,14 @@ class reshape(_Unary):
 
 
 class gather_rows(_Op):
-    """Embedding lookup: rows of `table` by integer index (an array, or a
-    node holding one). The backward pass is one flat `np.bincount` over the
+    """Embedding lookup: rows of `table` by the integer indices `idx` holds.
+    The backward pass is one flat `np.bincount` over the
     cells `idx*d + col`. A gradient the table already holds goes first, so
     every cell is summed in `np.add.at`'s order: existing value, then the
     gathered rows in index order.
     """
 
-    def __init__(self, table: Node, idx):
-        idx = idx if isinstance(idx, Node) else Node(np.asarray(idx, dtype=np.int64))
+    def __init__(self, table: Node, idx: Node):
         if idx.value.ndim != 1 or (idx.value.size and idx.value.min() < 0):
             raise DimensionError("gather index must be 1-D and non-negative")
         super().__init__(table, idx)
@@ -350,11 +352,10 @@ class repeat_rows(_Unary):
 
 
 class masked_softmax(_Op):
-    """Row-wise softmax over valid entries (`mask`, an array or a node
-    holding one); all-invalid rows give zeros."""
+    """Row-wise softmax over the entries `mask` holds True; all-invalid rows
+    give zeros."""
 
-    def __init__(self, scores: Node, mask):
-        mask = mask if isinstance(mask, Node) else Node(np.asarray(mask, dtype=bool))
+    def __init__(self, scores: Node, mask: Node):
         if mask.value.shape != scores.value.shape:
             raise DimensionError("mask shape mismatch")
         super().__init__(scores, mask)
@@ -415,15 +416,13 @@ def mean_all(x: Node) -> Node:
 
 
 class bce(_Op):
-    """Elementwise cross-entropy against a (possibly soft) target in [0,1]
-    (an array, or a node holding one).
+    """Elementwise cross-entropy against a (possibly soft) target in [0,1].
 
     p is clamped into [EPS_PROB, 1-EPS_PROB] before the logs; the clamp
     zeroes the gradient outside the band.
     """
 
-    def __init__(self, p: Node, target):
-        target = target if isinstance(target, Node) else constant(target)
+    def __init__(self, p: Node, target: Node):
         if target.value.shape != p.value.shape:
             raise DimensionError("bce target shape mismatch")
         super().__init__(p, target)
@@ -634,6 +633,7 @@ class Trace:
         loss = self.build(nodes)
         backward(loss)
         tape = _live(loss.tape)
+        # backward rejected flowing nodes of other tapes; this rejects constants
         if any(p.tape is not loss.tape for n in tape for p in n.parents):
             raise ContractViolation("the step reads an array outside its batch arrays")
         flowing = [n for n in tape if n.flows]

@@ -9,8 +9,8 @@ from embhist.errors import ConfigError, ContractViolation, SchemaError
 from embhist.models import (
     SEQ_ENCODERS, Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
     _pool, extract_embedding, history_index, lookup,
-    make_attention_params, make_fm_batch, make_vm_batch, read_checkpoint, schema_ids,
-    write_checkpoint,
+    make_attention_params, make_fm_batch, make_vm_batch, pool_input, read_checkpoint,
+    schema_ids, shift_ids, write_checkpoint,
 )
 from embhist.seqstore import SequenceFeature
 from embhist.synthworld import WorldSpec, generate
@@ -137,8 +137,8 @@ class TestOneTable:
         one = nn.ParamStore()
         one.add("emb", table)
         nodes = one.as_nodes()
-        layer = lookup(nodes["emb"], ids, offsets)
-        hist_layer = lookup(nodes["emb"], hist, offsets)
+        layer = lookup(nodes["emb"], nn.Node(shift_ids(ids, offsets)), len(cards))
+        hist_layer = lookup(nodes["emb"], nn.Node(shift_ids(hist, offsets)), len(cards))
         nn.backward(loss(layer, hist_layer))
 
         per = nn.ParamStore()
@@ -146,8 +146,9 @@ class TestOneTable:
             per.add(f"emb.{j}", table[start : start + card])
         ref = per.as_nodes()
         tables = [ref[f"emb.{j}"] for j in range(len(cards))]
-        ref_layer = nn.concat_cols([nn.gather_rows(t, ids[:, j]) for j, t in enumerate(tables)])
-        ref_hist = nn.concat_cols([nn.gather_rows(t, hist[:, :, j].reshape(-1))
+        ref_layer = nn.concat_cols([nn.gather_rows(t, nn.Node(ids[:, j]))
+                                    for j, t in enumerate(tables)])
+        ref_hist = nn.concat_cols([nn.gather_rows(t, nn.Node(hist[:, :, j].reshape(-1)))
                                    for j, t in enumerate(tables)])
         nn.backward(loss(ref_layer, ref_hist))
 
@@ -218,7 +219,8 @@ def seq_encode(kind, seq, query=None):
         params = nn.ParamStore()
         make_attention_params(seq.entries.shape[1], 16, seed=0, prefix="attn", params=params)
         q_node, nodes = nn.constant(np.reshape(query, (1, -1))), params.as_nodes()
-    pooled = _pool(kind, nn.constant(seq.entries), seq.mask[None, :], q_node, nodes, "attn")
+    mask = nn.Node(pool_input(kind, seq.mask[None, :]))
+    pooled = _pool(kind, nn.constant(seq.entries), mask, q_node, nodes, "attn")
     return pooled.value[0]
 
 
@@ -480,7 +482,7 @@ class TestReplay:
         arrays = vm.arrays(vm_batch(vm.schema, sample_log(), np.arange(8)))
 
         def build(nodes):  # the labels as a fixed constant, which replay could not rebind
-            return nn.mean_all(nn.bce(vm._forward(nodes), arrays["labels"]))
+            return nn.mean_all(nn.bce(vm._forward(nodes), nn.constant(arrays["labels"])))
 
         with pytest.raises(ContractViolation):
             nn.Trace(build, vm.params, nn.AdamState.for_params(vm.params)).step(arrays)

@@ -18,7 +18,7 @@ def affine(x, w, b):
 
 
 def bce(p, y):
-    return float(nn.bce(nn.constant([[p]]), [[y]]).value[0, 0])
+    return float(nn.bce(nn.constant([[p]]), nn.constant([[y]])).value[0, 0])
 
 
 class TestAffine:
@@ -99,7 +99,7 @@ class TestBackward:
         def loss_fn(s):
             nodes = s.as_nodes()
             p = nn.sigmoid(nn.affine(nn.constant(x), nodes["w"], nodes["b"]))
-            return nn.mean_all(nn.bce(p, y)), nodes
+            return nn.mean_all(nn.bce(p, nn.constant(y))), nodes
 
         assert nn.grad_check(loss_fn, store, n_probes=12, h=1e-5) < 1e-6
 
@@ -109,6 +109,17 @@ class TestBackward:
         nodes = store.as_nodes()
         out = nn.mean_all(nn.matmul(nn.constant(rand((3, 2), 1)), nodes["w"]))
         store.set_("w", store["w"] * 2.0)
+        with pytest.raises(ContractViolation):
+            nn.backward(out)
+
+    def test_loss_over_two_tapes_rejected(self):
+        # backward walks the loss's tape only, so it would never run the
+        # backward of ops recorded on the other store's tape
+        a, b = nn.ParamStore(), nn.ParamStore()
+        a.add("w", rand((2, 2), 0))
+        b.add("v", rand((2, 2), 1))
+        other = nn.relu(b.as_nodes()["v"])
+        out = nn.mean_all(nn.mul(a.as_nodes()["w"], other))
         with pytest.raises(ContractViolation):
             nn.backward(out)
 
@@ -132,7 +143,7 @@ class TestOpsGradients:
 
         def build(nodes):
             scores = nn.reshape(nn.matmul(nn.constant(rand((6, 2), 1)), nodes["w"]), 2, 3)
-            weights = nn.masked_softmax(scores, mask)
+            weights = nn.masked_softmax(scores, nn.Node(mask))
             pooled = nn.attn_pool(weights, nn.constant(rand((6, 4), 2)), 3)
             return nn.mean_all(nn.mul(pooled, pooled))
 
@@ -142,7 +153,7 @@ class TestOpsGradients:
         idx = np.array([0, 2, 1, 2])
 
         def build(nodes):
-            e = nn.gather_rows(nodes["table"], idx)
+            e = nn.gather_rows(nodes["table"], nn.Node(idx))
             both = nn.concat_cols([e, nn.relu(e)])
             return nn.mean_all(nn.mul(both, both))
 
@@ -182,7 +193,7 @@ class TestGradCheckOp:
             nodes = s.as_nodes()
             h = nn.relu(nn.affine(nn.constant(x), nodes["w0"], nodes["b0"]))
             p = nn.sigmoid(nn.affine(h, nodes["w1"], nodes["b1"]))
-            return nn.mean_all(nn.bce(p, y)), nodes
+            return nn.mean_all(nn.bce(p, nn.constant(y))), nodes
 
         assert nn.grad_check(loss_fn, store, n_probes=40) < 1e-4
 
@@ -269,8 +280,8 @@ class TestLeanTape:
         store = nn.ParamStore()
         store.add("t", table)
         nodes = store.as_nodes()
-        e1 = nn.gather_rows(nodes["t"], idx1)
-        e2 = nn.gather_rows(nodes["t"], idx2)
+        e1 = nn.gather_rows(nodes["t"], nn.Node(idx1))
+        e2 = nn.gather_rows(nodes["t"], nn.Node(idx2))
         loss = nn.add(nn.sum_all(nn.mul(e1, nn.constant(c1))),
                       nn.sum_all(nn.mul(e2, nn.constant(c2))))
         nn.backward(loss)
@@ -293,7 +304,7 @@ class TestLeanTape:
 
     def test_gather_rejects_negative_index(self):
         with pytest.raises(DimensionError):
-            nn.gather_rows(nn.constant(rand((3, 2), 0)), np.array([0, -1]))
+            nn.gather_rows(nn.constant(rand((3, 2), 0)), nn.Node(np.array([0, -1])))
 
     def test_fused_adam_matches_per_name_update(self):
         rng = np.random.default_rng(7)
@@ -345,6 +356,17 @@ class TestLeanTape:
         version = store.version
         nn.adam_step(store, np.ones(4), nn.AdamState.for_params(store))
         assert store.version > version
+        with pytest.raises(ContractViolation):
+            nn.backward(out)
+
+    def test_loss_over_two_tapes_rejected(self):
+        # backward walks the loss's tape only, so it would never run the
+        # backward of ops recorded on the other store's tape
+        a, b = nn.ParamStore(), nn.ParamStore()
+        a.add("w", rand((2, 2), 0))
+        b.add("v", rand((2, 2), 1))
+        other = nn.relu(b.as_nodes()["v"])
+        out = nn.mean_all(nn.mul(a.as_nodes()["w"], other))
         with pytest.raises(ContractViolation):
             nn.backward(out)
 
