@@ -84,14 +84,8 @@ def _out_root() -> Path:
     return Path(os.environ.get("EMBHIST_OUT", "runs"))
 
 
-def _config_arg(ap):
-    ap.add_argument("--config", help="INI experiment config", default=None)
-
-
 def _get_cfg(args) -> pipeline.ExperimentConfig:
-    if args.config:
-        return load_config(args.config)
-    return pipeline.ExperimentConfig()
+    return load_config(args.config) if args.config else pipeline.ExperimentConfig()
 
 
 def _ensure_parent(path: Path):
@@ -113,11 +107,21 @@ def _load_log(cfg, args):
                               args.seed)
 
 
+def _fixed_stack_seeds(cfg, args) -> tuple[int, int, int]:
+    """(teacher, ae, codec) seeds of run-experiment's "fixed" teacher stack,
+    the only one the stage commands build; per_split is a ConfigError."""
+    if cfg.checkpoint_policy != "fixed":
+        raise ConfigError(f"{args.command} builds the fixed stack only; run per_split "
+                          "with run-experiment")
+    return pipeline.checkpoint_segments("fixed", args.seed)[0][2]
+
+
 def cmd_train_fm(args):
     cfg = _get_cfg(args)
+    fm_seed, _, _ = _fixed_stack_seeds(cfg, args)
     log = _load_log(cfg, args)
     schema = FeatureSchema.from_world(cfg.world)
-    fm = pipeline.train_fm(log, schema, cfg.fm, args.seed)
+    fm = pipeline.train_fm(log, schema, cfg.fm, fm_seed)
     write_checkpoint(_ensure_parent(Path(args.out)), fm.params, schema.hash64())
     print(f"teacher checkpoint -> {args.out}")
     return 0
@@ -137,6 +141,7 @@ def _restore(cls, config, cfg, path):
 
 def cmd_extract(args):
     cfg = _get_cfg(args)
+    _fixed_stack_seeds(cfg, args)
     log = _load_log(cfg, args)
     fm = _restore(FMModel, cfg.fm, cfg, args.fm)
     teacher = pipeline.log_teacher(fm, log, cfg.layer, pipeline.LOG_CHUNKS)
@@ -159,9 +164,9 @@ def _load_teacher(path) -> pipeline.TeacherLog:
 
 def cmd_train_ae(args):
     cfg = _get_cfg(args)
+    _, ae_seed, _ = _fixed_stack_seeds(cfg, args)
     teacher = _load_teacher(args.teacher)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
-    _, ae_seed, _ = pipeline.checkpoint_segments("fixed", args.seed)[0][2]  # as run-experiment
     ae, history = ae_train(teacher.emb[rows], cfg.ae, ae_seed)
     save_ae(_ensure_parent(Path(args.out)), ae)
     print(f"compressor trained on {len(rows)} embeddings; "
@@ -171,11 +176,11 @@ def cmd_train_ae(args):
 
 def cmd_quantize(args):
     cfg = _get_cfg(args)
+    _, _, codec_seed = _fixed_stack_seeds(cfg, args)
     teacher = _load_teacher(args.teacher)
     ae = load_ae(args.ae)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
     z = ae.encode_batch(teacher.emb[rows])[:, : cfg.active_dim]
-    _, _, codec_seed = pipeline.checkpoint_segments("fixed", args.seed)[0][2]  # as run-experiment
     codec = pipeline.fit_codec(cfg.codec_kind, z, codec_seed)
     descriptor = {"kind": codec.kind}
     if codec.codebook:
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **arguments):
         p = sub.add_parser(name)
-        _config_arg(p)
+        p.add_argument("--config", help="INI experiment config", default=None)
         p.add_argument("--seed", type=int, default=0)
         for arg, kwargs in arguments.items():
             p.add_argument(f"--{arg.replace('_', '-')}", dest=arg, **kwargs)
@@ -335,10 +340,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, DimensionError, FormatError, SchemaError, MetricError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (DataError, DimensionError, FormatError, SchemaError, MetricError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
     except EmbhistError as exc:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError, SchemaError, SizeError
+from .prng import Stream, derive_seed
 
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
@@ -51,18 +52,10 @@ def mixed_radix_encode(values, cards) -> int:
     return idx
 
 
-def mixed_radix_decode(index: int, cards) -> tuple[int, ...]:
-    out = []
-    for c in reversed(cards):
-        out.append(index % c)
-        index //= c
-    return tuple(reversed(out))
-
-
 @functools.lru_cache(maxsize=8)
 def mixed_radix_table(cards: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """mixed_radix_decode of every index below prod(cards), in index order,
-    decoded once per cards tuple."""
+    """Digits of every index below prod(cards) in the mixed radix `cards`, most
+    significant first (mixed_radix_encode inverted), once per cards tuple."""
     return tuple(itertools.product(*(range(c) for c in cards)))
 
 
@@ -449,8 +442,6 @@ def random_table_pipeline(world: VerificationWorld, seed: int) -> TablePipeline:
     """Random small pipeline for the verification battery: a random or
     posterior-table teacher map, an optional coarse grid compressor, and a
     1-3 bit scalar quantizer. Identities must hold for every draw."""
-    from .prng import Stream, derive_seed  # local import avoids cycles at module load
-
     stream = Stream(derive_seed(seed, "battery-pipeline"))
     n_visible = 1 + stream.randint(len(world.extra_feature_cards))
 

@@ -41,7 +41,7 @@ from .quantization import (
 )
 from .seqstore import SequenceStore, centroid_drift
 from .synthworld import (
-    EventLog, EventSample, WorldSpec, enumerate_world, generate,
+    N_CHUNKS, EventLog, EventSample, WorldSpec, enumerate_world, generate,
     random_enumerable_spec,
 )
 
@@ -104,8 +104,6 @@ class ExperimentConfig:
             )
         if self.codec_kind not in CODEC_IDS:
             raise ConfigError(f"unknown codec {self.codec_kind!r}")
-        if set(FM_TRAIN_CHUNKS) & set(VM_TRAIN_CHUNKS):
-            raise ConfigError("teacher and student training chunks must be disjoint")
         if self.seq_len < 1 or self.window < 1:
             raise ConfigError("seq_len and window must be >= 1")
 
@@ -737,8 +735,8 @@ def ingest_event_log(path):
                 raise DataError(f"line {line_no}: {exc}") from exc
             if label not in (0, 1):
                 raise DataError(f"line {line_no}: label must be 0 or 1")
-            if not 0 <= chunk < 8:
-                raise DataError(f"line {line_no}: chunk {chunk} outside 0..7")
+            if not 0 <= chunk < N_CHUNKS:
+                raise DataError(f"line {line_no}: chunk {chunk} outside 0..{N_CHUNKS - 1}")
             if chunk in last and ts < last[chunk]:
                 log.warning("line %d: non-monotone timestamp within chunk %d",
                             line_no, chunk)

@@ -60,27 +60,12 @@ def _nibble_rows(codes: np.ndarray) -> np.ndarray:
     return u[:, 0::2] | (u[:, 1::2] << 4)
 
 
-def pack_nibbles(codes: np.ndarray) -> bytes:
-    """Pack signed codes in [-8, 7] as offset-by-8 nibbles, low nibble first."""
-    c = np.asarray(codes, dtype=np.int64)
-    if c.size and (c.min() < -8 or c.max() > 7):
-        raise FormatError("nibble code out of range [-8, 7]")
-    return _nibble_rows(c.reshape(1, -1)).tobytes()
-
-
 def _unnibble_rows(raw: np.ndarray, dim: int) -> np.ndarray:
     """(n, k) nibble bytes -> (n, dim) signed codes; inverse of _nibble_rows."""
     codes = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.int64)
     codes[:, 0::2] = raw & 0x0F
     codes[:, 1::2] = raw >> 4
     return codes[:, :dim] - 8
-
-
-def unpack_nibbles(data: bytes, dim: int) -> np.ndarray:
-    """Inverse of pack_nibbles; the padding nibble of an odd dim is ignored."""
-    if len(data) != (dim + 1) // 2:
-        raise FormatError(f"nibble payload length {len(data)} for dim {dim}")
-    return _unnibble_rows(np.frombuffer(data, dtype=np.uint8)[None, :], dim)[0]
 
 
 def _codes_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class EmbeddingRecord:
-    """One record as `SequenceStore.append` takes it and `records` shows it."""
+    """One record as `SequenceStore.append` takes it; the store keeps columns."""
 
     key: int
     timestamp: int
@@ -45,36 +45,23 @@ class SequenceFeature:
 
 
 class SequenceStore:
-    """Records in insertion order as columns: `keys` (u64), `timestamps`
-    (i64), `soft_labels` (f64, NaN for a record without one) and the
-    (n, payload_size) uint8 `payloads` matrix. Queries read a (key,
-    timestamp, insertion) sort and the dequantized rows, built on the first
-    query after an append."""
+    """Records in insertion order as read-only columns, which `extend`
+    concatenates onto: `keys` (u64), `timestamps` (i64), `soft_labels` (f64,
+    NaN for a record without one) and the (n, payload_size) uint8 `payloads`
+    matrix. Queries read a (key, timestamp, insertion) sort and the
+    dequantized rows, built on the first query after an append."""
 
     def __init__(self, dim: int, codec: Codec):
         self.dim = dim
         self.codec = codec
-        # columns are read-only views of the first len(self) rows of these
-        # buffers, which grow geometrically, so appends cost amortized O(1)
-        self._buffers = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
-                         np.zeros(0), np.zeros((0, codec.payload_size(dim)), dtype=np.uint8))
-        self.keys, self.timestamps, self.soft_labels, self.payloads = self._buffers
+        self.keys, self.timestamps, self.soft_labels, self.payloads = _read_only(
+            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64), np.zeros(0),
+            np.zeros((0, codec.payload_size(dim)), dtype=np.uint8))
         self._frozen = False
         self._index = None
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @property
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        """Per-record view in insertion order, made on each access."""
-        codec_id = self.codec_id()
-        return tuple(
-            EmbeddingRecord(key, ts, QuantizedVec(codec_id, self.dim, payload.tobytes()),
-                            None if math.isnan(soft) else soft)
-            for key, ts, soft, payload in zip(self.keys.tolist(), self.timestamps.tolist(),
-                                              self.soft_labels.tolist(), self.payloads)
-        )
 
     def freeze(self) -> None:
         """After freezing the store is immutable and safely shareable."""
@@ -104,17 +91,11 @@ class SequenceStore:
             raise FormatError("key and timestamp must be non-negative")
         if ((soft < 0.0) | (soft > 1.0)).any():
             raise FormatError("soft label must lie in [0, 1]")
-        n, total = len(self), len(self) + len(keys)
-        if total > len(self._buffers[0]):
-            capacity = max(total, 2 * len(self._buffers[0]))
-            self._buffers = tuple(_grown(buf, n, capacity) for buf in self._buffers)
-        added = (keys.astype(np.uint64), timestamps.astype(np.int64), soft, payloads)
-        for buf, column in zip(self._buffers, added):
-            buf[n:total] = column
-        self.keys, self.timestamps, self.soft_labels, self.payloads = (
-            buf[:total] for buf in self._buffers)
-        for column in (self.keys, self.timestamps, self.soft_labels, self.payloads):
-            column.flags.writeable = False
+        self.keys, self.timestamps, self.soft_labels, self.payloads = _read_only(
+            np.concatenate([self.keys, keys.astype(np.uint64)]),
+            np.concatenate([self.timestamps, timestamps.astype(np.int64)]),
+            np.concatenate([self.soft_labels, soft]),
+            np.concatenate([self.payloads, payloads]))
         self._index = None
 
     def _query_index(self):
@@ -204,11 +185,10 @@ class SequenceStore:
         return store
 
 
-def _grown(buf: np.ndarray, n: int, rows: int) -> np.ndarray:
-    """A `rows`-row buffer holding the first n rows of `buf`."""
-    out = np.empty((rows, *buf.shape[1:]), dtype=buf.dtype)
-    out[:n] = buf[:n]
-    return out
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _record_bytes(key: int, timestamp: int, soft: float, payload: bytes) -> bytes:

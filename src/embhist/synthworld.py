@@ -336,12 +336,6 @@ def enumerate_world(spec: WorldSpec, n_hist: int) -> VerificationWorld:
     )
 
 
-def joint_table(spec: WorldSpec, variables, n_hist: int = 2) -> JointTable:
-    """Exact marginal over the requested enumerated-world variables."""
-    world = enumerate_world(spec, n_hist)
-    return world.table.remap(list(variables))
-
-
 def true_conditional(spec: WorldSpec, cond_vars, n_hist: int = 2):
     """Exact P(y=1 | conditioning assignment) by enumeration.
 

@@ -10,48 +10,16 @@ import numpy as np
 import pytest
 
 from embhist.cli import load_config, main
+from embhist.models import FMConfig
 from embhist.pipeline import ExperimentConfig
+from embhist.synthworld import WorldSpec
 
 REPO = Path(__file__).resolve().parents[1]
 
-CONFIG = """
-[world]
-n_users = 36
-events_per_user = 32
-vm_cardinalities = 3,2
-extra_cardinalities = 2,2
-vm_weights = 0.7,-0.55
-extra_weights = 1.0,-0.8
-base_logit = -1.4
-temporal_window = 8
-temporal_cap = 4
-beta_temporal = 0.35
-
-[fm]
-embed_dim = 4
-hidden = 16,8,4
-history_len = 4
-epochs = 2
-
-[ae]
-dims = 4,8
-epochs = 15
-
-[experiment]
-layer = hidden_0
-active_dim = 8
-codec_kind = int4_kmeans
-seq_len = 8
-seeds = 0
-arms = baseline,kd_emb_hist
-"""
-
 
 @pytest.fixture()
-def config_path(tmp_path):
-    path = tmp_path / "exp.ini"
-    path.write_text(CONFIG)
-    return str(path)
+def config_path():
+    return str(REPO / "tests" / "staged.ini")
 
 
 def test_load_config_round_trips_values(config_path):
@@ -68,9 +36,9 @@ def readme_config_block():
     return text.split("## Config schema (INI)")[1].split("```ini")[1].split("```")[0]
 
 
-@pytest.mark.parametrize("source", ["readme", "example"])
+@pytest.mark.parametrize("source", ["readme", "example", "five_seeds", "ablations"])
 def test_documented_configs_load(tmp_path, source):
-    path = REPO / "scripts" / "example_config.ini"
+    path = REPO / "scripts" / ("example_config.ini" if source == "example" else f"{source}.ini")
     if source == "readme":
         path = tmp_path / "readme.ini"
         path.write_text(readme_config_block())
@@ -78,8 +46,16 @@ def test_documented_configs_load(tmp_path, source):
     if source == "readme":
         # the documented block spells out the defaults, apart from its seeds
         assert cfg == replace(ExperimentConfig(), seeds=(0, 1, 2, 3, 4), event_log_path="")
-    else:
+    elif source == "example":
         assert cfg.world.n_users == 128 and cfg.fm.epochs == 3 and cfg.seeds == (0, 1)
+    elif source == "five_seeds":
+        # the default four-arm experiment over seeds 0-4
+        assert cfg == ExperimentConfig(seeds=(0, 1, 2, 3, 4))
+    else:
+        # the mid-sized world the ablation tables are run on
+        assert cfg == ExperimentConfig(world=WorldSpec(n_users=128, events_per_user=64),
+                                       fm=FMConfig(epochs=3), arms=("kd", "kd_emb_hist"),
+                                       seeds=(0, 1))
 
 
 @pytest.mark.parametrize("text,message", [
@@ -154,6 +130,21 @@ def test_staged_pipeline_end_to_end(config_path, tmp_path, capsys):
     assert codec["kind"] == "int4_kmeans"
     assert len(codec["codebook"]) == 16
     assert np.all(np.diff(codec["codebook"]) > 0)
+
+
+@pytest.mark.parametrize("command", ["train-fm", "extract", "train-ae", "quantize"])
+def test_stack_commands_refuse_per_split(tmp_path, capsys, command):
+    # these commands build run-experiment's "fixed" teacher stack only; the
+    # policy is checked before any input file is read, so none need exist
+    path = tmp_path / "per_split.ini"  # staged.ini ends with [experiment]
+    path.write_text((REPO / "tests" / "staged.ini").read_text()
+                    + "checkpoint_policy = per_split\n")
+    inputs = {"extract": ["--fm", "fm.lfmm"], "train-ae": ["--teacher", "t.npz"],
+              "quantize": ["--teacher", "t.npz", "--ae", "ae.lfmm"]}.get(command, [])
+    rc = main([command, "--config", str(path), *inputs, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train-vm", "eval"])
@@ -369,7 +360,7 @@ def test_runtime_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("bad_id", [-1, 3])  # vm0 has cardinality 3 in CONFIG
+@pytest.mark.parametrize("bad_id", [-1, 3])  # vm0 has cardinality 3 in staged.ini
 @pytest.mark.parametrize("command", ["train-fm", "extract", "train-vm", "eval"])
 def test_out_of_range_event_id_exits_4(config_path, tmp_path, capsys, command, bad_id):
     events = tmp_path / "events.tsv"

@@ -181,8 +181,11 @@ class TestStreamingExperiment:
         for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"), kmeans):
             store = SequenceStore(3, codec)
             append_store(store, teacher, ae, codec, 3)
-            for rec, vec in zip(store.records, z):
-                assert rec.payload == quantize(codec, vec)
+            assert len(store) == len(z)
+            for row, vec in zip(store.payloads, z):
+                q = quantize(codec, vec)
+                assert (row.tobytes(), store.dim, store.codec_id()) == (q.payload, q.dim,
+                                                                        q.codec_id)
 
     def test_embedding_dims_preserve_label_correlation_structure(self):
         # per-dimension correlations of the compressed code with the

@@ -6,31 +6,39 @@ from hypothesis import strategies as st
 from embhist.errors import DataError, FormatError
 from embhist.quantization import (
     Codec, QuantizedVec, dequantize, dequantize_batch, fit_kmeans_int4,
-    pack_nibbles, payload_matrix, quantize, reconstruction_mse, unpack_nibbles,
+    payload_matrix, quantize, reconstruction_mse,
 )
 
 UNIFORM_MIDPOINTS = tuple((2 * k + 1 - 16) / 16 for k in range(16))
 
 
+INT4 = Codec("int4_uniform")
+
+
+def pack_codes(codes) -> bytes:
+    """Payload of signed int4 codes in [-8, 7], through the batch codec."""
+    return payload_matrix(INT4, np.asarray(codes, dtype=float)[None, :] / 8)[0].tobytes()
+
+
+def unpack_codes(data: bytes, dim: int) -> np.ndarray:
+    return dequantize_batch(INT4, np.frombuffer(data, dtype=np.uint8)[None, :], dim)[0] * 8
+
+
 class TestNibbles:
     def test_layout(self):
         # low nibble holds the even-indexed code, offset by 8
-        assert pack_nibbles(np.array([-8, 7])) == bytes([0xF0])
+        assert pack_codes([-8, 7]) == bytes([0xF0])
 
     def test_odd_dim_pads(self):
-        data = pack_nibbles(np.array([3]))
-        assert len(data) == 1
-        assert np.array_equal(unpack_nibbles(data, 1), [3])
-
-    def test_out_of_range(self):
-        with pytest.raises(FormatError):
-            pack_nibbles(np.array([8]))
+        data = pack_codes([3])
+        assert data == bytes([3 + 8])  # high (padding) nibble is zero
+        assert np.array_equal(unpack_codes(data, 1), [3])
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=1000))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, codes):
         arr = np.array(codes)
-        assert np.array_equal(unpack_nibbles(pack_nibbles(arr), len(arr)), arr)
+        assert np.array_equal(unpack_codes(pack_codes(arr), len(arr)), arr)
 
 
 class TestUniformCodecs:

@@ -5,7 +5,7 @@ from scipy import stats
 from embhist.errors import ConfigError, SizeError
 from embhist.synthworld import (
     WorldSpec, enumerate_world, feature_effect, generate,
-    joint_table, random_enumerable_spec, true_conditional, true_probability,
+    random_enumerable_spec, true_conditional, true_probability,
 )
 
 TINY = WorldSpec(
@@ -128,7 +128,7 @@ class TestEnumeration:
 class TestTrueConditional:
     def test_full_conditioning_matches_generative_law(self):
         p1, support = true_conditional(TINY, ("V", "E", "Y1", "Y2"), n_hist=2)
-        from embhist.infotheory import mixed_radix_decode
+        from embhist.infotheory import mixed_radix_table
 
         for v in range(TINY.vm_card):
             for e in range(TINY.extra_card):
@@ -139,8 +139,8 @@ class TestTrueConditional:
                         # window 2 covers both history labels
                         expect = true_probability(
                             TINY,
-                            mixed_radix_decode(v, TINY.vm_cardinalities),
-                            mixed_radix_decode(e, TINY.extra_cardinalities),
+                            mixed_radix_table(TINY.vm_cardinalities)[v],
+                            mixed_radix_table(TINY.extra_cardinalities)[e],
                             y1 + y2,
                         )
                         assert p1[v, e, y1, y2] == pytest.approx(expect, abs=1e-12)
@@ -154,8 +154,9 @@ class TestTrueConditional:
 
 class TestJointTable:
     def test_marginalization_consistency(self):
-        full = joint_table(TINY, ("V", "E", "Y"), n_hist=1)
-        vm_only = joint_table(TINY, ("V", "Y"), n_hist=1)
+        table = enumerate_world(TINY, n_hist=1).table
+        full = table.remap(["V", "E", "Y"])
+        vm_only = table.remap(["V", "Y"])
         assert np.allclose(full.probs.sum(axis=1), vm_only.probs, atol=1e-14)
 
     def test_sampled_frequencies_match_table(self):
