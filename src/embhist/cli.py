@@ -217,7 +217,7 @@ def cmd_train_vm(args):
     schema = FeatureSchema.from_world(cfg.world)
     store = SequenceStore.load(args.store) if args.store else None
     teacher = _load_teacher(args.teacher) if args.teacher else None
-    vm = pipeline.train_vm(log, schema, cfg, args.arm, store, teacher, args.seed)
+    vm = pipeline.train_vm(log, schema, cfg, (args.arm,), store, teacher, args.seed)[args.arm]
     write_checkpoint(_ensure_parent(Path(args.out)), vm.params, schema.hash64())
     print(f"student arm {args.arm!r} -> {args.out}")
     return 0
@@ -232,7 +232,7 @@ def cmd_eval(args):
     # which eval_vm rejects (exit 2)
     seq_dim = cfg.active_dim if args.arm in pipeline._SEQ_ARMS else 0
     vm = _restore(VMModel, replace(cfg.vm, seq_dim=seq_dim), cfg, args.vm)
-    result = pipeline.eval_vm(vm, log, schema, cfg, args.arm, store, chunk=args.chunk)
+    result = pipeline.eval_vm({args.arm: vm}, log, schema, cfg, store, chunk=args.chunk)[args.arm]
     print(f"arm={args.arm} chunk={args.chunk} auc={result.auc:.6f} "
           f"logloss={result.logloss:.6f} ne={result.ne:.6f} n={result.n_samples}")
     return 0

@@ -16,6 +16,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .infotheory import (
 )
 from .metrics import EvalResult, evaluate
 from .models import (
-    SELECTORS, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
+    SELECTORS, FeatureSchema, FMConfig, FMModel, VMBatch, VMConfig, VMModel,
     extract_embedding, history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
@@ -157,8 +158,16 @@ class TeacherLog:
 
     def __post_init__(self):
         lengths = {f.name: np.shape(getattr(self, f.name))[:1] for f in fields(self)}
-        if len(set(lengths.values())) != 1 or np.ndim(self.emb) != 2:
-            raise FormatError(f"teacher columns need one length and a 2-D emb: {lengths}")
+        if len(set(lengths.values())) != 1 or np.ndim(self.soft) != 1 or np.ndim(self.emb) != 2:
+            raise FormatError(f"teacher columns need one length, a 1-D soft and a 2-D emb: "
+                              f"{lengths}")
+        try:
+            bad = ~(np.isfinite(self.emb).all(axis=1) & (self.soft >= 0) & (self.soft <= 1))
+        except TypeError as exc:
+            raise FormatError(f"teacher emb and soft must be numeric: {exc}") from exc
+        if bad.any():
+            raise FormatError(f"teacher row {int(np.argmax(bad))}: emb not finite "
+                              "or soft label outside [0, 1]")
 
     def soft_at(self, keys: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
         """Soft labels of the rows at each (key, timestamp); an event with no
@@ -286,45 +295,72 @@ def _arm_settings(arm: str, cfg: ExperimentConfig, store: SequenceStore | None):
 
 
 def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
-             arm: str, store: SequenceStore | None, teacher: TeacherLog | None,
-             seed: int) -> VMModel:
-    lam, seq_dim = _arm_settings(arm, cfg, store)
-    if lam > 0 and teacher is None:
-        raise ConfigError(f"arm {arm!r} needs teacher soft labels")
-    vm = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed)
-    steps = nn.Trace(lambda nodes: vm.loss(nodes, lam), vm.params,
-                     nn.AdamState.for_params(vm.params, lr=cfg.vm.lr))
+             arms, store: SequenceStore | None, teacher: TeacherLog | None,
+             seed: int) -> dict[str, VMModel]:
+    """A student per arm of `arms`, trained in lockstep over one pass of the
+    VM_TRAIN_CHUNKS rows: each batch is built once and steps every arm."""
+    settings = {arm: _arm_settings(arm, cfg, store) for arm in arms}
+    kd_arms = [arm for arm, (lam, _) in settings.items() if lam > 0]
+    if kd_arms and teacher is None:
+        raise ConfigError(f"arm {kd_arms[0]!r} needs teacher soft labels")
+    vms, steps = {}, {}
+    for arm, (lam, seq_dim) in settings.items():
+        vm = vms[arm] = VMModel(schema, replace(cfg.vm, seq_dim=seq_dim), seed)
+        steps[arm] = nn.Trace(partial(vm.loss, kd_weight=lam), vm.params,
+                              nn.AdamState.for_params(vm.params, lr=cfg.vm.lr))
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(np.isin(log_.chunks, VM_TRAIN_CHUNKS))
-    soft = teacher.soft_at(log_.keys[rows], log_.timestamps[rows]) if lam > 0 else None
+    if kd_arms:
+        soft = np.asarray(teacher.soft_at(log_.keys[rows], log_.timestamps[rows]),
+                          dtype=np.float64)[:, None]
+        soft.flags.writeable = False
+    seq_dims = {arm: seq_dim for arm, (_, seq_dim) in settings.items()}
     for start in range(0, len(rows), cfg.vm.batch_size):
         part = slice(start, start + cfg.vm.batch_size)
-        batch = _vm_batch(log_, ids, rows[part], schema, cfg, seq_dim, store,
-                          None if soft is None else soft[part])
-        steps.step(vm.arrays(batch))
-    return vm
+        for arm, batch in _arm_batches(log_, ids, rows[part], schema, cfg, seq_dims,
+                                       store).items():
+            if arm in kd_arms:
+                batch = replace(batch, soft_labels=soft[part])
+            steps[arm].step(vms[arm].arrays(batch))
+    return vms
 
 
-def _vm_batch(log_, ids, rows, schema, cfg, seq_dim, store, soft):
+def _arm_batches(log_, ids, rows, schema, cfg, seq_dims, store) -> dict[str, VMBatch]:
+    """The batch of `rows` for each arm of `seq_dims` (arm -> sequence width,
+    0 for none). Sequences are built once, and the arms of one width share
+    one VMBatch of read-only arrays."""
     seqs = None
-    if seq_dim:
+    if any(seq_dims.values()):
         seqs = [store.build_sequence(k, t, cfg.seq_len, cfg.window)
                 for k, t in zip(log_.keys[rows].tolist(), log_.timestamps[rows].tolist())]
-    return make_vm_batch(schema, ids, log_.labels, rows, seqs, soft,
-                         seq_len=cfg.seq_len, seq_dim=seq_dim)
+    full = make_vm_batch(schema, ids, log_.labels, rows, seqs,
+                         seq_len=cfg.seq_len, seq_dim=cfg.active_dim)
+    for column in (full.ids, full.labels, full.seq_entries, full.seq_mask):
+        if column is not None:
+            column.flags.writeable = False
+    plain = replace(full, seq_entries=None, seq_mask=None)
+    return {arm: full if seq_dim else plain for arm, seq_dim in seq_dims.items()}
 
 
-def eval_vm(vm: VMModel, log_: EventLog, schema: FeatureSchema,
-            cfg: ExperimentConfig, arm: str, store,
-            chunk: int = TEST_CHUNK) -> EvalResult:
-    _, seq_dim = _arm_settings(arm, cfg, store)
+def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
+            cfg: ExperimentConfig, store, chunk: int = TEST_CHUNK) -> dict[str, EvalResult]:
+    """Each arm's student (arm -> VMModel) scored on the rows of `chunk`,
+    every arm on the same batches."""
+    seq_dims = {arm: _arm_settings(arm, cfg, store)[1] for arm in vms}
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
-    scores = [
-        vm.predict_batch(_vm_batch(log_, ids, part, schema, cfg, seq_dim, store, None))
-        for part in _batches(rows, 512)
-    ]
-    return evaluate(np.concatenate(scores), log_.labels[rows])
+    scores = {arm: [] for arm in vms}
+    for part in _batches(rows, 512):
+        for arm, s in _predict(vms, _arm_batches(log_, ids, part, schema, cfg, seq_dims,
+                                                 store)).items():
+            scores[arm].append(s)
+    return {arm: evaluate(np.concatenate(s), log_.labels[rows]) for arm, s in scores.items()}
+
+
+def _predict(vms: dict[str, VMModel], batches: dict[str, VMBatch]) -> dict[str, np.ndarray]:
+    """Each arm's scores on its batch; the batches die on return, so one
+    (B, L, d) sequence block is alive at a time."""
+    return {arm: vms[arm].predict_batch(batch) for arm, batch in batches.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +420,12 @@ def _load_log(cfg: ExperimentConfig, seed: int) -> EventLog:
 
 def run_protocol(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
                  segments, seed: int) -> SeedResult:
-    """The teacher stack of `segments` (see checkpoint_segments), then each
-    arm of `cfg.arms` trained and scored on TEST_CHUNK, then the teacher
-    scored on the same chunk."""
+    """The teacher stack of `segments` (see checkpoint_segments), then the
+    arms of `cfg.arms` trained and scored in lockstep on TEST_CHUNK, then
+    the teacher scored on the same chunk."""
     stack = teacher_stack(log_, schema, cfg, segments)
-    arm_results = {}
-    for arm in cfg.arms:
-        vm = train_vm(log_, schema, cfg, arm, stack.store, stack.teacher, seed)
-        arm_results[arm] = eval_vm(vm, log_, schema, cfg, arm, stack.store)
+    vms = train_vm(log_, schema, cfg, cfg.arms, stack.store, stack.teacher, seed)
+    arm_results = eval_vm(vms, log_, schema, cfg, stack.store)
     test_rows = stack.teacher.rows_in_chunk(TEST_CHUNK)
     fm_result = evaluate(stack.teacher.soft[test_rows], stack.teacher.labels[test_rows])
     return SeedResult(arm_results, fm_result, stack.drift, stack.codec_mse)

@@ -96,6 +96,7 @@ def payload_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
     """Payload bytes of every row of an (n, d) batch as an (n, payload_size(d))
     uint8 matrix; row i is quantize(codec, z[i]).payload."""
     z = np.asarray(z, dtype=np.float64)
+    _require_finite(z)
     if codec.kind == "fp32":
         return np.clip(z, -1.0, 1.0).astype("<f4").view(np.uint8).reshape(len(z), -1)
     codes = _codes_matrix(codec, z)
@@ -153,14 +154,58 @@ def reconstruction_mse(codec: Codec, z: np.ndarray) -> float:
     return float(np.mean((z - approx) ** 2))
 
 
+def _require_finite(x: np.ndarray) -> None:
+    """DataError naming the first non-finite element of x, if any."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DataError(f"non-finite sample {x[at]} at index {at[0] if len(at) == 1 else at}")
+
+
+def _sorted_nearest(xs: np.ndarray, perm: np.ndarray, centers: np.ndarray,
+                    scale: float) -> np.ndarray | None:
+    """_nearest(x, centers) from x's stable sort (xs = x[perm], max |x| =
+    scale), or None when the centers are too close for this to be exact.
+
+    Let M = max(|x|, |c|). Each computed |x - c| is within eps*M of the
+    exact distance. When adjacent sorted centers are more than 4*eps*M
+    apart, a sample between sorted centers j and j+1 is therefore strictly
+    nearer to them than to any other center, and "j+1 beats j" under
+    _nearest's rule (strictly nearer, or as near with the lower original
+    index) is false and then true along the sorted samples. One bisection
+    per adjacent pair finds the first sample where it is true.
+    """
+    order = np.argsort(centers, kind="stable")
+    cs = centers[order]
+    limit = 4 * np.finfo(np.float64).eps * max(scale, float(np.abs(cs).max()))
+    if not (np.isfinite(cs).all() and (np.diff(cs) > limit).all()):
+        return None
+    lower, upper, upper_first = cs[:-1], cs[1:], order[1:] < order[:-1]
+    lo, hi = np.zeros(len(lower), dtype=np.int64), np.full(len(lower), len(xs))
+    for _ in range(len(xs).bit_length()):
+        open_ = lo < hi
+        mid = (lo + hi) // 2
+        v = xs[np.minimum(mid, len(xs) - 1)]
+        d0, d1 = np.abs(v - lower), np.abs(v - upper)
+        wins = (d1 < d0) | ((d1 == d0) & upper_first)
+        hi = np.where(open_ & wins, mid, hi)
+        lo = np.where(open_ & ~wins, mid + 1, lo)
+    assign = np.empty(len(xs), dtype=np.int64)
+    assign[perm] = np.repeat(order, np.diff(lo, prepend=0, append=len(xs)))
+    return assign
+
+
 def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, list[float]]:
     """Lloyd's algorithm with k-means++ init over the pooled scalar samples.
 
     Returns the fitted codec (centers sorted ascending) and the SSE per
     iteration, which is non-increasing. Empty clusters are reseeded to the
-    sample farthest from its assigned center.
+    sample farthest from its assigned center. Assignments come from one
+    sort of the samples (see _sorted_nearest) and equal _nearest's; each
+    cluster mean sums its members in sample order.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
+    _require_finite(x)
     uniq = np.unique(x)
     if len(uniq) < 16:
         raise DataError(f"k-means needs >= 16 distinct samples, got {len(uniq)}")
@@ -179,14 +224,23 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
             centers[k] = x[stream.choice_weighted(d2)]
         d2 = np.minimum(d2, (x - centers[k]) ** 2)
 
+    perm = np.argsort(x, kind="stable")
+    xs, scale = x[perm], float(max(-uniq[0], uniq[-1]))
+
+    def nearest(centers):
+        assign = _sorted_nearest(xs, perm, centers, scale)
+        return _nearest(x, centers) if assign is None else assign
+
     sse_history: list[float] = []
     for _ in range(iters):
-        assign = _nearest(x, centers)
+        assign = nearest(centers)
         err = (x - centers[assign]) ** 2
         sse_history.append(float(err.sum()))
+        grouped = x[np.argsort(assign.astype(np.uint8), kind="stable")]
+        edges = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=16))])
         new_centers = centers.copy()
         for k in range(16):
-            members = x[assign == k]
+            members = grouped[edges[k]:edges[k + 1]]
             if len(members):
                 new_centers[k] = members.mean()
             else:
@@ -196,7 +250,7 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
-    assign = _nearest(x, centers)
+    assign = nearest(centers)
     sse_history.append(float(((x - centers[assign]) ** 2).sum()))
     order = np.argsort(centers, kind="mergesort")
     centers = centers[order]

@@ -236,6 +236,26 @@ def test_teacher_file_missing_field_exits_4(tmp_path, capsys):
     assert "soft" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column,value", [("emb", np.nan), ("emb", -np.inf),
+                                          ("soft", np.nan), ("soft", 1.5), ("soft", -0.25)])
+@pytest.mark.parametrize("command", ["quantize", "build-store"])
+def test_non_finite_teacher_exits_4(tmp_path, capsys, command, column, value):
+    from embhist.compression import AEConfig, MatryoshkaAE, save_ae
+
+    columns = teacher_columns()
+    columns[column] = columns[column].astype(float)
+    columns[column][5] = value
+    np.savez(tmp_path / "teacher.npz", **columns)
+    save_ae(tmp_path / "ae.lfmm", MatryoshkaAE(3, AEConfig(), seed=0))
+    (tmp_path / "codec.json").write_text('{"kind": "int4_uniform"}')
+    argv = [command, "--teacher", str(tmp_path / "teacher.npz"),
+            "--ae", str(tmp_path / "ae.lfmm"), "--out", str(tmp_path / "out")]
+    if command == "build-store":
+        argv += ["--codec", str(tmp_path / "codec.json")]
+    assert main(argv) == 4
+    assert "data error: teacher row 5" in capsys.readouterr().err
+
+
 def truncated_npz(path):
     np.savez(path, **teacher_columns())
     path.write_bytes(path.read_bytes()[:100])

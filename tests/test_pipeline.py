@@ -63,6 +63,16 @@ def report():
     return run_streaming_experiment(small_cfg())
 
 
+@pytest.fixture(scope="module")
+def stack():
+    """(config, log, schema, teacher stack) of seed 0 of small_cfg()."""
+    cfg = small_cfg()
+    log = generate(cfg.world, 0)
+    schema = FeatureSchema.from_world(cfg.world)
+    segments = pipeline.checkpoint_segments(cfg.checkpoint_policy, 0)
+    return cfg, log, schema, pipeline.teacher_stack(log, schema, cfg, segments)
+
+
 class TestStreamingExperiment:
 
     def test_all_arms_present(self, report):
@@ -78,14 +88,34 @@ class TestStreamingExperiment:
         other = run_streaming_experiment(small_cfg(seeds=(1,)))
         assert other.to_text() != report.to_text()
 
-    def test_baseline_arm_is_plain_student(self, report):
-        # arm degeneration: the baseline arm IS a branch-less, lambda=0 student
-        cfg = small_cfg()
-        log = generate(cfg.world, 0)
-        schema = FeatureSchema.from_world(cfg.world)
-        vm = train_vm(log, schema, cfg, "baseline", None, None, 0)
-        direct = eval_vm(vm, log, schema, cfg, "baseline", None)
-        assert direct == report.results[0].arm_results["baseline"]
+    @pytest.mark.parametrize("arm", pipeline.ARMS)
+    def test_each_arm_equals_the_arm_trained_alone(self, report, stack, arm):
+        # arms trained in lockstep do not see each other: each result equals
+        # its arm trained and scored on its own; the baseline arm IS a
+        # branch-less, lambda=0 student, so it needs neither store nor teacher
+        cfg, log, schema, built = stack
+        store, teacher = (None, None) if arm == "baseline" else (built.store, built.teacher)
+        vms = train_vm(log, schema, cfg, (arm,), store, teacher, 0)
+        assert list(vms) == [arm]
+        assert eval_vm(vms, log, schema, cfg, store)[arm] == report.results[0].arm_results[arm]
+
+    def test_arms_of_one_width_share_read_only_batches(self, stack):
+        cfg, log, schema, built = stack
+        ids = pipeline.schema_ids(schema, log)
+        seq_dims = {arm: pipeline._arm_settings(arm, cfg, built.store)[1]
+                    for arm in pipeline.ARMS}
+        batches = pipeline._arm_batches(log, ids, np.arange(40), schema, cfg, seq_dims,
+                                        built.store)
+        assert batches["baseline"] is batches["kd"]
+        assert batches["emb_hist"] is batches["kd_emb_hist"]
+        assert batches["baseline"].ids is batches["emb_hist"].ids
+        assert batches["baseline"].seq_entries is None
+        assert batches["emb_hist"].seq_entries.shape == (40, cfg.seq_len, cfg.active_dim)
+        full = batches["emb_hist"]
+        for column in (full.ids, full.labels, full.seq_entries, full.seq_mask):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_no_test_label_leakage(self):
         # flipping chunk-7 labels must not change any student's predictions
@@ -101,8 +131,8 @@ class TestStreamingExperiment:
 
         fm = train_fm(log, schema, cfg.fm, 0)
         teacher = log_teacher(fm, log, cfg.layer, (4, 5, 6, 7))
-        vm_a = train_vm(log, schema, cfg, "kd", None, teacher, 0)
-        vm_b = train_vm(flipped(log), schema, cfg, "kd", None, teacher, 0)
+        vm_a = train_vm(log, schema, cfg, ("kd",), None, teacher, 0)["kd"]
+        vm_b = train_vm(flipped(log), schema, cfg, ("kd",), None, teacher, 0)["kd"]
         for name in vm_a.params.names():
             assert np.array_equal(vm_a.params[name], vm_b.params[name])
 
@@ -133,7 +163,7 @@ class TestStreamingExperiment:
         log = generate(cfg.world, 0)
         schema = FeatureSchema.from_world(cfg.world)
         with pytest.raises(ConfigError):
-            train_vm(log, schema, cfg, "emb_hist", None, None, 0)
+            train_vm(log, schema, cfg, ("emb_hist",), None, None, 0)
 
     def test_ae_training_leaves_teacher_parameters_bit_identical(self):
         from embhist.compression import AEConfig, ae_train

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embhist.errors import DataError, FormatError
+from embhist.prng import Stream, derive_seed
 from embhist.quantization import (
-    Codec, QuantizedVec, dequantize, dequantize_batch, fit_kmeans_int4,
-    payload_matrix, quantize, reconstruction_mse,
+    Codec, QuantizedVec, _nearest, _sorted_nearest, dequantize, dequantize_batch,
+    fit_kmeans_int4, payload_matrix, quantize, reconstruction_mse,
 )
 
 UNIFORM_MIDPOINTS = tuple((2 * k + 1 - 16) / 16 for k in range(16))
@@ -146,6 +147,123 @@ class TestKMeansCodec:
         mid = 0.5 * (UNIFORM_MIDPOINTS[0] + UNIFORM_MIDPOINTS[1])
         q = quantize(codec, np.array([mid]))
         assert dequantize(codec, q)[0] == UNIFORM_MIDPOINTS[0]
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def assignment_cases(draw):
+    """(samples, 16 centers): centers spread out, with duplicates, a few ulps
+    apart, or a few eps*scale apart around the exactness limit; samples at
+    random, at every center, and at and next to each midpoint."""
+    scale = 2.0 ** draw(st.integers(-6, 6))
+    mode = draw(st.sampled_from(["spread", "duplicates", "ulps", "near_limit"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-scale, scale, 16)
+    if mode == "duplicates":
+        centers[rng.integers(0, 16, 4)] = centers[rng.integers(0, 16, 4)]
+    elif mode == "ulps":
+        steps = [centers[0]]
+        for k in rng.integers(0, 4, 15):
+            steps.append(steps[-1])
+            for _ in range(k):
+                steps[-1] = np.nextafter(steps[-1], np.inf)
+        centers = np.array(steps)
+    elif mode == "near_limit":
+        gap = draw(st.integers(2, 9)) * EPS * scale
+        centers = rng.uniform(-scale / 2, scale / 2) + gap * np.arange(16)
+    rng.shuffle(centers)
+    ordered = np.sort(centers)
+    mids = (ordered[:-1] + ordered[1:]) / 2
+    drawn = draw(st.lists(st.floats(-scale, scale), max_size=40))
+    x = np.concatenate([np.array(drawn, dtype=np.float64), rng.uniform(-scale, scale, 100),
+                        centers, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+    return rng.permutation(x), centers
+
+
+def reference_fit(samples, iters, seed):
+    """fit_kmeans_int4 as one masked pass per center: assignments from
+    _nearest, each mean over x[assign == k]."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    uniq = np.unique(x)
+    stream = Stream(derive_seed(seed, "kmeanspp"))
+    centers = np.empty(16)
+    centers[0] = x[stream.randint(len(x))]
+    d2 = (x - centers[0]) ** 2
+    for k in range(1, 16):
+        if d2.sum() <= 0.0:
+            centers[k] = np.setdiff1d(uniq, centers[:k])[0]
+        else:
+            centers[k] = x[stream.choice_weighted(d2)]
+        d2 = np.minimum(d2, (x - centers[k]) ** 2)
+    history = []
+    for _ in range(iters):
+        assign = _nearest(x, centers)
+        err = (x - centers[assign]) ** 2
+        history.append(float(err.sum()))
+        new_centers = centers.copy()
+        for k in range(16):
+            members = x[assign == k]
+            if len(members):
+                new_centers[k] = members.mean()
+            else:
+                far = int(err.argmax())
+                new_centers[k] = x[far]
+                err[far] = 0.0
+        if np.array_equal(new_centers, centers):
+            break
+        centers = new_centers
+    history.append(float(((x - centers[_nearest(x, centers)]) ** 2).sum()))
+    centers = np.sort(centers)
+    if not np.all(np.diff(centers) > 0):
+        centers = np.unique(centers)
+        fill = np.setdiff1d(uniq, centers)
+        centers = np.sort(np.concatenate([centers, fill[: 16 - len(centers)]]))
+    return tuple(float(c) for c in centers), history
+
+
+class TestSortOnceLloyd:
+    @given(assignment_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_sorted_assignment_equals_nearest(self, case):
+        x, centers = case
+        perm = np.argsort(x, kind="stable")
+        scale = float(np.abs(x).max())
+        got = _sorted_nearest(x[perm], perm, centers, scale)
+        limit = 4 * EPS * max(scale, np.abs(centers).max())
+        if np.diff(np.sort(centers)).min() > limit:
+            assert got is not None  # the sort-once path is taken wherever it is exact
+        if got is not None:
+            assert np.array_equal(got, _nearest(x, centers))
+
+    @pytest.mark.parametrize("kind", ["uniform", "tanh", "rounded", "grid", "clustered"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 3000),
+           iters=st.integers(1, 40))
+    @settings(max_examples=20, deadline=None)
+    def test_fit_equals_per_center_loop(self, kind, seed, n, iters):
+        rng = np.random.default_rng(seed)
+        x = {"uniform": lambda: rng.uniform(-1, 1, n),
+             "tanh": lambda: np.tanh(rng.normal(0, 1, n)),
+             "rounded": lambda: np.round(rng.normal(0, 1, n), 2),
+             "grid": lambda: np.resize(np.linspace(-0.9, 0.9, 16), n),
+             "clustered": lambda: rng.normal(0, 1, n) * 1e-9 + rng.integers(0, 20, n)}[kind]()
+        if len(np.unique(x)) < 16:
+            return
+        codec, history = fit_kmeans_int4(x, iters=iters, seed=seed % 97)
+        assert (codec.codebook, history) == reference_fit(x, iters, seed % 97)
+
+    def test_non_finite_sample_names_its_index(self):
+        x = np.linspace(-1, 1, 40)
+        x[7] = np.nan
+        with pytest.raises(DataError, match="index 7"):
+            fit_kmeans_int4(x)
+        z = np.zeros((3, 4))
+        z[2, 1] = np.inf
+        for codec in (Codec("fp32"), Codec("int4_uniform"),
+                      Codec("int4_kmeans", UNIFORM_MIDPOINTS)):
+            with pytest.raises(DataError, match=r"index \(2, 1\)"):
+                payload_matrix(codec, z)
 
 
 class TestBatchDequantize:
