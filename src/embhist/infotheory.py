@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,21 +128,32 @@ class JointTable:
             raise SizeError(f"table of {probs.size} cells exceeds budget")
         if float(probs.min(initial=0.0)) < MI_FLOOR:
             raise NumericError("negative probability mass")
-        probs = np.maximum(probs, 0.0)
+        # a copy this table owns (np.maximum of a 0-d array is a scalar),
+        # read-only so that remap's fold keys always describe it
+        probs = np.asarray(np.maximum(probs, 0.0))
         total = float(np.sum(probs, dtype=np.longdouble))
         if abs(total - 1.0) > 1e-12:
             raise NumericError(f"mass {total!r} not within 1e-12 of 1")
+        probs.flags.writeable = False
+        self._init(names, cards, probs)
+
+    def _init(self, names, cards, probs):
         self.names = names
         self.cards = cards
         self.probs = probs
+        # remap's outputs by fold content, each kept while some table holds it
+        self._folds = weakref.WeakValueDictionary()
 
     # -- variable bookkeeping -------------------------------------------
 
     def _axes(self, names) -> tuple[int, ...]:
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise SchemaError(f"repeated variable in {names}")
         try:
             return tuple(self.names.index(n) for n in names)
         except ValueError as exc:
-            raise SchemaError(f"unknown variable in {tuple(names)}") from exc
+            raise SchemaError(f"unknown variable in {names}") from exc
 
     def card_of(self, name: str) -> int:
         return self.cards[self._axes((name,))[0]]
@@ -204,6 +216,9 @@ class JointTable:
         fold into one key sized on the referenced axes only, and _fold_cells
         adds the table up against it slab by slab, so no key array the size
         of the table is made unless every axis is referenced.
+
+        Equal cards and grids give the same fold bit for bit, so a fold whose
+        output is still alive is not redone: the new table shares its probs.
         """
         resolved = []  # (name, card, index grid)
         for spec in outputs:
@@ -219,11 +234,19 @@ class JointTable:
             for s, c in zip(spec.sources, src_cards):
                 combined = combined * c + self._axis_grid(s)
             resolved.append((spec.name, max(len(lut_values), 1), lut[combined]))
-        names = [name for name, _, _ in resolved]
-        cards = [card for _, card, _ in resolved]
+        names = tuple(name for name, _, _ in resolved)
+        cards = tuple(card for _, card, _ in resolved)
+        if len(set(names)) != len(names):
+            raise SchemaError("duplicate variable names")
         total = math.prod(cards)
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
+        content = tuple((card, grid.shape, grid.tobytes()) for _, card, grid in resolved)
+        probs = self._folds.get(content)
+        if probs is not None:
+            out = JointTable.__new__(JointTable)
+            out._init(names, cards, probs)
+            return out
 
         # key * card goes into one new array that takes the grid in place, so
         # the old key, key * card and the sum are never all live at once.
@@ -235,7 +258,9 @@ class JointTable:
             key = np.multiply(key, card, out=np.empty(shape, dtype=np.int64))
             key += grid
         flat = _fold_cells(key, self.probs, total)
-        return JointTable(names, cards, flat.reshape(cards))
+        out = JointTable(names, cards, flat.reshape(cards))
+        self._folds[content] = out.probs
+        return out
 
 
 def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
@@ -312,6 +337,10 @@ class VerificationWorld:
     n_hist: int
     vm_feature_cards: tuple[int, ...]
     extra_feature_cards: tuple[int, ...]
+    # small per-world values computed once: posterior arrays and per-feature
+    # gap terms. It holds no table or pipeline, so a world is freed without
+    # the cyclic GC.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hist_vm_vars(self, last: int | None = None) -> tuple[str, ...]:
         last = self.n_hist if last is None else last
@@ -340,6 +369,8 @@ class TablePipeline:
     quant_fn: object
     # stage_values per (V, E) cell, filled once per world by stage_table
     _stage_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # verify_pipeline's report per world
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stage_values(self, world: VerificationWorld, v_idx: int, e_idx: int):
         vm = mixed_radix_table(world.vm_feature_cards)[v_idx]
@@ -419,16 +450,18 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
     this, summation noise would make the embedding spuriously informative
     about the raw features.
     """
-    step = world.n_hist
-    v_name, e_name = hist_var("V", step), hist_var("E", step)
     ecards = world.extra_feature_cards
-    # the view's dense codes are its mixed-radix codes: prefixes first
-    # appear in increasing order as E counts up
-    view_d = _extras_derived(world, "Eview", e_name, slice(n_visible))
-    t = world.table.remap([v_name, view_d, hist_var("Y", step)])
-    joint = t.probs  # (Cv, Cview, 2)
-    denom = joint.sum(axis=2)
-    post = np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
+    post = world._memo.get(("posterior", n_visible))
+    if post is None:
+        step = world.n_hist
+        # the view's dense codes are its mixed-radix codes: prefixes first
+        # appear in increasing order as E counts up
+        view_d = _extras_derived(world, "Eview", hist_var("E", step), slice(n_visible))
+        t = world.table.remap([hist_var("V", step), view_d, hist_var("Y", step)])
+        joint = t.probs  # (Cv, Cview, 2)
+        denom = joint.sum(axis=2)
+        post = np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
+        world._memo["posterior", n_visible] = post
 
     def fn(vm_values, visible_extras):
         v = mixed_radix_encode(vm_values, world.vm_feature_cards)
@@ -620,7 +653,14 @@ def verify_gain_decomposition(world: VerificationWorld, pipe: TablePipeline) -> 
 
 
 def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineReport:
-    """Stage-wise loss decomposition along extract -> compress -> quantize."""
+    """Stage-wise loss decomposition along extract -> compress -> quantize,
+    computed once per world and kept on `pipe`."""
+    if world not in pipe._reports:
+        pipe._reports[world] = _pipeline_report(world, pipe)
+    return pipe._reports[world]
+
+
+def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineReport:
     hist = world.hist_vm_vars()
     views = _hist_view_vars(world, pipe)
     view_names = tuple(v.name for v in views)
@@ -718,25 +758,31 @@ def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):
     """Exact chain-rule MI of each extra feature j in [m1, m2) with the label.
 
     Returns (current_terms, historical_terms), the tightest constants that
-    make the bounded-information assumption hold for this world.
+    make the bounded-information assumption hold for this world. Each
+    feature's pair of terms is computed once per world.
     """
-    current, historical = [], []
+    memo = world._memo
+    for j in range(m1, m2):
+        if ("gap", j) not in memo:
+            memo["gap", j] = _gap_terms(world, j)
+    pairs = [memo["gap", j] for j in range(m1, m2)]
+    return [cur for cur, _ in pairs], [hist for _, hist in pairs]
+
+
+def _gap_terms(world: VerificationWorld, j: int) -> tuple[float, float]:
+    """(current, historical) chain-rule MI of extra feature j with the label."""
+    uj = _extras_derived(world, "Uj", "E", j)
+    prefix = _extras_derived(world, "Epre", "E", slice(j))
+    t = world.table.remap(["V", "Y", uj, prefix])
+    current = t.cond_mutual_info(("Uj",), ("Y",), ("V", "Epre"))
+
     hist_v = world.hist_vm_vars()
     hist_e = world.hist_extra_vars()
-    for j in range(m1, m2):
-        uj = _extras_derived(world, "Uj", "E", j)
-        prefix = _extras_derived(world, "Epre", "E", slice(j))
-        t = world.table.remap(["V", "Y", uj, prefix])
-        current.append(t.cond_mutual_info(("Uj",), ("Y",), ("V", "Epre")))
-
-        uj_hist = [_extras_derived(world, f"Uh{i}", e, j) for i, e in enumerate(hist_e)]
-        prefix_hist = [
-            _extras_derived(world, f"Eph{i}", e, slice(j)) for i, e in enumerate(hist_e)
-        ]
-        t2 = world.table.remap(["V", "Y", *hist_v, *uj_hist, *prefix_hist])
-        cond = ("V",) + hist_v + tuple(d.name for d in prefix_hist)
-        historical.append(t2.cond_mutual_info(tuple(d.name for d in uj_hist), ("Y",), cond))
-    return current, historical
+    uj_hist = [_extras_derived(world, f"Uh{i}", e, j) for i, e in enumerate(hist_e)]
+    prefix_hist = [_extras_derived(world, f"Eph{i}", e, slice(j)) for i, e in enumerate(hist_e)]
+    t2 = world.table.remap(["V", "Y", *hist_v, *uj_hist, *prefix_hist])
+    cond = ("V",) + hist_v + tuple(d.name for d in prefix_hist)
+    return current, t2.cond_mutual_info(tuple(d.name for d in uj_hist), ("Y",), cond)
 
 
 def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,

@@ -669,11 +669,14 @@ def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
     """Population transfer-ratio bound across the feature-gap sweep, plus
     the monotone bound grid, initial launch, and negative transfer. The
     result does not depend on `seed`: exact enumeration of
-    delta_sweep_world() draws nothing."""
+    delta_sweep_world() draws nothing. Each new-generation pipeline is built
+    once and shared by the sweep, the launch check and negative transfer,
+    so their stage tables and reports are computed once."""
     world = enumerate_world(delta_sweep_world(), n_hist=1)
     m1 = 1
-    pops = tr_delta_sweep(world, old_generation_pipe(world, m1),
-                          lambda m2: new_generation_pipe(world, m2), DELTA_VALUES)
+    new_pipes = {m1 + d: new_generation_pipe(world, m1 + d) for d in DELTA_VALUES}
+    pops = tr_delta_sweep(world, old_generation_pipe(world, m1), new_pipes.__getitem__,
+                          DELTA_VALUES)
     checks: list[TheoryCheck] = []
     prev_lb = -math.inf
     for delta, pop in zip(DELTA_VALUES, pops):
@@ -703,11 +706,9 @@ def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
     ]
 
     # initial launch: no prior sequence feature, gain can only help
-    launch = verify_tr_bound_population(
-        world, None, new_generation_pipe(world, m1 + 2), m1_features=m1
-    )
+    launch = verify_tr_bound_population(world, None, new_pipes[m1 + 2], m1_features=m1)
     # crafted neg-transfer: new teacher sees more but ships a coarser pipeline
-    neg = negative_transfer_example(world)
+    neg = negative_transfer_example(world, new_pipes[m1 + 1])
     checks += [
         _check("initial_launch_tr_nonneg", "launch", launch.tr_pop, -1e-12),
         _check("initial_launch_bound_holds", "launch",
@@ -718,11 +719,11 @@ def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
     return TheorySuiteResult(checks)
 
 
-def negative_transfer_example(world):
+def negative_transfer_example(world, pipe1: TablePipeline):
     """Teacher upgrade whose pipeline is strictly coarser: the old stack
     is lossless, the new one crushes the posterior to its sign. `world`:
-    `delta_sweep_world()` enumerated with `n_hist=1`."""
-    pipe1 = new_generation_pipe(world, 2)
+    `delta_sweep_world()` enumerated with `n_hist=1`; `pipe1`: its
+    `new_generation_pipe(world, 2)`."""
     pipe2 = TablePipeline(
         n_extras_visible=3,
         emb_fn=posterior_embedding(world, 3),

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -182,13 +183,58 @@ class TestJointTable:
     def test_remap_exact_across_slab_boundaries(self, case):
         table, outputs = case
         names, cards, probs = brute_remap(table, outputs)
-        for slab, short in itertools.product((1, 2, 3, 7), (1, 8)):
+        pairs = list(itertools.product((1, 2, 3, 7), (1, 8)))
+        fold, calls = infotheory._fold_cells, []
+        for slab, short in pairs:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(infotheory, "_SLAB_CELLS", slab)
                 mp.setattr(infotheory, "_SHORT_RUN", short)
+                mp.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
                 got = table.remap(outputs)
             assert (got.names, got.cards) == (names, cards)
             assert np.array_equal(got.probs, probs)
+            del got  # a live output would be reused, and this pair not folded
+        assert len(calls) == len(pairs)
+
+    def test_repeated_variable_is_schema_error(self):
+        t = random_table(("a", "b"), (2, 3), 4)
+        with pytest.raises(SchemaError):
+            t.entropy(("a", "a"))
+        with pytest.raises(SchemaError):
+            t.cond_entropy(("a",), ("a",))
+        with pytest.raises(SchemaError):
+            t.marginal_array(("a", "b", "a"))
+        with pytest.raises(SchemaError):
+            t.remap(["a", Derived("a", ("b",), lambda b: b)])
+
+    def test_remap_reuses_a_live_equal_fold_exactly(self, monkeypatch):
+        t = random_table(("a", "b", "c"), (4, 3, 2), 6)
+        fold, calls = infotheory._fold_cells, []
+        monkeypatch.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
+        parity = Derived("p", ("a",), lambda a: a % 2)
+        # another fn, the same partition in the same first-seen order
+        odd = Derived("q", ("a",), lambda a: "odd" if a % 2 else "even")
+        gc.disable()
+        try:
+            first = t.remap([parity, "c"])
+            second = t.remap([odd, "c"])
+            assert len(calls) == 1
+            assert (second.names, second.cards) == (("q", "c"), (2, 2))
+            assert second.probs is first.probs
+            assert not first.probs.flags.writeable and not t.probs.flags.writeable
+            del first, second  # nothing else holds the fold: the next call redoes it
+            fresh = t.remap([odd, "c"])
+            assert len(calls) == 2
+        finally:
+            gc.enable()
+        assert np.array_equal(fresh.probs, brute_remap(t, [odd, "c"])[2])
+
+    def test_zero_dim_table_is_a_read_only_array(self):
+        t = JointTable((), (), np.array(1.0))
+        assert isinstance(t.probs, np.ndarray) and not t.probs.flags.writeable
+        first = t.remap([])
+        assert t.remap([]).probs is first.probs
+        assert first.probs.shape == () and float(first.probs) == 1.0
 
     def test_mixed_radix_table_matches_decode(self):
         for cards in ((), (3,), (2, 1, 4), (3, 2, 2)):

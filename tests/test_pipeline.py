@@ -1,12 +1,14 @@
+import gc
 import logging
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from embhist import pipeline
+from embhist import infotheory, pipeline
 from embhist.errors import ConfigError, DataError
 from embhist.models import FMConfig, FeatureSchema, VMConfig
 from embhist.pipeline import (
@@ -351,6 +353,31 @@ class TestTheoryBattery:
         write_tsv(tmp_path / "rows.tsv", result.to_rows())
         text = (tmp_path / "rows.tsv").read_text()
         assert text.startswith("check\tworld\tvalue\tthreshold\tpassed")
+
+
+class TestSweepReuse:
+    def test_sweep_fold_count_and_world_freed(self, monkeypatch):
+        """Equal folds and shared sweep artifacts are computed once, and
+        nothing the reuse keeps outlives the suite: its world is freed by
+        reference counting alone."""
+        fold, calls = infotheory._fold_cells, []
+        monkeypatch.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
+        original, tables = pipeline.enumerate_world, []
+
+        def enumerate_world(*args, **kwargs):
+            world = original(*args, **kwargs)
+            tables.append(weakref.ref(world.table))
+            return world
+
+        monkeypatch.setattr(pipeline, "enumerate_world", enumerate_world)
+        gc.disable()
+        try:
+            result = tr_sweep_suite(0)
+            assert len(tables) == 1 and tables[0]() is None
+        finally:
+            gc.enable()
+        assert result.all_passed, result.failures()
+        assert len(calls) == 42  # 68 before folds and sweep artifacts were reused
 
 
 # checks that pass strictly below their threshold; every other check passes
