@@ -10,9 +10,11 @@ clamped to zero; anything more negative indicates a bug and raises.
 eta is a ratio of small MIs, so it gets a rounding-error budget instead of
 an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 3-4). Let u = 2^-53, gamma_k = k u / (1 - k u), N the world's cells.
-- A marginal probability p is a sum of at most N non-negative cells
-  (a row-major sequential scatter-add in remap, then numpy sums): relative
-  error at most gamma_N in any order.
+- A marginal probability p is a sum of at most N non-negative cells:
+  numpy sums over the world axes no remap output references (see
+  _remap_referenced), a row-major sequential scatter-add of that marginal
+  in remap, then numpy sums for each entropy's marginal. Relative error is
+  at most gamma_N in any order.
 - -p log2 p then moves by at most |log2 p + log2 e| gamma_N p, so an entropy
   H moves by at most gamma_N (H + log2 e). log2, the product, the longdouble
   sum and the float64 result add a few u H: charge gamma_{N+4} (H + log2 e).
@@ -42,6 +44,7 @@ from .prng import Stream, derive_seed
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
 _SLAB_CELLS = 1 << 16  # cells remap adds per np.add.at call
+_MARGINAL_SHRINK = 4  # fold a marginal only if it has this many times fewer cells
 _SHORT_RUN = 8  # trailing key runs this short are copied one index at a time
 _LOG2_E = math.log2(math.e)
 
@@ -143,6 +146,8 @@ class JointTable:
         self.probs = probs
         # remap's outputs by fold content, each kept while some table holds it
         self._folds = weakref.WeakValueDictionary()
+        # marginal's tables by sorted axis tuple
+        self._marginals = {}
 
     # -- variable bookkeeping -------------------------------------------
 
@@ -160,11 +165,26 @@ class JointTable:
 
     # -- marginals and entropies ----------------------------------------
 
+    def marginal(self, names) -> "JointTable":
+        """The joint of `names`, in this table's axis order: the other axes
+        summed out by numpy once per axis set, and kept on this table."""
+        kept = tuple(sorted(self._axes(names)))
+        if len(kept) == len(self.names):
+            return self
+        m = self._marginals.get(kept)
+        if m is None:
+            drop = tuple(i for i in range(len(self.names)) if i not in kept)
+            probs = np.asarray(self.probs.sum(axis=drop))  # 0-d if nothing is kept
+            probs.flags.writeable = False
+            m = self._marginals[kept] = JointTable.__new__(JointTable)
+            m._init(tuple(self.names[i] for i in kept), tuple(self.cards[i] for i in kept),
+                    probs)
+        return m
+
     def marginal_array(self, names) -> np.ndarray:
         axes = self._axes(names)
-        drop = tuple(i for i in range(len(self.names)) if i not in axes)
-        m = self.probs.sum(axis=drop) if drop else self.probs
-        # summed array keeps axes in original order; present them as requested
+        m = self.marginal(names).probs
+        # the marginal keeps axes in original order; present them as requested
         kept_sorted = tuple(sorted(axes))
         perm = [kept_sorted.index(a) for a in axes]
         return np.transpose(m, perm) if perm != list(range(len(axes))) else m
@@ -261,6 +281,19 @@ class JointTable:
         out = JointTable(names, cards, flat.reshape(cards))
         self._folds[content] = out.probs
         return out
+
+
+def _remap_referenced(table: JointTable, outputs) -> JointTable:
+    """table.remap(outputs), folded from table.marginal over the variables
+    the outputs reference (kept names and Derived sources), so the fold adds
+    up the marginal's cells rather than every cell of the table. A marginal
+    that is not _MARGINAL_SHRINK times smaller is skipped: it would save
+    little and add its own size to the fold's peak memory."""
+    used = {n for spec in outputs
+            for n in ((spec,) if isinstance(spec, str) else spec.sources)}
+    if math.prod(map(table.card_of, used)) * _MARGINAL_SHRINK <= table.probs.size:
+        table = table.marginal(used)
+    return table.remap(outputs)
 
 
 def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
@@ -457,7 +490,7 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
         # the view's dense codes are its mixed-radix codes: prefixes first
         # appear in increasing order as E counts up
         view_d = _extras_derived(world, "Eview", hist_var("E", step), slice(n_visible))
-        t = world.table.remap([hist_var("V", step), view_d, hist_var("Y", step)])
+        t = _remap_referenced(world.table, [hist_var("V", step), view_d, hist_var("Y", step)])
         joint = t.probs  # (Cv, Cview, 2)
         denom = joint.sum(axis=2)
         post = np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
@@ -642,7 +675,7 @@ def verify_gain_decomposition(world: VerificationWorld, pipe: TablePipeline) -> 
     views = _hist_view_vars(world, pipe)
     view_names = tuple(v.name for v in views)
     s_var = _seq_derived(world, pipe, stage=2, name="S")
-    t = world.table.remap(["V", "Y", *hist, *views, s_var])
+    t = _remap_referenced(world.table, ["V", "Y", *hist, *views, s_var])
     i_gain = t.cond_mutual_info(("S",), ("Y",), ("V",))
     i_temporal = t.cond_mutual_info(hist, ("Y",), ("V",))
     i_cross = t.cond_mutual_info(("S",), ("Y",), ("V",) + hist)
@@ -669,10 +702,10 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
     s_var = _seq_derived(world, pipe, 2, "Sseq")
 
     base = world.table
-    t_e = base.remap(["V", "Y", *hist, e_var])
-    t_z = base.remap(["V", "Y", *hist, z_var])
-    t_s = base.remap(["V", "Y", *hist, s_var])
-    t_raw = base.remap(["V", "Y", *hist, *views])
+    t_e = _remap_referenced(base, ["V", "Y", *hist, e_var])
+    t_z = _remap_referenced(base, ["V", "Y", *hist, z_var])
+    t_s = _remap_referenced(base, ["V", "Y", *hist, s_var])
+    t_raw = _remap_referenced(base, ["V", "Y", *hist, *views])
 
     l_repr = t_e.cond_mutual_info(hist, ("Y",), ("V", "Eseq"))
     i_h_e = t_e.cond_mutual_info(hist, ("Eseq",), ("V",))
@@ -742,7 +775,7 @@ def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,
         if length > world.n_hist:
             raise SizeError(f"history length {length} exceeds world's {world.n_hist}")
         s_var = _seq_derived(world, pipe, 2, "S", last=length)
-        t = world.table.remap(["V", "Y", s_var])
+        t = _remap_referenced(world.table, ["V", "Y", s_var])
         out.append(t.cond_mutual_info(("S",), ("Y",), ("V",)))
     return out
 
@@ -773,14 +806,14 @@ def _gap_terms(world: VerificationWorld, j: int) -> tuple[float, float]:
     """(current, historical) chain-rule MI of extra feature j with the label."""
     uj = _extras_derived(world, "Uj", "E", j)
     prefix = _extras_derived(world, "Epre", "E", slice(j))
-    t = world.table.remap(["V", "Y", uj, prefix])
+    t = _remap_referenced(world.table, ["V", "Y", uj, prefix])
     current = t.cond_mutual_info(("Uj",), ("Y",), ("V", "Epre"))
 
     hist_v = world.hist_vm_vars()
     hist_e = world.hist_extra_vars()
     uj_hist = [_extras_derived(world, f"Uh{i}", e, j) for i, e in enumerate(hist_e)]
     prefix_hist = [_extras_derived(world, f"Eph{i}", e, slice(j)) for i, e in enumerate(hist_e)]
-    t2 = world.table.remap(["V", "Y", *hist_v, *uj_hist, *prefix_hist])
+    t2 = _remap_referenced(world.table, ["V", "Y", *hist_v, *uj_hist, *prefix_hist])
     cond = ("V",) + hist_v + tuple(d.name for d in prefix_hist)
     return current, t2.cond_mutual_info(tuple(d.name for d in uj_hist), ("Y",), cond)
 
@@ -796,7 +829,7 @@ def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
     outputs = ["V", "Y", view1, view2, s2]
     if not launch:
         outputs.append(_seq_derived(world, pipe1, 2, "S1"))
-    t = world.table.remap(outputs)
+    t = _remap_referenced(world.table, outputs)
 
     r_fm1 = t.cond_entropy(("Y",), ("V", "E1v"))
     r_fm2 = t.cond_entropy(("Y",), ("V", "E2v"))

@@ -380,19 +380,37 @@ def test_runtime_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("bad_id", [-1, 3])  # vm0 has cardinality 3 in staged.ini
-@pytest.mark.parametrize("command", ["train-fm", "extract", "train-vm", "eval"])
-def test_out_of_range_event_id_exits_4(config_path, tmp_path, capsys, command, bad_id):
+def _run_with_bad_id(config_path, tmp_path, command, line, field, index, bad_id):
+    """Exit code of `command` on a generated log whose line `line` has id
+    `index` of its tab field `field` (3: visible ids, 4: extra ids) set to
+    `bad_id`."""
     events = tmp_path / "events.tsv"
     assert main(["gen-world", "--config", config_path, "--out", str(events)]) == 0
     lines = events.read_text().splitlines()
-    fields = lines[1].split("\t")
-    fields[3] = ",".join([str(bad_id), *fields[3].split(",")[1:]])
-    lines[1] = "\t".join(fields)
+    fields = lines[line - 1].split("\t")
+    ids = fields[field].split(",")
+    ids[index] = str(bad_id)
+    fields[field] = ",".join(ids)
+    lines[line - 1] = "\t".join(fields)
     events.write_text("\n".join(lines) + "\n")
     # the log is read before any checkpoint, so these need not exist
     args = {"extract": ["--fm", "fm.lfmm"], "eval": ["--vm", "vm.lfmm"]}.get(command, [])
     out = [] if command == "eval" else ["--out", str(tmp_path / "out")]
-    rc = main([command, "--config", config_path, "--events", str(events), *args, *out])
-    assert rc == 4
+    return main([command, "--config", config_path, "--events", str(events), *args, *out])
+
+
+@pytest.mark.parametrize("bad_id", [-1, 3])  # vm0 has cardinality 3 in staged.ini
+@pytest.mark.parametrize("command", ["train-fm", "extract", "train-vm", "eval"])
+def test_out_of_range_event_id_exits_4(config_path, tmp_path, capsys, command, bad_id):
+    assert _run_with_bad_id(config_path, tmp_path, command, 2, 3, 0, bad_id) == 4
     assert f"line 2: feature 0 id {bad_id} outside [0, 3)" in capsys.readouterr().err
+
+
+# the last extra feature (feature 3 overall) has cardinality 2 in staged.ini,
+# whose log has 36 users x 32 events: the bad id is on the last line
+@pytest.mark.parametrize("bad_id", [-7, 2])
+@pytest.mark.parametrize("command", ["train-fm", "extract", "train-vm", "eval"])
+def test_out_of_range_extra_id_on_last_line_exits_4(config_path, tmp_path, capsys,
+                                                     command, bad_id):
+    assert _run_with_bad_id(config_path, tmp_path, command, 1152, 4, -1, bad_id) == 4
+    assert f"line 1152: feature 3 id {bad_id} outside [0, 2)" in capsys.readouterr().err

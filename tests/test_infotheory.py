@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -228,6 +229,37 @@ class TestJointTable:
         finally:
             gc.enable()
         assert np.array_equal(fresh.probs, brute_remap(t, [odd, "c"])[2])
+
+    def test_repeated_entropy_sums_its_marginal_once(self):
+        class CountingSums(np.ndarray):
+            calls = 0
+
+            def sum(self, *args, **kwargs):
+                CountingSums.calls += 1
+                return super().sum(*args, **kwargs)
+
+        t = random_table(("a", "b", "c"), (3, 2, 4), 8)
+        want = t.probs.sum(axis=1)
+        t.probs = t.probs.view(CountingSums)
+        first = t.entropy(("a", "c"))
+        again = t.entropy(("a", "c"))
+        assert CountingSums.calls == 1
+        assert again.hex() == first.hex()
+        assert first.hex() == infotheory._entropy_bits(want).hex()
+        m = t.marginal_array(("a", "c"))
+        assert type(m) is np.ndarray and np.array_equal(m, want) and not m.flags.writeable
+        assert np.shares_memory(t.marginal_array(("c", "a")), m)
+        assert CountingSums.calls == 1
+
+    def test_marginal_keeps_axis_order_and_all_names_is_self(self):
+        t = random_table(("a", "b", "c"), (3, 2, 4), 9)
+        m = t.marginal(("c", "a"))
+        assert (m.names, m.cards) == (("a", "c"), (3, 4))
+        assert t.marginal(["a", "c"]) is m
+        assert t.marginal(("b", "c", "a")) is t
+        assert float(t.marginal(()).probs) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(SchemaError):
+            t.marginal(("a", "z"))
 
     def test_zero_dim_table_is_a_read_only_array(self):
         t = JointTable((), (), np.array(1.0))
@@ -575,6 +607,45 @@ class TestTRPopulation:
             verify_tr_bound_population(
                 world, _lossless_pipe(world, 1), _lossless_pipe(world, 2)
             )
+
+
+class TestRemapReferenced:
+    def test_world_folds_match_the_full_fold_within_gamma_n(self, monkeypatch):
+        """Every world-level fold, taken from the marginal over the variables
+        its outputs reference, matches the world table's own row-major fold
+        cell by cell within relative gamma_N, N the world's cell count: the
+        bound the module docstring states for any summation order."""
+        fold, calls = infotheory._remap_referenced, []
+
+        def record(table, outputs):
+            calls.append((sys._getframe(1).f_code.co_name, table, list(outputs)))
+            return fold(table, outputs)
+
+        monkeypatch.setattr(infotheory, "_remap_referenced", record)
+        for k in (3, 6, 9):
+            world = enumerate_world(random_enumerable_spec(k), n_hist=2)
+            pipe = random_table_pipeline(world, seed=k)
+            verify_gain_decomposition(world, pipe)
+            verify_monotone_L(world, pipe)
+            n_extras = len(world.extra_feature_cards)
+            verify_tr_bound_population(world, None, _lossless_pipe(world, n_extras),
+                                       m1_features=n_extras - 1)
+            if n_extras > 1:
+                verify_tr_bound_population(world, _coarse_pipe(world, 1),
+                                           _lossless_pipe(world, n_extras))
+        sites = {"posterior_embedding", "verify_gain_decomposition", "_pipeline_report",
+                 "verify_monotone_L", "_gap_terms", "_assemble_tr_report"}
+        assert {site for site, _, _ in calls} == sites
+        marginalized = reordered = 0
+        for _, table, outputs in calls:
+            n = table.probs.size
+            gamma_n = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+            got, want = fold(table, outputs), table.remap(outputs)
+            assert (got.names, got.cards) == (want.names, want.cards)
+            assert np.all(np.abs(got.probs - want.probs) <= gamma_n * want.probs)
+            marginalized += got.probs is not want.probs
+            reordered += not np.array_equal(got.probs, want.probs)
+        assert marginalized > len(calls) // 2 and reordered > 0
 
 
 class TestPipelineQualityOrdering:

@@ -357,11 +357,14 @@ class TestTheoryBattery:
 
 class TestSweepReuse:
     def test_sweep_fold_count_and_world_freed(self, monkeypatch):
-        """Equal folds and shared sweep artifacts are computed once, and
-        nothing the reuse keeps outlives the suite: its world is freed by
-        reference counting alone."""
+        """Equal folds and shared sweep artifacts are computed once, most
+        folds add up only a marginal of the world, and nothing the reuse
+        keeps outlives the suite: its world is freed by reference counting
+        alone."""
         fold, calls = infotheory._fold_cells, []
-        monkeypatch.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
+        monkeypatch.setattr(infotheory, "_fold_cells",
+                            lambda key, probs, total: calls.append(probs.size)
+                            or fold(key, probs, total))
         original, tables = pipeline.enumerate_world, []
 
         def enumerate_world(*args, **kwargs):
@@ -378,6 +381,10 @@ class TestSweepReuse:
             gc.enable()
         assert result.all_passed, result.failures()
         assert len(calls) == 42  # 68 before folds and sweep artifacts were reused
+        # 42 * 4,194,304 before each fold took the world's marginal over the
+        # variables it references: 36 folds now add 2,048 or 4,096 cells, and
+        # the 6 whose marginal keeps half the world fold the world itself
+        assert sum(calls) == 25_286_656
 
 
 # checks that pass strictly below their threshold; every other check passes
