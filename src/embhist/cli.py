@@ -264,10 +264,7 @@ def cmd_ablate(args):
 
 
 def cmd_verify_theory(args):
-    if args.tr:
-        result = pipeline.run_theory_suite(n_worlds=args.worlds, seed=args.seed)
-    else:
-        result = pipeline.theory_battery(n_worlds=args.worlds, seed=args.seed)
+    result = pipeline.run_theory_suite(n_worlds=args.worlds, seed=args.seed)
     summary = pipeline.render_theory_summary(result)
     print(summary, end="")
     if args.out:
@@ -322,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("run-experiment", cmd_run_experiment, out={"default": None})
     p = add("ablate", cmd_ablate, out={"default": None})
     p.add_argument("axis", choices=pipeline.ABLATION_AXES)
-    p = add("verify-theory", cmd_verify_theory, worlds={"type": int, "default": 20},
+    add("verify-theory", cmd_verify_theory, worlds={"type": int, "default": 20},
         out={"default": None})
-    p.add_argument("--tr", action=argparse.BooleanOptionalAction, default=True,
-                   help="include the transfer-ratio sweep (slower)")
     add("report", cmd_report, run={"required": True})
     return ap
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import nncore as nn
 from .errors import ConfigError, DataError, DimensionError, FormatError
 from .metrics import midranks
-from .models import read_checkpoint, write_checkpoint
+from .models import check_sizes, read_checkpoint, write_checkpoint
 from .nncore import ParamStore
 
 
@@ -39,6 +39,7 @@ class AEConfig:
             raise ConfigError("dims must be strictly ascending")
         if self.encoder_activation not in ("tanh", "linear"):
             raise ConfigError(f"unknown encoder activation {self.encoder_activation!r}")
+        check_sizes(self, "hidden_scale", "batch_size")
 
     @property
     def d_max(self) -> int:
@@ -167,13 +168,13 @@ def load_ae(path) -> MatryoshkaAE:
     input and hidden widths from the encoder weights; a header without a
     valid dim set, or weights that do not fit it, is a FormatError."""
     params, in_dim, dims = read_checkpoint(path)
-    try:
-        config = AEConfig(dims=tuple(int(d) for d in dims))
-    except ConfigError as exc:
-        raise FormatError(f"{path} is not an autoencoder checkpoint: {exc}") from exc
     if "enc.h.w" not in params or params["enc.h.w"].shape[0] != in_dim:
         raise FormatError(f"{path}: encoder weights do not match input width {in_dim}")
-    config = replace(config, hidden_scale=params["enc.h.w"].shape[1] // config.d_max)
+    try:
+        config = AEConfig(dims=tuple(int(d) for d in dims))
+        config = replace(config, hidden_scale=params["enc.h.w"].shape[1] // config.d_max)
+    except ConfigError as exc:
+        raise FormatError(f"{path} is not an autoencoder checkpoint: {exc}") from exc
     # checked before the model is built, so header dims cannot size an allocation
     if {name: value.shape for name, value in params.items()} != _param_shapes(in_dim, config):
         raise FormatError(f"{path}: weights do not match the header's dims {config.dims}")

@@ -45,7 +45,6 @@ MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
 _SLAB_CELLS = 1 << 16  # cells remap adds per np.add.at call
 _MARGINAL_SHRINK = 4  # fold a marginal only if it has this many times fewer cells
-_SHORT_RUN = 8  # trailing key runs this short are copied one index at a time
 _LOG2_E = math.log2(math.e)
 
 
@@ -234,7 +233,7 @@ class JointTable:
         table: an axis arange for a kept variable, the Derived codes looked
         up by the mixed-radix grid of its source axes otherwise. The grids
         fold into one key sized on the referenced axes only, and _fold_cells
-        adds the table up against it slab by slab, so no key array the size
+        adds the table up against it block by block, so no key array the size
         of the table is made unless every axis is referenced.
 
         Equal cards and grids give the same fold bit for bit, so a fold whose
@@ -301,50 +300,25 @@ def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
     broadcasts against `probs`: np.bincount of the broadcast key, without
     ever holding that key at full size.
 
-    The cells are walked in row-major order, one slab of at most
-    _SLAB_CELLS cells at a time, and each slab's key is copied into one
-    buffer reused for every slab. np.add.at, like np.bincount, adds the
-    cells into out in index order starting from +0.0, so every output cell
-    sees the same additions in the same order: the result is bit-identical.
+    The leading axes are walked with np.ndindex, and each block of at most
+    _SLAB_CELLS trailing cells (`rows` indices of axis `split` and all of
+    the axes after it) is added with one np.add.at against its own copy of
+    the broadcast key. Blocks follow each other in row-major order, and
+    np.add.at, like np.bincount, adds a block's cells into out in index
+    order starting from +0.0, so every output cell sees the same additions
+    in the same order: the result is bit-identical.
     """
-    # merge adjacent axes that are all broadcast or all real, so copies run
-    # along long axes; size-1 axes are dropped, and a leading size-1 axis
-    # keeps the lists non-empty
-    shape, real = [1], [True]
-    for n, k in zip(probs.shape, key.shape):
-        if n > 1 and real[-1] == (k == n):
-            shape[-1] *= n
-        elif n > 1:
-            shape.append(n)
-            real.append(k == n)
-    key = key.reshape([n if r else 1 for n, r in zip(shape, real)])
-    cells = probs.reshape(-1)
+    # a leading axis, so that a 0-d table folds too
+    probs = probs[None]
+    key = np.broadcast_to(key, probs.shape)  # a view: no full-size key is made
+    split = next(i for i in range(probs.ndim)
+                 if math.prod(probs.shape[i + 1:]) <= _SLAB_CELLS)
+    rows = _SLAB_CELLS // math.prod(probs.shape[split + 1:])
     out = np.zeros(total)
-    # a slab is `rows` indices of axis `split` and all of the axes after it
-    split = next(i for i in range(len(shape)) if math.prod(shape[i + 1:]) <= _SLAB_CELLS)
-    inner = shape[split + 1:]
-    width = math.prod(inner)
-    rows = min(shape[split], _SLAB_CELLS // width)
-    # the trailing axes from `tail` on hold at most _SHORT_RUN cells: copy
-    # them one index at a time, so each copy runs along a longer axis
-    tail = len(inner)
-    while tail > 0 and math.prod(inner[tail - 1:]) <= _SHORT_RUN:
-        tail -= 1
-    runs = [(idx, tuple(i if r else 0 for i, r in zip(idx, real[split + 1 + tail:])))
-            for idx in np.ndindex(*inner[tail:])]
-    buf = np.empty(rows * width, dtype=np.int64)
-    start = 0
-    for outer in np.ndindex(*shape[:split]):
-        at = tuple(i if r else 0 for i, r in zip(outer, real))
-        for a in range(0, shape[split], rows):
-            b = min(a + rows, shape[split])
-            src = key[at + ((slice(a, b) if real[split] else slice(0, 1)),)]
-            count = (b - a) * width
-            dst = buf[:count].reshape(b - a, *inner)
-            for d, s in runs:
-                dst[(Ellipsis, *d)] = src[(Ellipsis, *s)]
-            np.add.at(out, buf[:count], cells[start:start + count])
-            start += count
+    for outer in np.ndindex(*probs.shape[:split]):
+        for a in range(0, probs.shape[split], rows):
+            block = outer + (slice(a, a + rows),)
+            np.add.at(out, key[block].ravel(), probs[block].ravel())
     return out
 
 

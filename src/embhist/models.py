@@ -295,6 +295,17 @@ def tower(nodes: dict[str, Node], x: Node, depth: int) -> tuple[Node, list[Node]
     return nn.sigmoid(nn.affine(x, nodes["out.w"], nodes["out.b"])), hidden
 
 
+def check_sizes(config, *names):
+    """ConfigError unless each named field of `config` (an int or a nonempty
+    tuple of ints) is positive and config.epochs, if it has one, is >= 0."""
+    for name in names:
+        value = getattr(config, name)
+        if min(value if isinstance(value, tuple) else (value,), default=0) < 1:
+            raise ConfigError(f"{type(config).__name__}.{name} must be positive, got {value!r}")
+    if getattr(config, "epochs", 0) < 0:
+        raise ConfigError(f"{type(config).__name__}.epochs must be >= 0, got {config.epochs!r}")
+
+
 # ---------------------------------------------------------------------------
 # teacher (attention over raw past events + 3-layer MLP)
 # ---------------------------------------------------------------------------
@@ -310,6 +321,11 @@ class FMConfig:
     lr: float = 0.03
     epochs: int = 4
     batch_size: int = 64
+
+    def __post_init__(self):
+        if len(self.hidden) != 3:
+            raise ConfigError(f"FMConfig.hidden needs 3 layer widths, got {self.hidden!r}")
+        check_sizes(self, "embed_dim", "hidden", "attn_hidden", "history_len", "batch_size")
 
 
 @dataclass
@@ -420,6 +436,9 @@ class VMConfig:
     attn_hidden: int = 16
     lr: float = 0.045
     batch_size: int = 32
+
+    def __post_init__(self):
+        check_sizes(self, "embed_dim", "hidden", "attn_hidden", "batch_size")
 
     @property
     def use_sequence(self) -> bool:

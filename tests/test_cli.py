@@ -87,6 +87,20 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("section,line", [
+    ("fm", "hidden = 8,4"), ("fm", "history_len = 0"), ("fm", "batch_size = 0"),
+    ("vm", "batch_size = 0"), ("ae", "batch_size = 0"), ("fm", "embed_dim = 0"),
+    ("ae", "hidden_scale = 0"), ("fm", "epochs = -1"), ("vm", "hidden = "),
+])
+def test_bad_model_size_exits_2(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.ini"
+    path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n[experiment]\nseeds = 0\n"
+                    f"[{section}]\n{line}\n")
+    rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_artifact_exits_4(tmp_path, capsys):
     rc = main(["report", "--run", str(tmp_path / "absent")])
     assert rc == 4
@@ -173,8 +187,7 @@ def test_run_experiment_and_report(config_path, tmp_path, capsys):
 
 
 def test_verify_theory_quick(tmp_path, capsys):
-    rc = main(["verify-theory", "--worlds", "2", "--no-tr",
-               "--out", str(tmp_path / "theory")])
+    rc = main(["verify-theory", "--worlds", "2", "--out", str(tmp_path / "theory")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ALL CHECKS PASSED" in out
@@ -184,15 +197,21 @@ def test_verify_theory_quick(tmp_path, capsys):
 def test_verify_theory_failure_exits_3(monkeypatch, capsys):
     from embhist import pipeline
 
-    def fake_battery(n_worlds=20, seed=0):
+    def fake_suite(n_worlds=20, seed=0):
         return pipeline.TheorySuiteResult(
             [pipeline.TheoryCheck("fabricated", "w0", 1.0, 0.0, False)]
         )
 
-    monkeypatch.setattr(pipeline, "theory_battery", fake_battery)
-    rc = main(["verify-theory", "--worlds", "1", "--no-tr"])
+    monkeypatch.setattr(pipeline, "run_theory_suite", fake_suite)
+    rc = main(["verify-theory", "--worlds", "1"])
     assert rc == 3
     assert "verification failure" in capsys.readouterr().err
+
+
+def test_no_tr_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theory", "--no-tr"])
+    assert exc.value.code == 2
 
 
 def test_ablate_axis_writes_table(config_path, tmp_path):

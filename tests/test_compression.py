@@ -139,8 +139,9 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_ae(tmp_path / "x.lfmm")
 
-    @pytest.mark.parametrize("in_dim,dims", [(7, (2, 4)), (6, (2, 8))],
-                             ids=["input_width", "dim_set"])
+    # (2, 16): the 8-wide hidden layer is narrower than the code, hidden_scale 0
+    @pytest.mark.parametrize("in_dim,dims", [(7, (2, 4)), (6, (2, 8)), (6, (2, 16))],
+                             ids=["input_width", "dim_set", "hidden_below_code"])
     def test_weights_not_matching_header_are_format_error(self, tmp_path, in_dim, dims):
         from embhist.models import write_checkpoint
 

@@ -184,18 +184,17 @@ class TestJointTable:
     def test_remap_exact_across_slab_boundaries(self, case):
         table, outputs = case
         names, cards, probs = brute_remap(table, outputs)
-        pairs = list(itertools.product((1, 2, 3, 7), (1, 8)))
+        slabs = (1, 2, 3, 7)
         fold, calls = infotheory._fold_cells, []
-        for slab, short in pairs:
+        for slab in slabs:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(infotheory, "_SLAB_CELLS", slab)
-                mp.setattr(infotheory, "_SHORT_RUN", short)
                 mp.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
                 got = table.remap(outputs)
             assert (got.names, got.cards) == (names, cards)
             assert np.array_equal(got.probs, probs)
-            del got  # a live output would be reused, and this pair not folded
-        assert len(calls) == len(pairs)
+            del got  # a live output would be reused, and this slab not folded
+        assert len(calls) == len(slabs)
 
     def test_repeated_variable_is_schema_error(self):
         t = random_table(("a", "b"), (2, 3), 4)

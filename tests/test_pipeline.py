@@ -386,6 +386,24 @@ class TestSweepReuse:
         # the 6 whose marginal keeps half the world fold the world itself
         assert sum(calls) == 25_286_656
 
+    def test_full_world_folds_match_bincount(self, monkeypatch):
+        """The sweep's 6 folds of the whole (2,512,2,2,512,2) world, with Y1
+        broadcast, split it into blocks inside its axes: each equals
+        np.bincount of the broadcast key exactly."""
+        fold, broadcast = infotheory._fold_cells, []
+
+        def checked_fold(key, probs, total):
+            out = fold(key, probs, total)
+            if probs.size == 4_194_304:
+                full_key = np.broadcast_to(key, probs.shape).ravel()
+                assert np.array_equal(out, np.bincount(full_key, probs.ravel(), minlength=total))
+                broadcast.append(sum(k < n for k, n in zip(key.shape, probs.shape)))
+            return out
+
+        monkeypatch.setattr(infotheory, "_fold_cells", checked_fold)
+        tr_sweep_suite(0)
+        assert broadcast == [1] * 6
+
 
 # checks that pass strictly below their threshold; every other check passes
 # at or above it
