@@ -44,7 +44,6 @@ from .prng import Stream, derive_seed
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
 _SLAB_CELLS = 1 << 16  # cells remap adds per np.add.at call
-_MARGINAL_SHRINK = 4  # fold a marginal only if it has this many times fewer cells
 _LOG2_E = math.log2(math.e)
 
 
@@ -102,17 +101,19 @@ def clamp_eta(cross_sum: float, i_raw: float, cross_err: float) -> float:
     return max(eta, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derived:
     """Variable computed cell-wise from other variables of a table.
 
-    fn is called once per combination of source values (python ints) and
-    may return any hashable; distinct outputs are compacted to dense codes.
+    codes is an integer array shaped by the sources' cards: its value at
+    (s1, s2, ...) is the variable's value where the sources take those
+    values. remap compacts the distinct codes to dense ones in the order
+    they first appear in row-major order.
     """
 
     name: str
     sources: tuple[str, ...]
-    fn: object  # Callable[..., Hashable]
+    codes: np.ndarray
 
 
 class JointTable:
@@ -230,11 +231,11 @@ class JointTable:
         variable names (kept as-is) or Derived specs.
 
         Each output column is a small grid that broadcasts against the
-        table: an axis arange for a kept variable, the Derived codes looked
-        up by the mixed-radix grid of its source axes otherwise. The grids
-        fold into one key sized on the referenced axes only, and _fold_cells
-        adds the table up against it block by block, so no key array the size
-        of the table is made unless every axis is referenced.
+        table: an axis arange for a kept variable, the Derived's dense codes
+        looked up by the mixed-radix grid of its source axes otherwise. The
+        grids fold into one key sized on the referenced axes only, and
+        _fold_cells adds the table up against it block by block, so an axis
+        no output references never widens the key.
 
         Equal cards and grids give the same fold bit for bit, so a fold whose
         output is still alive is not redone: the new table shares its probs.
@@ -245,14 +246,16 @@ class JointTable:
                 resolved.append((spec, self.card_of(spec), self._axis_grid(spec)))
                 continue
             src_cards = tuple(self.card_of(s) for s in spec.sources)
-            lut_values: dict[object, int] = {}
-            lut = np.empty(math.prod(src_cards), dtype=np.int64)
-            for flat, combo in enumerate(itertools.product(*(range(c) for c in src_cards))):
-                lut[flat] = lut_values.setdefault(spec.fn(*combo), len(lut_values))
-            combined = np.zeros((1,) * len(self.cards), dtype=np.int64)
-            for s, c in zip(spec.sources, src_cards):
-                combined = combined * c + self._axis_grid(s)
-            resolved.append((spec.name, max(len(lut_values), 1), lut[combined]))
+            codes = np.asarray(spec.codes)
+            if codes.shape != src_cards:
+                raise SchemaError(f"{spec.name} codes shape {codes.shape} != cards {src_cards}")
+            # dense codes in first-seen order: each distinct code ranked by
+            # its first row-major index
+            _, first, inverse = np.unique(codes.ravel(), return_index=True,
+                                          return_inverse=True)
+            dense = np.argsort(np.argsort(first))[inverse].reshape(src_cards)
+            grid = dense[tuple(self._axis_grid(s) for s in spec.sources)]
+            resolved.append((spec.name, first.size, np.asarray(grid)))
         names = tuple(name for name, _, _ in resolved)
         cards = tuple(card for _, card, _ in resolved)
         if len(set(names)) != len(names):
@@ -285,14 +288,10 @@ class JointTable:
 def _remap_referenced(table: JointTable, outputs) -> JointTable:
     """table.remap(outputs), folded from table.marginal over the variables
     the outputs reference (kept names and Derived sources), so the fold adds
-    up the marginal's cells rather than every cell of the table. A marginal
-    that is not _MARGINAL_SHRINK times smaller is skipped: it would save
-    little and add its own size to the fold's peak memory."""
+    up the marginal's cells rather than every cell of the table."""
     used = {n for spec in outputs
             for n in ((spec,) if isinstance(spec, str) else spec.sources)}
-    if math.prod(map(table.card_of, used)) * _MARGINAL_SHRINK <= table.probs.size:
-        table = table.marginal(used)
-    return table.remap(outputs)
+    return table.marginal(used).remap(outputs)
 
 
 def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
@@ -374,45 +373,44 @@ class TablePipeline:
     emb_fn: object
     ae_fn: object
     quant_fn: object
-    # stage_values per (V, E) cell, filled once per world by stage_table
-    _stage_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # stage_codes per world
+    _stage_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # verify_pipeline's report per world
     _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def stage_values(self, world: VerificationWorld, v_idx: int, e_idx: int):
-        vm = mixed_radix_table(world.vm_feature_cards)[v_idx]
-        ex = mixed_radix_table(world.extra_feature_cards)[e_idx]
-        emb = tuple(self.emb_fn(vm, ex[: self.n_extras_visible]))
-        z = tuple(self.ae_fn(emb))
-        return emb, z, tuple(self.quant_fn(z))
-
-    def stage_table(self, world: VerificationWorld):
-        """stage_values for every (V, E) cell pair of `world`, indexed
-        [v_idx][e_idx]; computed once per world and kept on this pipeline."""
-        tables = self._stage_tables
-        if world not in tables:
-            n_v, n_e = world.table.card_of("V"), world.table.card_of("E")
-            tables[world] = [[self.stage_values(world, v, e) for e in range(n_e)]
-                             for v in range(n_v)]
-        return tables[world]
+    def stage_codes(self, world: VerificationWorld) -> np.ndarray:
+        """Codes of the (embedding, compressed, quantized) values of every
+        (V, E) cell pair of `world`, indexed [stage, v_idx, e_idx]: two cells
+        share a stage's code exactly when its value tuples compare equal (so
+        -0.0 and 0.0 share one). Computed once per world, kept on this pipeline."""
+        codes = self._stage_codes.get(world)
+        if codes is None:
+            seen, rows = ({}, {}, {}), []
+            for vm in mixed_radix_table(world.vm_feature_cards):
+                for ex in mixed_radix_table(world.extra_feature_cards):
+                    emb = tuple(self.emb_fn(vm, ex[: self.n_extras_visible]))
+                    z = tuple(self.ae_fn(emb))
+                    rows.append([ids.setdefault(value, len(ids)) for ids, value
+                                 in zip(seen, (emb, z, tuple(self.quant_fn(z))))])
+            codes = np.array(rows, dtype=np.int64).T.reshape(3, -1, world.table.card_of("E"))
+            self._stage_codes[world] = codes
+        return codes
 
 
 def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
                  name: str, last: int | None = None) -> Derived:
-    """Derived sequence variable over the last `last` history steps.
+    """Derived sequence variable over the last `last` history steps: the
+    mixed-radix combination of each step's stage code, oldest step first.
 
     stage: 0 = raw embedding tuple, 1 = compressed, 2 = quantized.
     """
     last = world.n_hist if last is None else last
-    steps_v = world.hist_vm_vars(last)
-    steps_e = world.hist_extra_vars(last)
-    sources = tuple(itertools.chain(*zip(steps_v, steps_e)))
-    stages = pipe.stage_table(world)
-
-    def fn(*vals):
-        return tuple(stages[v][e][stage] for v, e in zip(vals[0::2], vals[1::2]))
-
-    return Derived(name, sources, fn)
+    sources = tuple(itertools.chain(*zip(world.hist_vm_vars(last), world.hist_extra_vars(last))))
+    step = pipe.stage_codes(world)[stage]
+    codes = np.zeros((), dtype=np.int64)
+    for _ in range(last):
+        codes = np.add.outer(codes * step.size, step)
+    return Derived(name, sources, codes)
 
 
 def grid_ae(grid: int):
@@ -756,9 +754,13 @@ def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,
 
 def _extras_derived(world: VerificationWorld, name: str, var: str, pick) -> Derived:
     """The extras features of `var` picked by `pick`: slice(k) is the
-    prefix view of the first k features, an int j is feature j alone."""
-    decoded = mixed_radix_table(world.extra_feature_cards)
-    return Derived(name, (var,), lambda e_idx: decoded[e_idx][pick])
+    prefix view of the first k features, coded by its mixed-radix index, and
+    an int j is feature j alone."""
+    cards = world.extra_feature_cards
+    e_idx = np.arange(math.prod(cards))
+    if isinstance(pick, slice):
+        return Derived(name, (var,), e_idx // math.prod(cards[pick.stop:]))
+    return Derived(name, (var,), e_idx // math.prod(cards[pick + 1:]) % cards[pick])
 
 
 def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):
@@ -797,26 +799,22 @@ def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
     delta = m2 - m1
     launch = pipe1 is None
 
-    view1 = _extras_derived(world, "E1v", "E", slice(m1))
-    view2 = _extras_derived(world, "E2v", "E", slice(m2))
-    s2 = _seq_derived(world, pipe2, 2, "S2")
-    outputs = ["V", "Y", view1, view2, s2]
+    specs = [_extras_derived(world, "E1v", "E", slice(m1)),
+             _extras_derived(world, "E2v", "E", slice(m2)),
+             _seq_derived(world, pipe2, 2, "S2")]
     if not launch:
-        outputs.append(_seq_derived(world, pipe1, 2, "S1"))
-    t = _remap_referenced(world.table, outputs)
-
-    r_fm1 = t.cond_entropy(("Y",), ("V", "E1v"))
-    r_fm2 = t.cond_entropy(("Y",), ("V", "E2v"))
-    delta_teacher = r_fm1 - r_fm2
+        specs.append(_seq_derived(world, pipe1, 2, "S1"))
+    # each risk H(Y | V, X) from the fold of (V, Y, X) alone
+    folds = {}
+    for spec in specs:
+        folds[spec.name] = _remap_referenced(world.table, ["V", "Y", spec])
+    risk = {name: t.cond_entropy(("Y",), ("V", name)) for name, t in folds.items()}
+    delta_teacher = risk["E1v"] - risk["E2v"]
     if delta_teacher <= 1e-12:
         raise DomainError("teacher improvement is non-positive; bound hypothesis unmet")
 
-    if launch:
-        r_loop1 = t.cond_entropy(("Y",), ("V",))
-    else:
-        r_loop1 = t.cond_entropy(("Y",), ("V", "S1"))
-    r_loop2 = t.cond_entropy(("Y",), ("V", "S2"))
-    tr_pop = (r_loop1 - r_loop2) / delta_teacher
+    r_loop1 = folds["E1v"].cond_entropy(("Y",), ("V",)) if launch else risk["S1"]
+    tr_pop = (r_loop1 - risk["S2"]) / delta_teacher
 
     if launch:
         # launch bound: ((1 - tau2) I_temporal + (1 - eta2) I_raw2) / delta_teacher

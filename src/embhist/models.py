@@ -297,13 +297,17 @@ def tower(nodes: dict[str, Node], x: Node, depth: int) -> tuple[Node, list[Node]
 
 def check_sizes(config, *names):
     """ConfigError unless each named field of `config` (an int or a nonempty
-    tuple of ints) is positive and config.epochs, if it has one, is >= 0."""
+    tuple of ints) is positive, config.epochs, if it has one, is >= 0, and
+    config.lr is finite and positive."""
     for name in names:
         value = getattr(config, name)
         if min(value if isinstance(value, tuple) else (value,), default=0) < 1:
             raise ConfigError(f"{type(config).__name__}.{name} must be positive, got {value!r}")
     if getattr(config, "epochs", 0) < 0:
         raise ConfigError(f"{type(config).__name__}.epochs must be >= 0, got {config.epochs!r}")
+    if not 0 < config.lr < np.inf:  # false for nan
+        raise ConfigError(f"{type(config).__name__}.lr must be finite and positive, "
+                          f"got {config.lr!r}")
 
 
 # ---------------------------------------------------------------------------

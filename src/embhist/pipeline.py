@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown codec {self.codec_kind!r}")
         if self.seq_len < 1 or self.window < 1:
             raise ConfigError("seq_len and window must be >= 1")
+        if not 0 <= self.kd_weight < math.inf:  # false for nan
+            raise ConfigError(f"kd_weight must be finite and >= 0, got {self.kd_weight!r}")
 
     def hash(self) -> str:
         return hashlib.sha256(repr(self).encode()).hexdigest()[:16]

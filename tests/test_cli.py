@@ -91,14 +91,20 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     ("fm", "hidden = 8,4"), ("fm", "history_len = 0"), ("fm", "batch_size = 0"),
     ("vm", "batch_size = 0"), ("ae", "batch_size = 0"), ("fm", "embed_dim = 0"),
     ("ae", "hidden_scale = 0"), ("fm", "epochs = -1"), ("vm", "hidden = "),
+    ("fm", "lr = nan"), ("vm", "lr = 0"), ("ae", "lr = inf"), ("fm", "lr = -0.1"),
+    ("experiment", "kd_weight = -1"), ("experiment", "kd_weight = nan"),
+    ("experiment", "kd_weight = inf"),
 ])
 def test_bad_model_size_exits_2(tmp_path, capsys, section, line):
+    sections = {"world": ["n_users = 24", "events_per_user = 16"], "experiment": ["seeds = 0"]}
+    sections.setdefault(section, []).append(line)
     path = tmp_path / "bad.ini"
-    path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n[experiment]\nseeds = 0\n"
-                    f"[{section}]\n{line}\n")
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{kv}\n" for kv in lines)
+                            for name, lines in sections.items()))
     rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and line.split(" =")[0] in err
 
 
 def test_missing_artifact_exits_4(tmp_path, capsys):

@@ -49,7 +49,7 @@ def brute_remap(table, outputs):
         src_cards = [table.cards[table.names.index(s)] for s in spec.sources]
         codes = {}
         luts[spec.name] = {
-            combo: codes.setdefault(spec.fn(*combo), len(codes))
+            combo: codes.setdefault(int(spec.codes[combo]), len(codes))
             for combo in itertools.product(*(range(c) for c in src_cards))
         }
         cards.append(max(len(codes), 1))
@@ -69,13 +69,7 @@ def brute_remap(table, outputs):
 def lookup_derived(name, sources, src_cards, codes):
     """Derived whose value is codes[i] on the i-th row-major combination of
     its sources, so values first appear in no particular order."""
-    def fn(*vals):
-        flat = 0
-        for v, c in zip(vals, src_cards):
-            flat = flat * c + v
-        return int(codes[flat])
-
-    return Derived(name, sources, fn)
+    return Derived(name, sources, np.reshape(codes, src_cards))
 
 
 def assert_remap_exact(table, outputs):
@@ -167,7 +161,7 @@ class TestJointTable:
 
     def test_remap_derived_partition(self):
         t = random_table(("a", "b"), (4, 3), 5)
-        parity = Derived("p", ("a",), lambda a: a % 2)
+        parity = Derived("p", ("a",), np.arange(4) % 2)
         r = t.remap([parity, "b"])
         direct = t.marginal_array(("a", "b"))
         assert np.allclose(r.probs[0], direct[0::2].sum(axis=0), atol=1e-15)
@@ -205,15 +199,17 @@ class TestJointTable:
         with pytest.raises(SchemaError):
             t.marginal_array(("a", "b", "a"))
         with pytest.raises(SchemaError):
-            t.remap(["a", Derived("a", ("b",), lambda b: b)])
+            t.remap(["a", Derived("a", ("b",), np.arange(3))])
+        with pytest.raises(SchemaError):  # codes not shaped by the sources' cards
+            t.remap([Derived("d", ("a", "b"), np.zeros((3, 2), dtype=np.int64))])
 
     def test_remap_reuses_a_live_equal_fold_exactly(self, monkeypatch):
         t = random_table(("a", "b", "c"), (4, 3, 2), 6)
         fold, calls = infotheory._fold_cells, []
         monkeypatch.setattr(infotheory, "_fold_cells", lambda *a: calls.append(1) or fold(*a))
-        parity = Derived("p", ("a",), lambda a: a % 2)
-        # another fn, the same partition in the same first-seen order
-        odd = Derived("q", ("a",), lambda a: "odd" if a % 2 else "even")
+        parity = Derived("p", ("a",), np.arange(4) % 2)
+        # other codes, the same partition in the same first-seen order
+        odd = Derived("q", ("a",), np.array([9, -3, 9, -3]))
         gc.disable()
         try:
             first = t.remap([parity, "c"])
@@ -294,11 +290,11 @@ class TestJointTable:
         t = random_table(("a", "b", "c", "d"), (3, 2, 4, 2), 11)
         # two sources out of axis order, axis b referenced by nothing
         pair = lookup_derived("pair", ("d", "a"), (2, 3), [2, 0, 1, 1, 0, 2])
-        const = Derived("k", ("c",), lambda c: "same")
+        const = Derived("k", ("c",), np.full(4, 7))
         assert_remap_exact(t, ["c", pair, const, "a"])
         assert t.remap([const]).cards == (1,)
         one = JointTable(("z",), (1,), np.array([1.0]))
-        assert_remap_exact(one, ["z", Derived("k", ("z",), lambda z: 0)])
+        assert_remap_exact(one, ["z", Derived("k", ("z",), np.zeros(1, dtype=np.int64))])
         assert_remap_exact(JointTable((), (), np.array(1.0)), [])
 
     def test_dpi_random_deterministic_maps(self):
@@ -306,11 +302,51 @@ class TestJointTable:
         for trial in range(25):
             t = random_table(("x", "y", "z"), (5, 3, 2), 100 + trial)
             fn_table = rng.integers(0, 3, 5)
-            f = Derived("fx", ("x",), lambda x, ft=fn_table: int(ft[x]))
+            f = Derived("fx", ("x",), fn_table)
             r = t.remap([f, "x", "y", "z"])
             i_full = r.cond_mutual_info(("x",), ("y",), ("z",))
             i_mapped = r.cond_mutual_info(("fx",), ("y",), ("z",))
             assert i_mapped <= i_full + 1e-9
+
+
+def first_seen_codes(values):
+    ids = {}
+    return [ids.setdefault(v, len(ids)) for v in values]
+
+
+class TestDerivedCodes:
+    def test_extras_codes_partition_like_decoded_features(self):
+        world = enumerate_world(random_enumerable_spec(5), n_hist=1)
+        cards = world.extra_feature_cards
+        decoded = mixed_radix_table(cards)
+        for pick in [slice(k) for k in range(len(cards) + 1)] + list(range(len(cards))):
+            codes = infotheory._extras_derived(world, "x", "E", pick).codes
+            assert codes.shape == (len(decoded),)
+            assert first_seen_codes(codes.tolist()) == first_seen_codes(
+                [features[pick] for features in decoded])
+
+    def test_signed_zero_stage_values_merge_in_sequence_codes(self):
+        spec = WorldSpec(
+            n_users=4, events_per_user=8,
+            vm_cardinalities=(2,), vm_weights=(0.7,),
+            extra_cardinalities=(2, 2), extra_weights=(0.8, -0.5),
+            beta_temporal=0.4, temporal_window=2, temporal_cap=1,
+        )
+        world = enumerate_world(spec, n_hist=2)
+
+        def emb_fn(vm, ex):  # the zero's sign follows the first extra
+            if vm[0]:
+                return (1.0,)
+            return (-0.0,) if ex[0] else (0.0,)
+
+        pipe = TablePipeline(1, emb_fn, identity_stage, lambda z: (int(z[0]),))
+        # -0.0 == 0.0, so each stage has two values, as tuple equality says
+        assert [len(np.unique(codes)) for codes in pipe.stage_codes(world)] == [2, 2, 2]
+        for stage in range(3):
+            s_var = infotheory._seq_derived(world, pipe, stage, "S")
+            assert s_var.sources == ("V1", "E1", "V2", "E2")
+            assert world.table.remap([s_var]).cards == (4,)
+            assert_remap_exact(world.table, ["V", s_var, "Y"])
 
 
 class TestGainDecomposition:

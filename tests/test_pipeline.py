@@ -357,10 +357,10 @@ class TestTheoryBattery:
 
 class TestSweepReuse:
     def test_sweep_fold_count_and_world_freed(self, monkeypatch):
-        """Equal folds and shared sweep artifacts are computed once, most
-        folds add up only a marginal of the world, and nothing the reuse
-        keeps outlives the suite: its world is freed by reference counting
-        alone."""
+        """Equal folds and shared sweep artifacts are computed once, every
+        fold adds up only a small marginal of the world, and nothing the
+        reuse keeps outlives the suite: its world is freed by reference
+        counting alone."""
         fold, calls = infotheory._fold_cells, []
         monkeypatch.setattr(infotheory, "_fold_cells",
                             lambda key, probs, total: calls.append(probs.size)
@@ -380,29 +380,31 @@ class TestSweepReuse:
         finally:
             gc.enable()
         assert result.all_passed, result.failures()
-        assert len(calls) == 42  # 68 before folds and sweep artifacts were reused
-        # 42 * 4,194,304 before each fold took the world's marginal over the
-        # variables it references: 36 folds now add 2,048 or 4,096 cells, and
-        # the 6 whose marginal keeps half the world fold the world itself
-        assert sum(calls) == 25_286_656
+        # 42 folds of 25,286,656 cells while the transfer-ratio report folded
+        # its 4 risks together, from half of the 4,194,304-cell world: each
+        # risk now folds its own (V, E, Y) or (V1, E1, V, Y) marginal
+        assert len(calls) == 59
+        assert sum(calls) == 190_464
+        assert max(calls) <= 4_096
 
-    def test_full_world_folds_match_bincount(self, monkeypatch):
-        """The sweep's 6 folds of the whole (2,512,2,2,512,2) world, with Y1
-        broadcast, split it into blocks inside its axes: each equals
-        np.bincount of the broadcast key exactly."""
-        fold, broadcast = infotheory._fold_cells, []
+    def test_no_sweep_fold_adds_up_the_world(self, monkeypatch):
+        """Every sweep fold is taken from a marginal of the world, never from
+        the world's own cells."""
+        fold, folded, worlds = infotheory._fold_cells, [], []
+        monkeypatch.setattr(infotheory, "_fold_cells",
+                            lambda key, probs, total: folded.append(probs)
+                            or fold(key, probs, total))
+        original = pipeline.enumerate_world
 
-        def checked_fold(key, probs, total):
-            out = fold(key, probs, total)
-            if probs.size == 4_194_304:
-                full_key = np.broadcast_to(key, probs.shape).ravel()
-                assert np.array_equal(out, np.bincount(full_key, probs.ravel(), minlength=total))
-                broadcast.append(sum(k < n for k, n in zip(key.shape, probs.shape)))
-            return out
+        def enumerate_world(*args, **kwargs):
+            world = original(*args, **kwargs)
+            worlds.append(world.table.probs)
+            return world
 
-        monkeypatch.setattr(infotheory, "_fold_cells", checked_fold)
+        monkeypatch.setattr(pipeline, "enumerate_world", enumerate_world)
         tr_sweep_suite(0)
-        assert broadcast == [1] * 6
+        assert len(worlds) == 1 and folded
+        assert not any(np.shares_memory(probs, worlds[0]) for probs in folded)
 
 
 # checks that pass strictly below their threshold; every other check passes
