@@ -10,16 +10,18 @@ clamped to zero; anything more negative indicates a bug and raises.
 eta is a ratio of small MIs, so it gets a rounding-error budget instead of
 an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 3-4). Let u = 2^-53, gamma_k = k u / (1 - k u), N the world's cells.
-- A marginal probability p is a sum of at most N non-negative cells:
-  numpy sums over the world axes no remap output references (see
-  _remap_referenced), a row-major sequential scatter-add of that marginal
-  in remap, then numpy sums for each entropy's marginal. Relative error is
-  at most gamma_N in any order.
-- -p log2 p then moves by at most |log2 p + log2 e| gamma_N p, so an entropy
-  H moves by at most gamma_N (H + log2 e). log2, the product, the longdouble
-  sum and the float64 result add a few u H: charge gamma_{N+4} (H + log2 e).
+- A marginal probability p is a sum of at most N non-negative products of
+  k factor entries: k = 3(n_hist+1) for enumerate_world's chain factors
+  (JointTable.from_factors), 1 for a dense table. np.einsum contracts the
+  factors onto the axes the outputs reference (see _remap_referenced), remap
+  scatter-adds that marginal row-major, then numpy sums for each entropy's
+  marginal. Relative error is at most gamma_{N+k} in any contraction order.
+- -p log2 p then moves by at most |log2 p + log2 e| gamma_{N+k} p, so an
+  entropy H moves by at most gamma_{N+k} (H + log2 e). log2, the product, the
+  longdouble sum and the float64 result add a few u H: charge
+  gamma_{N+k+4} (H + log2 e).
 - A conditional MI adds three float64 additions, so with entropy terms H_k
-  it is off by at most gamma_{N+7} sum_k (H_k + log2 e).
+  it is off by at most gamma_{N+k+7} sum_k (H_k + log2 e).
 - cross_sum = (i_raw - i_e) + (i_e - i_z) + (i_z - i_s) telescopes exactly
   to i_raw - i_s >= 0 (S is a function of the visible views and history).
   The computed i_e and i_z cancel up to the rounding of those five
@@ -78,14 +80,16 @@ def cmi_from_terms(terms) -> float:
     return max(value, 0.0)
 
 
-def cross_sum_rounding_bound(raw_terms, s_terms, cross_losses, n_cells: int) -> float:
+def cross_sum_rounding_bound(raw_terms, s_terms, cross_losses, n_cells: int,
+                             n_factors: int = 1) -> float:
     """Bound on |computed cross_sum - (i_raw - i_s)| for a world of n_cells
-    cells, from the entropy terms of i_raw and i_s (module docstring)."""
+    cells whose marginal cells are sums of products of n_factors entries,
+    from the entropy terms of i_raw and i_s (module docstring)."""
     def gamma(k):
         return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
     entropies = sum(abs(h) + _LOG2_E for h in (*raw_terms, *s_terms))
-    return gamma(n_cells + 7) * entropies + gamma(3) * sum(map(abs, cross_losses))
+    return gamma(n_cells + n_factors + 7) * entropies + gamma(3) * sum(map(abs, cross_losses))
 
 
 def clamp_eta(cross_sum: float, i_raw: float, cross_err: float) -> float:
@@ -117,16 +121,14 @@ class Derived:
 
 
 class JointTable:
-    """Explicit pmf over a tuple of small discrete variables."""
+    """Explicit pmf over a tuple of small discrete variables, held as its
+    dense array or as a product of factors (from_factors)."""
 
     def __init__(self, names, cards, probs: np.ndarray):
-        names = tuple(names)
-        cards = tuple(int(c) for c in cards)
-        if len(names) != len(set(names)):
-            raise SchemaError("duplicate variable names")
+        self._init(names, cards)
         probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != cards:
-            raise SchemaError(f"probs shape {probs.shape} != cards {cards}")
+        if probs.shape != self.cards:
+            raise SchemaError(f"probs shape {probs.shape} != cards {self.cards}")
         if probs.size > _CELL_BUDGET:
             raise SizeError(f"table of {probs.size} cells exceeds budget")
         if float(probs.min(initial=0.0)) < MI_FLOOR:
@@ -134,20 +136,64 @@ class JointTable:
         # a copy this table owns (np.maximum of a 0-d array is a scalar),
         # read-only so that remap's fold keys always describe it
         probs = np.asarray(np.maximum(probs, 0.0))
-        total = float(np.sum(probs, dtype=np.longdouble))
-        if abs(total - 1.0) > 1e-12:
-            raise NumericError(f"mass {total!r} not within 1e-12 of 1")
+        _check_mass(np.sum(probs, dtype=np.longdouble))
         probs.flags.writeable = False
-        self._init(names, cards, probs)
-
-    def _init(self, names, cards, probs):
-        self.names = names
-        self.cards = cards
         self.probs = probs
+
+    @classmethod
+    def from_factors(cls, names, cards, factors) -> "JointTable":
+        """The pmf prod_f f, each factor a (variable names, array) pair over
+        some of the table's variables. marginal is one np.einsum over the
+        factors onto the kept axes, and probs the same contraction over every
+        axis, built on first read."""
+        t = cls.__new__(cls)
+        t._init(names, cards)
+        if math.prod(t.cards) > _CELL_BUDGET:
+            raise SizeError(f"table of {math.prod(t.cards)} cells exceeds budget")
+        t._factors = []
+        for fnames, f in factors:
+            axes, f = t._axes(fnames), np.asarray(f, dtype=np.float64)
+            if f.shape != tuple(t.cards[a] for a in axes):
+                raise SchemaError(f"factor over {fnames} has shape {f.shape}")
+            if float(f.min(initial=0.0)) < MI_FLOOR:
+                raise NumericError(f"negative factor entry over {fnames}")
+            f = np.maximum(f, 0.0)
+            f.flags.writeable = False
+            t._factors += [f, axes]
+        if {a for axes in t._factors[1::2] for a in axes} != set(range(len(t.names))):
+            raise SchemaError("every variable needs a factor")
+        _check_mass(t._contract(()))
+        return t
+
+    def _init(self, names, cards, probs=None):
+        self.names = tuple(names)
+        self.cards = tuple(int(c) for c in cards)
+        if len(self.names) != len(set(self.names)):
+            raise SchemaError("duplicate variable names")
+        if probs is not None:
+            self.probs = probs  # in place of the contraction below
+        # from_factors' einsum operands (array, axes, array, axes, ...)
+        self._factors = None
         # remap's outputs by fold content, each kept while some table holds it
         self._folds = weakref.WeakValueDictionary()
         # marginal's tables by sorted axis tuple
         self._marginals = {}
+
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        """A factor table's dense joint, contracted on first read."""
+        return self._contract(tuple(range(len(self.names))))
+
+    def _contract(self, kept) -> np.ndarray:
+        """This table summed over every axis not in `kept`, read-only: by
+        numpy (0-d if nothing is kept), or one np.einsum over the factors."""
+        if self._factors is None:
+            drop = tuple(i for i in range(len(self.names)) if i not in kept)
+            probs = np.asarray(self.probs.sum(axis=drop))
+        else:
+            probs = np.asarray(np.einsum(*self._factors, kept, optimize=True))
+        probs.flags.writeable = False
+        return probs
 
     # -- variable bookkeeping -------------------------------------------
 
@@ -167,18 +213,15 @@ class JointTable:
 
     def marginal(self, names) -> "JointTable":
         """The joint of `names`, in this table's axis order: the other axes
-        summed out by numpy once per axis set, and kept on this table."""
+        summed out once per axis set (_contract), and kept on this table."""
         kept = tuple(sorted(self._axes(names)))
         if len(kept) == len(self.names):
             return self
         m = self._marginals.get(kept)
         if m is None:
-            drop = tuple(i for i in range(len(self.names)) if i not in kept)
-            probs = np.asarray(self.probs.sum(axis=drop))  # 0-d if nothing is kept
-            probs.flags.writeable = False
             m = self._marginals[kept] = JointTable.__new__(JointTable)
-            m._init(tuple(self.names[i] for i in kept), tuple(self.cards[i] for i in kept),
-                    probs)
+            m._init([self.names[i] for i in kept], [self.cards[i] for i in kept],
+                    self._contract(kept))
         return m
 
     def marginal_array(self, names) -> np.ndarray:
@@ -258,8 +301,6 @@ class JointTable:
             resolved.append((spec.name, first.size, np.asarray(grid)))
         names = tuple(name for name, _, _ in resolved)
         cards = tuple(card for _, card, _ in resolved)
-        if len(set(names)) != len(names):
-            raise SchemaError("duplicate variable names")
         total = math.prod(cards)
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
@@ -283,6 +324,11 @@ class JointTable:
         out = JointTable(names, cards, flat.reshape(cards))
         self._folds[content] = out.probs
         return out
+
+
+def _check_mass(total) -> None:
+    if abs(float(total) - 1.0) > 1e-12:
+        raise NumericError(f"mass {float(total)!r} not within 1e-12 of 1")
 
 
 def _remap_referenced(table: JointTable, outputs) -> JointTable:
@@ -382,17 +428,21 @@ class TablePipeline:
         """Codes of the (embedding, compressed, quantized) values of every
         (V, E) cell pair of `world`, indexed [stage, v_idx, e_idx]: two cells
         share a stage's code exactly when its value tuples compare equal (so
-        -0.0 and 0.0 share one). Computed once per world, kept on this pipeline."""
+        -0.0 and 0.0 share one). Computed once per world, kept on this pipeline.
+        emb_fn sees only the visible extras prefix, so the stages run once per
+        (V, prefix) and each row repeats over the hidden suffix of E's digits."""
         codes = self._stage_codes.get(world)
         if codes is None:
+            ecards, n = world.extra_feature_cards, self.n_extras_visible
             seen, rows = ({}, {}, {}), []
             for vm in mixed_radix_table(world.vm_feature_cards):
-                for ex in mixed_radix_table(world.extra_feature_cards):
-                    emb = tuple(self.emb_fn(vm, ex[: self.n_extras_visible]))
+                for ex in mixed_radix_table(ecards[:n]):
+                    emb = tuple(self.emb_fn(vm, ex))
                     z = tuple(self.ae_fn(emb))
                     rows.append([ids.setdefault(value, len(ids)) for ids, value
                                  in zip(seen, (emb, z, tuple(self.quant_fn(z))))])
-            codes = np.array(rows, dtype=np.int64).T.reshape(3, -1, world.table.card_of("E"))
+            codes = np.array(rows, dtype=np.int64).T.reshape(3, -1, math.prod(ecards[:n]))
+            codes = codes.repeat(math.prod(ecards[n:]), axis=2)
             self._stage_codes[world] = codes
         return codes
 
@@ -705,7 +755,8 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
     cross_sum = l_repr_cross + l_ae_cross + l_q_cross
     tau = loss_sum / i_temporal if i_temporal > 1e-15 else 0.0
     cross_err = cross_sum_rounding_bound(
-        raw_terms, s_terms, (l_repr_cross, l_ae_cross, l_q_cross), base.probs.size)
+        raw_terms, s_terms, (l_repr_cross, l_ae_cross, l_q_cross),
+        math.prod(base.cards), len(base.cards))  # k: a factor per variable at most
     return PipelineReport(
         l_repr=l_repr, l_ae=l_ae, l_q=l_q,
         l_repr_cross=l_repr_cross, l_ae_cross=l_ae_cross, l_q_cross=l_q_cross,

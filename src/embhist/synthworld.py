@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SizeError
-from .infotheory import JointTable, VerificationWorld, hist_var
+from .infotheory import JointTable, VerificationWorld, _remap_referenced, hist_var
 from .prng import Stream, derive_seed, uniform_array
 
 N_CHUNKS = 8
@@ -203,7 +203,7 @@ def _composite_probs(per_feature: list[np.ndarray]) -> np.ndarray:
     out = np.ones(1)
     for p in per_feature:
         out = np.multiply.outer(out, p).ravel()
-    return out
+    return out / out.sum()  # a feature's law sums to 1 only within 1e-9
 
 
 def true_probability(spec: WorldSpec, vm_values, extra_values, pos_count: int) -> float:
@@ -275,14 +275,10 @@ def generate(spec: WorldSpec, seed: int | None = None) -> EventLog:
 # ---------------------------------------------------------------------------
 
 
-def _axis_grid(values: np.ndarray, axis: int, naxes: int) -> np.ndarray:
-    shape = [1] * naxes
-    shape[axis] = len(values)
-    return values.reshape(shape)
-
-
 def enumerate_world(spec: WorldSpec, n_hist: int) -> VerificationWorld:
-    """Exact joint law of one user's first n_hist+1 events.
+    """Exact joint law of one user's first n_hist+1 events, held as its chain
+    factors: per step, P(V), P(E) and P(Y | V, E, the labels in its temporal
+    window).
 
     Variables (most recent history step is index n_hist):
     V1,E1,Y1 ... Vn,En,Yn, V,E,Y -- composite feature indices and labels.
@@ -297,39 +293,20 @@ def enumerate_world(spec: WorldSpec, n_hist: int) -> VerificationWorld:
     sv = _score_table(spec.vm_cardinalities, spec.vm_weights)
     se = _score_table(spec.extra_cardinalities, spec.extra_weights)
 
-    naxes = 3 * (n_hist + 1)
-    names, cards = [], []
-    for i in range(1, n_hist + 1):
-        names += [hist_var("V", i), hist_var("E", i), hist_var("Y", i)]
-        cards += [cv, ce, 2]
-    names += ["V", "E", "Y"]
-    cards += [cv, ce, 2]
-
-    table = np.ones(cards)
-    y_axes: list[int] = []
+    names = [hist_var(x, i) for i in range(1, n_hist + 1) for x in "VEY"] + ["V", "E", "Y"]
+    factors = []
     for step in range(n_hist + 1):
-        av, ae_, ay = 3 * step, 3 * step + 1, 3 * step + 2
-        table *= _axis_grid(pv, av, naxes)
-        table *= _axis_grid(pe, ae_, naxes)
-        window_axes = [a for a in y_axes if a >= ay - 3 * spec.temporal_window]
-        count = np.zeros((1,) * naxes)
-        for a in window_axes:
-            count = count + _axis_grid(np.arange(2.0), a, naxes)
-        capped = np.minimum(count, spec.temporal_cap)
-        logit = (
-            spec.base_logit
-            + _axis_grid(sv, av, naxes)
-            + _axis_grid(se, ae_, naxes)
-            + spec.beta_temporal * capped
-        )
+        v, e, y = names[3 * step : 3 * step + 3]
+        window = names[3 * max(step - spec.temporal_window, 0) + 2 : 3 * step : 3]
+        count = np.indices((2,) * len(window)).sum(axis=0)  # positive window labels
+        logit = (spec.base_logit + sv.reshape((cv,) + (1,) * (len(window) + 1))
+                 + se.reshape((ce,) + (1,) * len(window))
+                 + spec.beta_temporal * np.minimum(count, spec.temporal_cap))
         p1 = 1.0 / (1.0 + np.exp(-logit))
         p1 = (1.0 - spec.label_noise) * p1 + 0.5 * spec.label_noise
-        y_grid = _axis_grid(np.arange(2.0), ay, naxes)
-        table *= y_grid * p1 + (1.0 - y_grid) * (1.0 - p1)
-        y_axes.append(ay)
-    table /= table.sum()  # remove accumulated rounding at the 1e-16 level
+        factors += [((v,), pv), ((e,), pe), ((v, e, *window, y), np.stack([1.0 - p1, p1], -1))]
     return VerificationWorld(
-        table=JointTable(names, cards, table),
+        table=JointTable.from_factors(names, [cv, ce, 2] * (n_hist + 1), factors),
         n_hist=n_hist,
         vm_feature_cards=tuple(spec.vm_cardinalities),
         extra_feature_cards=tuple(spec.extra_cardinalities),
@@ -344,7 +321,7 @@ def true_conditional(spec: WorldSpec, cond_vars, n_hist: int = 2):
     placeholder elsewhere).
     """
     world = enumerate_world(spec, n_hist)
-    t = world.table.remap([*cond_vars, "Y"])
+    t = _remap_referenced(world.table, [*cond_vars, "Y"])
     joint = t.probs
     denom = joint.sum(axis=-1)
     support = denom > 0.0

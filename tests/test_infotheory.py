@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embhist import infotheory
-from embhist.errors import DomainError, NumericError, SchemaError
+from embhist.errors import DomainError, NumericError, SchemaError, SizeError
 from embhist.infotheory import (
     Derived, JointTable, TablePipeline, TRBoundParams, clamp_eta, cmi_from_terms,
     cross_sum_rounding_bound, eval_tr_lower_bound, grid_ae, identity_stage,
@@ -681,6 +681,89 @@ class TestRemapReferenced:
             marginalized += got.probs is not want.probs
             reordered += not np.array_equal(got.probs, want.probs)
         assert marginalized > len(calls) // 2 and reordered > 0
+
+
+def dense_joint(table):
+    """Reference joint of a factor table: each factor broadcast onto the
+    table's axes and multiplied cell by cell, in np.longdouble."""
+    out = np.ones(table.cards, dtype=np.longdouble)
+    for f, axes in zip(table._factors[::2], table._factors[1::2]):
+        shape = [1] * len(table.cards)
+        for a in axes:
+            shape[a] = table.cards[a]
+        out = out * np.transpose(f, np.argsort(axes)).reshape(shape)
+    return out
+
+
+class TestFactorTables:
+    def test_negative_factor_entry_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            JointTable.from_factors(("a", "b"), (2, 2),
+                                    [(("a",), [1.0 + 1e-9, -1e-9]), (("b",), [0.5, 0.5])])
+
+    def test_mass_off_one_is_numeric_error(self):
+        def table(off):
+            return JointTable.from_factors(
+                ("a", "b"), (2, 2),
+                [(("a",), [0.25, 0.75]), (("b", "a"), [[0.5, 0.1], [0.5 + off, 0.9]])])
+
+        assert float(table(5e-13).marginal(()).probs) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericError):
+            table(1e-11)
+
+    @pytest.mark.parametrize("factors", [
+        [(("a",), [0.5, 0.5])],                     # b has no factor
+        [(("a",), [0.5, 0.5]), (("b",), [1.0])],    # shape is not b's card
+        [(("a", "a"), np.eye(2) / 2), (("b",), [0.5, 0.5])],
+    ])
+    def test_bad_factor_schema(self, factors):
+        with pytest.raises(SchemaError):
+            JointTable.from_factors(("a", "b"), (2, 2), factors)
+
+    def test_joint_over_the_cell_budget_is_size_error(self):
+        uniform = np.full(10**4, 1e-4)
+        with pytest.raises(SizeError):
+            JointTable.from_factors(("a", "b"), (10**4, 10**4),
+                                    [(("a",), uniform), (("b",), uniform)])
+
+    def test_sweep_and_battery_marginals_match_the_dense_product(self, monkeypatch):
+        """Every marginal that the sweep's and the battery's operations read
+        from an enumerated world is within relative gamma_{N+k} of the
+        world's dense factor product (N cells, k factors): the budget the
+        module docstring states for any contraction order."""
+        from embhist.pipeline import (
+            negative_transfer_example, new_generation_pipe, old_generation_pipe,
+            theory_battery,
+        )
+
+        marginal, reads = JointTable.marginal, []
+
+        def record(table, names):
+            m = marginal(table, names)
+            if table._factors is not None and m is not table:
+                reads.append((table, m))
+            return m
+
+        monkeypatch.setattr(JointTable, "marginal", record)
+        world = _small_sweep_world()
+        infotheory.tr_delta_sweep(world, old_generation_pipe(world, 1),
+                                  lambda m2: new_generation_pipe(world, m2), (1, 2, 4))
+        verify_tr_bound_population(world, None, new_generation_pipe(world, 3),
+                                   m1_features=1)
+        negative_transfer_example(world, new_generation_pipe(world, 2))
+        assert {("V1", "E1", "Y1"), ("V", "E", "Y"),
+                ("V1", "E1", "V", "Y")} <= {m.names for _, m in reads}
+        theory_battery(3, 0)
+        dense = {}
+        for table, m in reads:
+            if id(table) not in dense:
+                dense[id(table)] = dense_joint(table)
+            drop = tuple(i for i, name in enumerate(table.names) if name not in m.names)
+            want = dense[id(table)].sum(axis=drop)
+            n = math.prod(table.cards) + len(table._factors) // 2
+            gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+            assert np.all(np.abs(m.probs - want) <= gamma * want), m.names
+        assert len(dense) == 4
 
 
 class TestPipelineQualityOrdering:

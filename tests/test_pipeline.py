@@ -1,5 +1,6 @@
 import gc
 import logging
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from embhist import infotheory, pipeline
 from embhist.errors import ConfigError, DataError
+from embhist.infotheory import mixed_radix_table
 from embhist.models import FMConfig, FeatureSchema, VMConfig
 from embhist.pipeline import (
     ExperimentConfig, FM_TRAIN_CHUNKS, TEST_CHUNK, VM_TRAIN_CHUNKS,
@@ -388,23 +390,60 @@ class TestSweepReuse:
         assert max(calls) <= 4_096
 
     def test_no_sweep_fold_adds_up_the_world(self, monkeypatch):
-        """Every sweep fold is taken from a marginal of the world, never from
-        the world's own cells."""
+        """Every sweep fold is taken from a small marginal contracted from the
+        world's chain factors: the world's 4,194,304-cell joint is never
+        built."""
         fold, folded, worlds = infotheory._fold_cells, [], []
         monkeypatch.setattr(infotheory, "_fold_cells",
-                            lambda key, probs, total: folded.append(probs)
+                            lambda key, probs, total: folded.append(probs.size)
                             or fold(key, probs, total))
         original = pipeline.enumerate_world
 
         def enumerate_world(*args, **kwargs):
             world = original(*args, **kwargs)
-            worlds.append(world.table.probs)
+            worlds.append(world)
             return world
 
         monkeypatch.setattr(pipeline, "enumerate_world", enumerate_world)
         tr_sweep_suite(0)
-        assert len(worlds) == 1 and folded
-        assert not any(np.shares_memory(probs, worlds[0]) for probs in folded)
+        [world] = worlds
+        assert math.prod(world.table.cards) == 4_194_304
+        assert "probs" not in vars(world.table)  # probs is built on first read
+        assert folded and max(folded) <= 4_096
+
+    def test_sweep_allocates_no_world_sized_array(self):
+        """The traced peak of a whole sweep stays under a byte per world
+        cell, so no array of the world's 4,194,304 cells is ever made."""
+        tracemalloc.start()
+        try:
+            result = tr_sweep_suite(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.all_passed, result.failures()
+        assert peak < 4_194_304
+
+    def test_stage_codes_match_a_per_cell_pass(self, monkeypatch):
+        """Each sweep pipeline runs its stages once per (V, visible extras
+        prefix); its codes equal those of one pass over every (V, E) cell."""
+        stage_codes, seen = infotheory.TablePipeline.stage_codes, {}
+
+        def record(pipe, world):
+            seen[id(pipe)] = pipe, world, stage_codes(pipe, world)
+            return seen[id(pipe)][2]
+
+        monkeypatch.setattr(infotheory.TablePipeline, "stage_codes", record)
+        tr_sweep_suite(0)
+        assert len(seen) == 6
+        for pipe, world, codes in seen.values():
+            ids, rows = ({}, {}, {}), []
+            for vm in mixed_radix_table(world.vm_feature_cards):
+                for ex in mixed_radix_table(world.extra_feature_cards):
+                    emb = tuple(pipe.emb_fn(vm, ex[: pipe.n_extras_visible]))
+                    z = tuple(pipe.ae_fn(emb))
+                    rows.append([d.setdefault(value, len(d)) for d, value
+                                 in zip(ids, (emb, z, tuple(pipe.quant_fn(z))))])
+            assert np.array_equal(codes, np.array(rows).T.reshape(codes.shape))
 
 
 # checks that pass strictly below their threshold; every other check passes
