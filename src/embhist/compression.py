@@ -125,14 +125,21 @@ def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
     is traced once and replayed (nncore.Trace).
 
     Returns (ae, per-epoch mean losses); epoch 0 is the pre-training loss,
-    so history[-1] < history[0] on any non-degenerate run.
+    so history[-1] < history[0] on any non-degenerate run. Epoch 0 equals
+    `ae.loss` on the whole set, bit for bit, but holds one prefix's decoder
+    activations at a time instead of that loss's whole graph.
     """
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if e.size == 0:
         raise DataError("empty embedding training set")
     ae = MatryoshkaAE(e.shape[1], config, seed)
     steps = nn.Trace(ae.loss, ae.params, nn.AdamState.for_params(ae.params, lr=config.lr))
-    history = [float(ae.loss_fn(e)(ae.params)[0].value[0, 0])]
+    z, total = ae.encode_batch(e), 0.0
+    for d in config.dims:  # the loss's terms, summed in its order
+        diff = ae.decode_prefix_batch(z[:, :d], d) - e
+        total += float((diff * diff).sum())
+    history = [total * (1.0 / len(e))]
+    del z, diff
     n = len(e)
     bs = min(config.batch_size, n)
     for _ in range(config.epochs):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore as nn
-from .errors import ConfigError, FormatError, SchemaError, unpack_from
+from .errors import ConfigError, DimensionError, FormatError, SchemaError, unpack_from
 from .nncore import Node, ParamStore
 from .synthworld import EventLog, WorldSpec
 
@@ -152,9 +152,10 @@ def history_index(keys: np.ndarray, history_len: int) -> tuple[np.ndarray, np.nd
     count = np.minimum(at - np.searchsorted(grouped, grouped)[:, None], history_len)
     slot = np.arange(history_len)
     mask = slot < count
-    src = np.where(mask, at - count + slot, 0)  # positions in the grouped order
-    rows, hist_mask = np.empty(mask.shape, dtype=np.int64), np.empty_like(mask)
-    rows[order], hist_mask[order] = np.where(mask, order[src], 0), mask
+    src = order[np.where(mask, at - count + slot, 0)]  # from positions in the grouped order
+    src[~mask] = 0
+    rows, hist_mask = np.empty_like(src), np.empty_like(mask)
+    rows[order], hist_mask[order] = src, mask
     return rows, hist_mask
 
 
@@ -179,8 +180,10 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
                   seq_len: int = 0, seq_dim: int = 0) -> VMBatch:
     """Student batch of the given log rows (visible features only).
 
-    `ids` and `labels` are as for `make_fm_batch`; sequences[i] is a
-    seqstore.SequenceFeature or None for row rows[i].
+    `ids` and `labels` are as for `make_fm_batch`. `sequences` is any
+    iterable, a generator included, whose i-th item is a
+    seqstore.SequenceFeature or None for row rows[i]; it is read once, one
+    item at a time, and a count other than len(rows) is a DimensionError.
     """
     b = len(rows)
     vm_cols = [j for j, f in enumerate(schema.features) if f.owner == VM_OWNER]
@@ -191,10 +194,15 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
     if sequences is not None:
         entries = np.zeros((b, seq_len, seq_dim))
         mask = np.zeros((b, seq_len), dtype=bool)
-        for i, seq in enumerate(sequences):
+        n_seqs = 0
+        for n_seqs, seq in enumerate(sequences, 1):
+            if n_seqs > b:
+                raise DimensionError(f"more than {b} sequences for {b} rows")
             if seq is not None:
-                entries[i, : seq.length] = seq.entries[: seq.length]
-                mask[i, : seq.length] = True
+                entries[n_seqs - 1, : seq.length] = seq.entries[: seq.length]
+                mask[n_seqs - 1, : seq.length] = True
+        if n_seqs != b:
+            raise DimensionError(f"{n_seqs} sequences for {b} rows")
     return VMBatch(
         ids=ids[rows][:, vm_cols],
         labels=labels[rows].astype(np.float64)[:, None],
@@ -240,7 +248,7 @@ def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
         if query is None or nodes is None:
             raise ConfigError("din_attention needs a query and score parameters")
         if query.value.shape[1] != entries.value.shape[1]:
-            raise nn.DimensionError("attention query dim must match entry dim")
+            raise DimensionError("attention query dim must match entry dim")
         qrep = nn.repeat_rows(query, l)
         feats = nn.concat_cols(
             [entries, qrep, nn.mul(entries, qrep), nn.sub(entries, qrep)]
@@ -255,7 +263,12 @@ def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
 def add_embedding(features: tuple[Feature, ...], dim: int, seed: int, prefix: str,
                   params: ParamStore) -> np.ndarray:
     """One `emb` table: each feature's rows drawn as `<prefix>emb.<name>`,
-    stacked in feature order. Returns each feature's first row."""
+    stacked in feature order. Returns each feature's first row. A table of
+    2^31 cells or more is a SchemaError: `shift_ids` rows are int32, and
+    `gather_rows` multiplies them by `dim` in that dtype."""
+    if sum(f.cardinality for f in features) * dim >= 2**31:
+        raise SchemaError(f"embedding table of {dim}-wide rows over {len(features)} "
+                          "features reaches 2^31 cells")
     params.add("emb", np.vstack([
         nn.glorot_uniform(f.cardinality, dim, seed, f"{prefix}emb.{f.name}") for f in features
     ]))
@@ -271,8 +284,9 @@ def lookup(table: Node, idx: Node, m: int) -> Node:
 
 
 def shift_ids(ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Table rows of (..., m) feature ids, raveled: each id plus its feature's offset."""
-    return (ids + offsets).ravel()
+    """Table rows of (..., m) feature ids, raveled: each id plus its feature's
+    offset, as int32 (`add_embedding` keeps every table under 2^31 cells)."""
+    return (ids + offsets).astype(np.int32).ravel()
 
 
 def add_tower(widths, seed: int, prefix: str, params: ParamStore) -> None:
@@ -486,7 +500,7 @@ class VMModel:
         if self.config.use_sequence:
             b, l, d = batch.seq_entries.shape
             if d != self.config.seq_dim:
-                raise nn.DimensionError(
+                raise DimensionError(
                     f"sequence dim {d} != configured {self.config.seq_dim}"
                 )
             out["entries"] = batch.seq_entries.reshape(b * l, d)

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import nncore as nn
 from .compression import AEConfig, MatryoshkaAE, ae_train
-from .errors import ConfigError, DataError, FormatError, VerificationError
+from .errors import ConfigError, DataError, FormatError, MetricError, VerificationError
 from .infotheory import (
     TablePipeline, TRBoundParams, eval_tr_lower_bound, fixed_point_quantizer,
     grid_ae, identity_stage, posterior_embedding, random_table_pipeline,
@@ -31,7 +31,7 @@ from .infotheory import (
     verify_gain_sandwich, verify_monotone_L, verify_pipeline,
     verify_tr_bound_population,
 )
-from .metrics import EvalResult, evaluate
+from .metrics import EvalResult, evaluate, transfer_ratio
 from .models import (
     SELECTORS, FeatureSchema, FMConfig, FMModel, VMBatch, VMConfig, VMModel,
     extract_embedding, history_index, make_fm_batch, make_vm_batch, schema_ids,
@@ -126,13 +126,13 @@ def _batches(indices, size):
 
 def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
                 chunks, size: int):
-    """Teacher batches over the log rows in `chunks`, in log order, plus
-    those rows."""
+    """A generator of the teacher batches over the log rows in `chunks`, in
+    log order, `size` rows each and built one at a time, plus those rows."""
     ids = schema_ids(schema, log_)
     history = history_index(log_.keys, history_len)
     rows = np.flatnonzero(np.isin(log_.chunks, chunks))
-    return [make_fm_batch(schema, ids, log_.labels, part, history)
-            for part in _batches(rows, size)], rows
+    return (make_fm_batch(schema, ids, log_.labels, part, history)
+            for part in _batches(rows, size)), rows
 
 
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
@@ -193,18 +193,17 @@ class TeacherLog:
 
 
 def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks) -> TeacherLog:
-    batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks, 256)
-    soft_parts, emb_parts = [], []
-    for batch in batches:
-        probs, bundle = fm.predict_batch(batch)
-        soft_parts.append(probs)
-        emb_parts.append(extract_embedding(bundle, layer))
-    return TeacherLog(
-        keys=log_.keys[rows], timestamps=log_.timestamps[rows],
-        chunks=log_.chunks[rows], labels=log_.labels[rows],
-        soft=np.concatenate(soft_parts) if soft_parts else np.zeros(0),
-        emb=np.vstack(emb_parts) if emb_parts else np.zeros((0, fm.layer_width(layer))),
-    )
+    """The teacher's soft labels and `layer` embeddings on the rows of
+    `chunks`. Batches of `fm.config.batch_size` rows are built and scored one
+    at a time, each written into soft and emb columns allocated once."""
+    size = fm.config.batch_size
+    batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks, size)
+    soft, emb = np.empty(len(rows)), np.empty((len(rows), fm.layer_width(layer)))
+    for start, batch in zip(range(0, len(rows), size), batches):
+        soft[start : start + size], bundle = fm.predict_batch(batch)
+        emb[start : start + size] = extract_embedding(bundle, layer)
+    return TeacherLog(keys=log_.keys[rows], timestamps=log_.timestamps[rows],
+                      chunks=log_.chunks[rows], labels=log_.labels[rows], soft=soft, emb=emb)
 
 
 def fit_codec(kind: str, z_pool: np.ndarray, seed: int) -> Codec:
@@ -332,9 +331,9 @@ def _arm_batches(log_, ids, rows, schema, cfg, seq_dims, store) -> dict[str, VMB
     0 for none). Sequences are built once, and the arms of one width share
     one VMBatch of read-only arrays."""
     seqs = None
-    if any(seq_dims.values()):
-        seqs = [store.build_sequence(k, t, cfg.seq_len, cfg.window)
-                for k, t in zip(log_.keys[rows].tolist(), log_.timestamps[rows].tolist())]
+    if any(seq_dims.values()):  # a generator: one SequenceFeature alive at a time
+        seqs = (store.build_sequence(k, t, cfg.seq_len, cfg.window)
+                for k, t in zip(log_.keys[rows].tolist(), log_.timestamps[rows].tolist()))
     full = make_vm_batch(schema, ids, log_.labels, rows, seqs,
                          seq_len=cfg.seq_len, seq_dim=cfg.active_dim)
     for column in (full.ids, full.labels, full.seq_entries, full.seq_mask):
@@ -347,12 +346,12 @@ def _arm_batches(log_, ids, rows, schema, cfg, seq_dims, store) -> dict[str, VMB
 def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
             cfg: ExperimentConfig, store, chunk: int = TEST_CHUNK) -> dict[str, EvalResult]:
     """Each arm's student (arm -> VMModel) scored on the rows of `chunk`,
-    every arm on the same batches."""
+    every arm on the same 128-row batches."""
     seq_dims = {arm: _arm_settings(arm, cfg, store)[1] for arm in vms}
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
     scores = {arm: [] for arm in vms}
-    for part in _batches(rows, 512):
+    for part in _batches(rows, 128):
         for arm, s in _predict(vms, _arm_batches(log_, ids, part, schema, cfg, seq_dims,
                                                  store)).items():
             scores[arm].append(s)
@@ -360,8 +359,8 @@ def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
 
 
 def _predict(vms: dict[str, VMModel], batches: dict[str, VMBatch]) -> dict[str, np.ndarray]:
-    """Each arm's scores on its batch; the batches die on return, so one
-    (B, L, d) sequence block is alive at a time."""
+    """Each arm's scores on its batch. The batches die on return, so one
+    (B, L, d) sequence block of at most 128 rows is alive at a time."""
     return {arm: vms[arm].predict_batch(batch) for arm, batch in batches.items()}
 
 
@@ -560,8 +559,10 @@ def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES) -> list[dict]:
     rows = []
     for delta, pop in zip(deltas, pops):
         new_vm, new_fm = transfer(m1 + delta)
-        d_fm = base_fm.ne - new_fm.ne
-        tr_emp = (base_vm.ne - new_vm.ne) / d_fm if d_fm != 0 else float("nan")
+        try:
+            tr_emp = transfer_ratio(base_vm.ne, new_vm.ne, base_fm.ne, new_fm.ne)
+        except MetricError:  # the teacher's NE did not move
+            tr_emp = float("nan")
         rows.append({
             "axis": "deltasweep", "setting": delta,
             "tr_empirical": tr_emp, "tr_lb": pop.tr_lb, "tr_pop": pop.tr_pop,

@@ -61,8 +61,8 @@ def _nibble_rows(codes: np.ndarray) -> np.ndarray:
 
 
 def _unnibble_rows(raw: np.ndarray, dim: int) -> np.ndarray:
-    """(n, k) nibble bytes -> (n, dim) signed codes; inverse of _nibble_rows."""
-    codes = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.int64)
+    """(n, k) nibble bytes -> (n, dim) signed int8 codes; inverse of _nibble_rows."""
+    codes = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.int8)
     codes[:, 0::2] = raw & 0x0F
     codes[:, 1::2] = raw >> 4
     return codes[:, :dim] - 8
@@ -142,7 +142,7 @@ def dequantize_batch(codec: Codec, payloads: np.ndarray, dim: int) -> np.ndarray
     if codec.kind == "fp32":
         return raw.view("<f4").astype(np.float64)
     if codec.kind == "int8_uniform":
-        return _decode_codes(codec, raw.view(np.int8).astype(np.int64))
+        return _decode_codes(codec, raw.view(np.int8))
     codes = _unnibble_rows(raw, dim)
     return _decode_codes(codec, codes if codec.kind == "int4_uniform" else codes + 8)
 

@@ -54,6 +54,16 @@ class TestTraining:
         mse = prefix_mse(ae, e)
         assert mse[2] >= mse[4] >= mse[8]
 
+    @pytest.mark.parametrize("cfg", [
+        AEConfig(epochs=0),
+        AEConfig(dims=(3, 5), use_hidden=False, encoder_activation="linear", epochs=0),
+    ])
+    def test_epoch0_loss_is_the_eager_loss_bit_for_bit(self, cfg):
+        # ae_train sums the per-prefix terms itself, in the eager loss's order
+        e = toy_embeddings(300, 32, 11)
+        ae, history = ae_train(e, cfg, seed=6)
+        assert history == [ae.loss_fn(e)(ae.params)[0].value[0, 0]]
+
     def test_training_leaves_input_embeddings_untouched(self):
         # the teacher is frozen input: its logged activations cannot change
         e = toy_embeddings(128, 8, 7)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from embhist import nncore as nn
-from embhist.errors import ConfigError, ContractViolation, SchemaError
+from embhist.errors import ConfigError, ContractViolation, DimensionError, SchemaError
 from embhist.models import (
-    SEQ_ENCODERS, Feature, FeatureSchema, FMConfig, FMModel, VMConfig, VMModel,
-    _pool, extract_embedding, history_index, lookup,
+    EXTRA_OWNER, SEQ_ENCODERS, VM_OWNER, Feature, FeatureSchema, FMConfig, FMModel,
+    VMConfig, VMModel, _pool, add_embedding, extract_embedding, history_index, lookup,
     make_attention_params, make_fm_batch, make_vm_batch, pool_input, read_checkpoint,
     schema_ids, shift_ids, write_checkpoint,
 )
@@ -178,6 +178,17 @@ class TestOneTable:
         vm.predict_batch(vm_batch(vm.schema, log, [0], sequences=[seq], seq_len=4, seq_dim=4))
         assert len(calls) == 3
 
+    def test_table_rows_are_int32_and_tables_stay_under_2_to_the_31_cells(self):
+        ids = np.array([[0, 2], [1, 0]])
+        rows = shift_ids(ids, np.array([0, 3]))
+        assert rows.dtype == np.int32 and rows.tolist() == [0, 5, 1, 3]
+        # gather_rows multiplies an int32 row by d: 2^28 rows of width 8 overflow
+        huge = (Feature("vm0", 2**27, VM_OWNER), Feature("ex0", 2**27, EXTRA_OWNER))
+        with pytest.raises(SchemaError, match="2\\^31"):
+            add_embedding(huge, 8, 0, "", nn.ParamStore())
+        with pytest.raises(SchemaError):
+            FMModel(FeatureSchema(huge), FMConfig(embed_dim=8), seed=0)
+
 
 @pytest.fixture(scope="module")
 def bundle():
@@ -264,6 +275,19 @@ class TestSeqEncode:
 
 
 class TestVMForward:
+    def test_sequences_may_be_any_iterable_of_len_rows(self):
+        log, s = sample_log(), schema()
+        seqs = [make_seq(np.full((k + 1, 4), k + 1.0), 3) for k in range(3)]
+        kw = dict(seq_len=3, seq_dim=4)
+        want = vm_batch(s, log, [0, 1, 2], sequences=seqs, **kw)
+        lazy = vm_batch(s, log, [0, 1, 2], sequences=iter(seqs), **kw)
+        assert np.array_equal(lazy.seq_entries, want.seq_entries)
+        assert np.array_equal(lazy.seq_mask, want.seq_mask)
+        assert want.seq_mask.sum(axis=1).tolist() == [1, 2, 3]
+        for rows in ([0, 1], [0, 1, 2, 3]):  # more, then fewer sequences than rows
+            with pytest.raises(DimensionError, match="sequences for"):
+                vm_batch(s, log, rows, sequences=(q for q in seqs), **kw)
+
     def test_branchless_zero_head_is_half(self):
         vm = VMModel(schema(), VMConfig(), seed=0)
         assert vm_predict(vm, sample_log()) == 0.5

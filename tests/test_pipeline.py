@@ -12,7 +12,7 @@ import pytest
 from embhist import infotheory, pipeline
 from embhist.errors import ConfigError, DataError
 from embhist.infotheory import mixed_radix_table
-from embhist.models import FMConfig, FeatureSchema, VMConfig
+from embhist.models import FMConfig, FMModel, FeatureSchema, VMConfig, VMModel
 from embhist.pipeline import (
     ExperimentConfig, FM_TRAIN_CHUNKS, TEST_CHUNK, VM_TRAIN_CHUNKS,
     eval_vm, ingest_event_log, load_event_log, run_ablation,
@@ -271,6 +271,65 @@ class TestAblations:
         assert {"tr_empirical", "tr_lb", "tr_pop"} <= set(row)
         assert row["tr_pop"] >= row["tr_lb"] - 1e-9
         assert np.isfinite(row["tr_empirical"])
+
+    def test_deltasweep_writes_nan_when_the_teacher_ne_does_not_move(self, monkeypatch):
+        same = pipeline.EvalResult(auc=0.6, logloss=0.5, ne=0.9, n_samples=8, base_rate=0.5)
+        monkeypatch.setattr(pipeline, "run_protocol", lambda *args: pipeline.SeedResult(
+            {"kd_emb_hist": same}, same, (), 0.0))
+        row, = pipeline.run_delta_sweep(small_cfg(), deltas=(1,))
+        assert math.isnan(row["tr_empirical"]) and row["ne_fm_old"] == row["ne_fm_new"]
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory that `fn()` allocates, in MiB (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def default_stage_inputs():
+    """Default config and world (seed 0), an untrained teacher, its logged
+    columns and a frozen store built through an untrained compressor."""
+    cfg = ExperimentConfig()
+    log = generate(cfg.world, 0)
+    schema = FeatureSchema.from_world(cfg.world)
+    fm = FMModel(schema, cfg.fm, 0)
+    teacher = pipeline.log_teacher(fm, log, cfg.layer, pipeline.LOG_CHUNKS)
+    ae, _ = pipeline.ae_train(teacher.emb, replace(cfg.ae, epochs=0), 0)
+    z = ae.encode_batch(teacher.emb)[:, : cfg.active_dim]
+    store = pipeline.SequenceStore(cfg.active_dim, pipeline.fit_codec(cfg.codec_kind, z, 0))
+    pipeline.append_store(store, teacher, ae, store.codec, cfg.active_dim)
+    store.freeze()
+    store.values  # the query index is built by the first read, in train_vm
+    return cfg, log, schema, fm, teacher, store
+
+
+class TestStageMemory:
+    """Each stage holds one batch of derived data plus its output columns.
+    The bounds sit at least 2x below the peaks of the whole-set versions
+    (22.0, 19.8 and 14.6 MiB), so a whole-set transient that comes back
+    fails. The batched stages peaked at 5.8, 8.8 and 3.4 MiB (numpy 2.4)."""
+
+    def test_ae_epoch0_loss(self, default_stage_inputs):
+        cfg, *_, teacher, _ = default_stage_inputs
+        first = teacher.emb[teacher.rows_in_chunk(4)]
+        assert traced_peak_mb(lambda: pipeline.ae_train(first, replace(cfg.ae, epochs=0))) < 8.5
+
+    def test_log_teacher(self, default_stage_inputs):
+        cfg, log, _, fm, *_ = default_stage_inputs
+        assert traced_peak_mb(
+            lambda: pipeline.log_teacher(fm, log, cfg.layer, pipeline.LOG_CHUNKS)) < 9.5
+
+    def test_eval_vm(self, default_stage_inputs):
+        cfg, log, schema, _, _, store = default_stage_inputs
+        vms = {arm: VMModel(schema, replace(
+            cfg.vm, seq_dim=pipeline._arm_settings(arm, cfg, store)[1]), 0)
+            for arm in cfg.arms}
+        assert traced_peak_mb(lambda: eval_vm(vms, log, schema, cfg, store)) < 5.0
 
 
 class TestIngestion:
