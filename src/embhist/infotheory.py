@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,6 @@ from .prng import Stream, derive_seed
 
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
-_SLAB_CELLS = 1 << 16  # cells remap adds per np.add.at call
 _LOG2_E = math.log2(math.e)
 
 
@@ -134,7 +132,7 @@ class JointTable:
         if float(probs.min(initial=0.0)) < MI_FLOOR:
             raise NumericError("negative probability mass")
         # a copy this table owns (np.maximum of a 0-d array is a scalar),
-        # read-only so that remap's fold keys always describe it
+        # read-only so that the marginals cached on it always describe it
         probs = np.asarray(np.maximum(probs, 0.0))
         _check_mass(np.sum(probs, dtype=np.longdouble))
         probs.flags.writeable = False
@@ -174,8 +172,6 @@ class JointTable:
             self.probs = probs  # in place of the contraction below
         # from_factors' einsum operands (array, axes, array, axes, ...)
         self._factors = None
-        # remap's outputs by fold content, each kept while some table holds it
-        self._folds = weakref.WeakValueDictionary()
         # marginal's tables by sorted axis tuple
         self._marginals = {}
 
@@ -277,11 +273,8 @@ class JointTable:
         table: an axis arange for a kept variable, the Derived's dense codes
         looked up by the mixed-radix grid of its source axes otherwise. The
         grids fold into one key sized on the referenced axes only, and
-        _fold_cells adds the table up against it block by block, so an axis
-        no output references never widens the key.
-
-        Equal cards and grids give the same fold bit for bit, so a fold whose
-        output is still alive is not redone: the new table shares its probs.
+        _fold_cells adds the table up against it, so an axis no output
+        references never widens the key.
         """
         resolved = []  # (name, card, index grid)
         for spec in outputs:
@@ -304,26 +297,10 @@ class JointTable:
         total = math.prod(cards)
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
-        content = tuple((card, grid.shape, grid.tobytes()) for _, card, grid in resolved)
-        probs = self._folds.get(content)
-        if probs is not None:
-            out = JointTable.__new__(JointTable)
-            out._init(names, cards, probs)
-            return out
-
-        # key * card goes into one new array that takes the grid in place, so
-        # the old key, key * card and the sum are never all live at once.
-        # (Updating the key in place where the grid does not widen it keeps
-        # about 30 MB of glibc heap across repeated sweeps.)
         key = np.zeros((1,) * len(self.cards), dtype=np.int64)
         for _, card, grid in resolved:
-            shape = np.broadcast_shapes(key.shape, grid.shape)
-            key = np.multiply(key, card, out=np.empty(shape, dtype=np.int64))
-            key += grid
-        flat = _fold_cells(key, self.probs, total)
-        out = JointTable(names, cards, flat.reshape(cards))
-        self._folds[content] = out.probs
-        return out
+            key = key * card + grid
+        return JointTable(names, cards, _fold_cells(key, self.probs, total).reshape(cards))
 
 
 def _check_mass(total) -> None:
@@ -342,29 +319,9 @@ def _remap_referenced(table: JointTable, outputs) -> JointTable:
 
 def _fold_cells(key: np.ndarray, probs: np.ndarray, total: int) -> np.ndarray:
     """out[k] = sum of probs over the cells whose key is k, where `key`
-    broadcasts against `probs`: np.bincount of the broadcast key, without
-    ever holding that key at full size.
-
-    The leading axes are walked with np.ndindex, and each block of at most
-    _SLAB_CELLS trailing cells (`rows` indices of axis `split` and all of
-    the axes after it) is added with one np.add.at against its own copy of
-    the broadcast key. Blocks follow each other in row-major order, and
-    np.add.at, like np.bincount, adds a block's cells into out in index
-    order starting from +0.0, so every output cell sees the same additions
-    in the same order: the result is bit-identical.
-    """
-    # a leading axis, so that a 0-d table folds too
-    probs = probs[None]
-    key = np.broadcast_to(key, probs.shape)  # a view: no full-size key is made
-    split = next(i for i in range(probs.ndim)
-                 if math.prod(probs.shape[i + 1:]) <= _SLAB_CELLS)
-    rows = _SLAB_CELLS // math.prod(probs.shape[split + 1:])
-    out = np.zeros(total)
-    for outer in np.ndindex(*probs.shape[:split]):
-        for a in range(0, probs.shape[split], rows):
-            block = outer + (slice(a, a + rows),)
-            np.add.at(out, key[block].ravel(), probs[block].ravel())
-    return out
+    broadcasts against `probs`; np.bincount adds in row-major order from
+    +0.0."""
+    return np.bincount(np.broadcast_to(key, probs.shape).ravel(), probs.ravel(), total)
 
 
 # ---------------------------------------------------------------------------

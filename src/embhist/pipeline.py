@@ -790,9 +790,9 @@ def load_event_log(path, spec: WorldSpec) -> EventLog:
     cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
     for line_no, s in ingest_event_log(path):
         if len(s.vm_values) != len(spec.vm_cardinalities):
-            raise DataError(f"event at t={s.timestamp}: wrong visible feature count")
+            raise DataError(f"line {line_no}: wrong visible feature count")
         if len(s.extra_values) != len(spec.extra_cardinalities):
-            raise DataError(f"event at t={s.timestamp}: wrong extra feature count")
+            raise DataError(f"line {line_no}: wrong extra feature count")
         for j, (v, card) in enumerate(zip((*s.vm_values, *s.extra_values), cards)):
             if not 0 <= v < card:
                 raise DataError(f"line {line_no}: feature {j} id {v} outside [0, {card})")

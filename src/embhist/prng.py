@@ -79,9 +79,6 @@ class Stream:
         """Integer in [0, bound) via rejection-free scaling (bound << 2**53)."""
         return int(self.uniform() * bound)
 
-    def integers(self, bound: int, n: int) -> np.ndarray:
-        return np.minimum((self.uniforms(n) * bound).astype(np.int64), bound - 1)
-
     def choice_weighted(self, weights: np.ndarray) -> int:
         cumulative = np.cumsum(weights)
         u = self.uniform() * cumulative[-1]

@@ -381,9 +381,11 @@ class TestIngestion:
 
     def test_feature_count_validated(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("1\t0\t0\t1,0,0\t0,1\t1\n")
-        with pytest.raises(DataError, match="feature count"):
-            load_event_log(path, SMALL_WORLD)
+        for line, kind in (("1\t0\t0\t1,0,0\t0,1\t1\n", "visible"),
+                           ("1\t0\t0\t1,0\t0,1,1\t1\n", "extra")):
+            path.write_text(line)
+            with pytest.raises(DataError, match=f"line 1: wrong {kind} feature count"):
+                load_event_log(path, SMALL_WORLD)
 
 
     def test_duplicate_key_timestamp_names_both_lines(self, tmp_path):
@@ -415,13 +417,22 @@ class TestTheoryBattery:
         text = (tmp_path / "rows.tsv").read_text()
         assert text.startswith("check\tworld\tvalue\tthreshold\tpassed")
 
+    def test_every_fold_reads_a_small_marginal(self, monkeypatch):
+        """Each battery fold adds up a small marginal of a factor-held world
+        (13,122 cells at most), so a fold of a full joint fails here."""
+        fold, folded = infotheory._fold_cells, []
+        monkeypatch.setattr(infotheory, "_fold_cells",
+                            lambda key, probs, total: folded.append(probs.size)
+                            or fold(key, probs, total))
+        theory_battery(n_worlds=20, seed=0)
+        assert folded and max(folded) <= 2**14
+
 
 class TestSweepReuse:
     def test_sweep_fold_count_and_world_freed(self, monkeypatch):
-        """Equal folds and shared sweep artifacts are computed once, every
-        fold adds up only a small marginal of the world, and nothing the
-        reuse keeps outlives the suite: its world is freed by reference
-        counting alone."""
+        """Shared sweep artifacts are computed once, every fold adds up only
+        a small marginal of the world, and nothing the reuse keeps outlives
+        the suite: its world is freed by reference counting alone."""
         fold, calls = infotheory._fold_cells, []
         monkeypatch.setattr(infotheory, "_fold_cells",
                             lambda key, probs, total: calls.append(probs.size)
@@ -443,9 +454,10 @@ class TestSweepReuse:
         assert result.all_passed, result.failures()
         # 42 folds of 25,286,656 cells while the transfer-ratio report folded
         # its 4 risks together, from half of the 4,194,304-cell world: each
-        # risk now folds its own (V, E, Y) or (V1, E1, V, Y) marginal
-        assert len(calls) == 59
-        assert sum(calls) == 190_464
+        # risk now folds its own (V, E, Y) or (V1, E1, V, Y) marginal, and
+        # an equal fold is redone rather than looked up
+        assert len(calls) == 68
+        assert sum(calls) == 227_328
         assert max(calls) <= 4_096
 
     def test_no_sweep_fold_adds_up_the_world(self, monkeypatch):
