@@ -126,26 +126,31 @@ def ae_train(embeddings: np.ndarray, config: AEConfig, seed: int = 0):
 
     Returns (ae, per-epoch mean losses); epoch 0 is the pre-training loss,
     so history[-1] < history[0] on any non-degenerate run. Epoch 0 equals
-    `ae.loss` on the whole set, bit for bit, but holds one prefix's decoder
-    activations at a time instead of that loss's whole graph.
+    `ae.loss` on the whole set, bit for bit: the code and each prefix's
+    squared errors are computed one batch of rows at a time into whole-set
+    buffers, and each prefix's term is summed over its whole buffer.
     """
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     if e.size == 0:
         raise DataError("empty embedding training set")
     ae = MatryoshkaAE(e.shape[1], config, seed)
     steps = nn.Trace(ae.loss, ae.params, nn.AdamState.for_params(ae.params, lr=config.lr))
-    z, total = ae.encode_batch(e), 0.0
-    for d in config.dims:  # the loss's terms, summed in its order
-        diff = ae.decode_prefix_batch(z[:, :d], d) - e
-        total += float((diff * diff).sum())
-    history = [total * (1.0 / len(e))]
-    del z, diff
     n = len(e)
     bs = min(config.batch_size, n)
+    blocks = [slice(start, start + bs) for start in range(0, n, bs)]
+    z, sq, total = np.empty((n, config.d_max)), np.empty_like(e), 0.0
+    for rows in blocks:
+        z[rows] = ae.encode_batch(e[rows])
+    for d in config.dims:  # the loss's terms, summed in its order
+        for rows in blocks:
+            np.subtract(ae.decode_prefix_batch(z[rows, :d], d), e[rows], out=sq[rows])
+        total += float(np.square(sq, out=sq).sum())
+    history = [total * (1.0 / n)]
+    del z, sq
     for _ in range(config.epochs):
         epoch_loss = 0.0
-        for start in range(0, n, bs):
-            batch = e[start : start + bs]
+        for rows in blocks:
+            batch = e[rows]
             epoch_loss += steps.step({"x": batch}) * len(batch)
         history.append(epoch_loss / n)
     return ae, history

@@ -125,7 +125,8 @@ class VMBatch:
 
 
 def schema_ids(schema: FeatureSchema, log_: EventLog) -> np.ndarray:
-    """(N, m_k) ids of the log in schema feature order, range-checked once.
+    """(N, m_k) int32 ids of the log in schema feature order, range-checked
+    once and copied one column at a time.
 
     Visible features take the log's leading columns in order, extra
     features the columns after the log's visible width, so a schema over
@@ -134,29 +135,30 @@ def schema_ids(schema: FeatureSchema, log_: EventLog) -> np.ndarray:
     n_vis = log_.n_visible
     vm_cols, extra_cols = iter(range(n_vis)), iter(range(n_vis, log_.ids.shape[1]))
     cols = [next(vm_cols if f.owner == VM_OWNER else extra_cols) for f in schema.features]
-    ids = log_.ids[:, cols]
-    if len(ids):
-        lo, hi = ids.min(axis=0), ids.max(axis=0)
-        for f, low, high in zip(schema.features, lo, hi):
-            if low < 0 or high >= f.cardinality:
-                raise SchemaError(f"feature {f.name!r} id outside [0, {f.cardinality})")
+    ids = np.empty((len(log_.ids), len(cols)), dtype=np.int32)
+    for j, (f, col) in enumerate(zip(schema.features, cols)):
+        column = log_.ids[:, col]
+        if len(column) and (column.min() < 0 or column.max() >= f.cardinality):
+            raise SchemaError(f"feature {f.name!r} id outside [0, {f.cardinality})")
+        ids[:, j] = column
     return ids
 
 
 def history_index(keys: np.ndarray, history_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, history_len) row indices of each event's same-key past events,
-    plus their mask: positions 0..k-1 hold the last k <= history_len
+    """(N, history_len) int32 row indices of each event's same-key past
+    events, plus their mask: positions 0..k-1 hold the last k <= history_len
     earlier rows of the key, oldest first; masked slots point at row 0."""
-    order = np.argsort(keys, kind="stable")  # rows grouped by key, log order within
-    grouped, at = keys[order], np.arange(len(keys))[:, None]
-    count = np.minimum(at - np.searchsorted(grouped, grouped)[:, None], history_len)
-    slot = np.arange(history_len)
-    mask = slot < count
-    src = order[np.where(mask, at - count + slot, 0)]  # from positions in the grouped order
-    src[~mask] = 0
-    rows, hist_mask = np.empty_like(src), np.empty_like(mask)
-    rows[order], hist_mask[order] = src, mask
-    return rows, hist_mask
+    order = np.argsort(keys, kind="stable").astype(np.int32)  # grouped by key
+    grouped = keys[order]
+    at = np.empty_like(order)  # each row's position in the grouped order
+    at[order] = np.arange(len(keys), dtype=np.int32)
+    count = np.minimum(at - np.searchsorted(grouped, grouped)[at], history_len).astype(np.int32)
+    mask = np.arange(history_len) < count[:, None]
+    pos = (at - count)[:, None] + np.arange(history_len, dtype=np.int32)
+    pos *= mask  # masked slots read grouped position 0 ...
+    rows = order[pos]
+    rows *= mask  # ... and point at row 0
+    return rows, mask
 
 
 def make_fm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,

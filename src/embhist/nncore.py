@@ -551,7 +551,8 @@ def glorot_uniform(rows: int, cols: int, seed: int, name: str) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam's step count and moments; `m` and `v` are laid out like `ParamStore.flat`."""
+    """Adam's step count and moments; `m`, `v` and the two `scratch` vectors,
+    which each step overwrites, are laid out like `ParamStore.flat`."""
 
     lr: float = 0.01
     beta1: float = 0.9
@@ -560,10 +561,12 @@ class AdamState:
     t: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: tuple = field(default_factory=lambda: (np.zeros(0), np.zeros(0)))
 
     @classmethod
     def for_params(cls, params: ParamStore, lr: float = 0.01) -> "AdamState":
-        return cls(lr=lr, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        n = params.flat.size
+        return cls(lr=lr, m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(params: ParamStore, grads: np.ndarray, state: AdamState) -> None:
@@ -576,15 +579,18 @@ def adam_step(params: ParamStore, grads: np.ndarray, state: AdamState) -> None:
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    # in place; every element gets the bits of m = b1*m + (1-b1)*g,
-    # v = b2*v + (1-b2)*g*g and flat -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    # in place and in two scratch vectors; every element gets the bits of m = b1*m +
+    # (1-b1)*g, v = b2*v + (1-b2)*g*g and flat -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    step, denom = state.scratch
     state.m *= b1
-    state.m += (1.0 - b1) * grads
+    state.m += np.multiply(grads, 1.0 - b1, out=step)
     state.v *= b2
-    state.v += (1.0 - b2) * grads * grads
-    step = state.m / c1
+    state.v += np.multiply(np.multiply(grads, 1.0 - b2, out=step), grads, out=step)
+    np.divide(state.m, c1, out=step)
     step *= state.lr
-    step /= np.sqrt(state.v / c2) + state.eps
+    np.sqrt(np.divide(state.v, c2, out=denom), out=denom)
+    denom += state.eps
+    step /= denom
     flat -= step
     params.version += 1
 
@@ -637,12 +643,14 @@ class Trace:
         if any(p.tape is not loss.tape for n in tape for p in n.parents):
             raise ContractViolation("the step reads an array outside its batch arrays")
         flowing = [n for n in tape if n.flows]
-        for n in flowing:
-            n.gbuf = np.empty_like(n.value)
         for name, view in self.params.views(self.grads).items():
             nodes[name].gbuf = view
         params = [n for n in flowing if n._guard is not None]
         self._collect(params)
+        for n in flowing:  # each eager gradient goes before its replay buffer comes
+            n.grad = None
+            if n.gbuf is None:
+                n.gbuf = np.empty_like(n.value)
         self.tapes[key] = ([nodes[name] for name in arrays],
                            [(n, n.fw) for n in tape if n.fw is not None],
                            flowing, _backward_steps(flowing), params, loss)

@@ -70,6 +70,7 @@ _ABLATIONS = {
     "codec": ("codec_kind", tuple(CODEC_IDS), ("codec_mse", lambda res: res.codec_mse)),
 }
 ABLATION_AXES = (*_ABLATIONS, "deltasweep")
+_STORE_BLOCK = 256  # rows encoded at a time for the store
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,19 @@ def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
 
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
              train_chunks=FM_TRAIN_CHUNKS) -> FMModel:
+    """The teacher after `cfg.epochs` passes over its batches, built once and
+    kept with table rows in the smallest dtype, widened to int32 per step."""
     fm = FMModel(schema, cfg, seed)
     steps = nn.Trace(fm.loss, fm.params, nn.AdamState.for_params(fm.params, lr=cfg.lr))
-    inputs = [fm.arrays(batch) for batch in _fm_batches(
-        log_, schema, cfg.history_len, train_chunks, cfg.batch_size)[0]]
+    compact = np.min_scalar_type(len(fm.params["emb"]) - 1)
+    inputs = [{name: value.astype(compact) if value.dtype == np.int32 else value
+               for name, value in fm.arrays(batch).items()}
+              for batch in _fm_batches(log_, schema, cfg.history_len, train_chunks,
+                                       cfg.batch_size)[0]]
     for _ in range(cfg.epochs):
         for arrays in inputs:
-            steps.step(arrays)
+            steps.step({name: value.astype(np.int32) if value.dtype == compact else value
+                        for name, value in arrays.items()})
     return fm
 
 
@@ -214,20 +221,27 @@ def fit_codec(kind: str, z_pool: np.ndarray, seed: int) -> Codec:
 
 
 def append_store(store: SequenceStore, teacher: TeacherLog, ae: MatryoshkaAE,
-                 codec: Codec, d_prime: int, rows=None) -> None:
-    rows = np.arange(len(teacher.keys)) if rows is None else np.asarray(rows)
-    if not len(rows):
-        return
-    z = ae.encode_batch(teacher.emb[rows])[:, :d_prime]
-    store.extend(teacher.keys[rows], teacher.timestamps[rows], teacher.soft[rows],
-                 payload_matrix(codec, z), d_prime)
+                 codec: Codec, d_prime: int) -> None:
+    """Encode and pack every teacher row into `store`, one block of rows at
+    a time."""
+    if len(teacher.keys):
+        payloads = [payload_matrix(codec, z) for z in _encoded(ae, teacher.emb, d_prime)]
+        store.extend(teacher.keys, teacher.timestamps, teacher.soft,
+                     np.concatenate(payloads), d_prime)
+
+
+def _encoded(ae: MatryoshkaAE, emb: np.ndarray, d_prime: int):
+    """The first `d_prime` code columns of `emb`, encoded and yielded
+    _STORE_BLOCK rows at a time."""
+    for start in range(0, len(emb), _STORE_BLOCK):
+        yield ae.encode_batch(emb[start : start + _STORE_BLOCK])[:, :d_prime]
 
 
 @dataclass
 class TeacherStack:
-    """Teacher outputs, the frozen store built from them, the codec's MSE on
-    the codes it was fit to, and the centroid drift between consecutive
-    logged chunks of the store."""
+    """Teacher outputs (`emb` zero-width: the store holds the codes), the
+    frozen store built from them, the codec's MSE on the codes it was fit to,
+    and the centroid drift between consecutive logged chunks of the store."""
 
     teacher: TeacherLog
     store: SequenceStore
@@ -254,27 +268,27 @@ def teacher_stack(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
     checkpoint segment (see checkpoint_segments). Each compressor trains on
     its segment's first logged chunk. The codec is fit on the first
     segment's first-chunk codes and reused by later segments, so the store
-    stays self-describing under one codec. Rows enter the store one logged
-    chunk at a time."""
+    stays self-describing under one codec. The teacher logs one chunk at a
+    time; its embeddings are dropped once the store holds their codes."""
     parts, store, edges = [], None, [0]
     for train_chunks, log_chunks, (fm_seed, ae_seed, codec_seed) in segments:
         fm = train_fm(log_, schema, cfg.fm, fm_seed, train_chunks=train_chunks)
-        teacher = log_teacher(fm, log_, cfg.layer, log_chunks)
-        first = teacher.rows_in_chunk(log_chunks[0])
-        ae, _ = ae_train(teacher.emb[first], cfg.ae, ae_seed)
-        if store is None:
-            z = ae.encode_batch(teacher.emb[first])[:, : cfg.active_dim]
-            codec = fit_codec(cfg.codec_kind, z, codec_seed)
-            codec_mse = reconstruction_mse(codec, z)
-            store = SequenceStore(cfg.active_dim, codec)
         for c in log_chunks:
-            append_store(store, teacher, ae, store.codec, cfg.active_dim,
-                         teacher.rows_in_chunk(c))
+            teacher = log_teacher(fm, log_, cfg.layer, (c,))
+            if c == log_chunks[0]:
+                ae, _ = ae_train(teacher.emb, cfg.ae, ae_seed)
+            if store is None:
+                z = np.concatenate(list(_encoded(ae, teacher.emb, cfg.active_dim)))
+                codec = fit_codec(cfg.codec_kind, z, codec_seed)
+                codec_mse = reconstruction_mse(codec, z)
+                store = SequenceStore(cfg.active_dim, codec)
+                del z
+            append_store(store, teacher, ae, store.codec, cfg.active_dim)
             edges.append(len(store))
-        parts.append(teacher)
+            parts.append(replace(teacher, emb=np.empty((len(teacher.keys), 0))))
     store.freeze()
-    blocks = [store.values[a:b] for a, b in zip(edges, edges[1:])]
-    drift = tuple(centroid_drift(a, b) for a, b in zip(blocks, blocks[1:]))
+    drift = tuple(centroid_drift(store.dequantized(a, b), store.dequantized(b, c))
+                  for a, b, c in zip(edges, edges[1:], edges[2:]))
     return TeacherStack(_concat_teacher(parts), store, codec_mse, drift)
 
 

@@ -51,13 +51,14 @@ def uniform_array(seed: int, n: int, start: int = 0) -> np.ndarray:
     of seeds gives one stream per seed along a new last axis.
     """
     counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    state = np.asarray(seed & _M64, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
-    z = state
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    # 53-bit mantissa -> exact double in [0, 1)
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    z = np.asarray(seed & _M64, dtype=np.uint64)[..., None] + counters * np.uint64(_GOLDEN)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)  # in place: one state-sized temporary at a time
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    # 53-bit mantissa -> exact double in [0, 1), written over the state
+    return np.multiply(z, 1.0 / (1 << 53), out=z.view(np.float64))
 
 
 class Stream:

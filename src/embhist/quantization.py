@@ -60,14 +60,6 @@ def _nibble_rows(codes: np.ndarray) -> np.ndarray:
     return u[:, 0::2] | (u[:, 1::2] << 4)
 
 
-def _unnibble_rows(raw: np.ndarray, dim: int) -> np.ndarray:
-    """(n, k) nibble bytes -> (n, dim) signed int8 codes; inverse of _nibble_rows."""
-    codes = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.int8)
-    codes[:, 0::2] = raw & 0x0F
-    codes[:, 1::2] = raw >> 4
-    return codes[:, :dim] - 8
-
-
 def _codes_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
     """Integer codes for a (n, d) batch; clamps inputs into [-1, 1] first."""
     zc = np.clip(z, -1.0, 1.0)
@@ -85,10 +77,11 @@ def _nearest(x: np.ndarray, centers) -> np.ndarray:
     lower index (argmin over |x - c|). One center at a time, so no
     (x.size, len(centers)) temporary is made."""
     best, idx = np.abs(x - centers[0]), np.zeros(np.shape(x), dtype=np.int64)
+    dist = np.empty_like(best)
     for k in range(1, len(centers)):
-        dist = np.abs(x - centers[k])
+        np.abs(np.subtract(x, centers[k], out=dist), out=dist)
         idx[dist < best] = k
-        best = np.minimum(best, dist)
+        np.minimum(best, dist, out=best)
     return idx
 
 
@@ -98,7 +91,8 @@ def payload_matrix(codec: Codec, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     _require_finite(z)
     if codec.kind == "fp32":
-        return np.clip(z, -1.0, 1.0).astype("<f4").view(np.uint8).reshape(len(z), -1)
+        return np.clip(z, -1.0, 1.0).astype("<f4").view(np.uint8).reshape(
+            len(z), codec.payload_size(z.shape[1]))
     codes = _codes_matrix(codec, z)
     if codec.kind == "int8_uniform":
         return (codes & 0xFF).astype(np.uint8)
@@ -114,16 +108,6 @@ def quantize(codec: Codec, z) -> QuantizedVec:
                         payload_matrix(codec, z[None, :])[0].tobytes())
 
 
-def _decode_codes(codec: Codec, codes: np.ndarray) -> np.ndarray:
-    """Values of integer codes: signed for the uniform codecs, codebook
-    indices 0..15 for int4_kmeans."""
-    if codec.kind == "int8_uniform":
-        return codes / 127.0
-    if codec.kind == "int4_uniform":
-        return codes / 8.0
-    return np.asarray(codec.codebook)[codes]
-
-
 def dequantize(codec: Codec, q: QuantizedVec) -> np.ndarray:
     if q.codec_id != CODEC_IDS[codec.kind]:
         raise FormatError("codec id mismatch")
@@ -135,23 +119,40 @@ def dequantize(codec: Codec, q: QuantizedVec) -> np.ndarray:
     return dequantize_batch(codec, np.frombuffer(q.payload, dtype=np.uint8)[None, :], q.dim)[0]
 
 
+def code_matrix(codec: Codec, payloads: np.ndarray, dim: int):
+    """(codes, table) of an (n, payload_size(dim)) uint8 payload matrix: its
+    `<f4` view and None for fp32; else (n, dim) uint8 codes, the payload bytes
+    (int8) or its nibbles (int4), and each code's value (signed byte / 127,
+    offset-by-8 nibble / 8, or codebook center)."""
+    raw = np.ascontiguousarray(payloads, dtype=np.uint8)
+    if codec.kind == "fp32":
+        return raw.view("<f4"), None
+    if codec.kind == "int8_uniform":
+        return raw, np.arange(256, dtype=np.uint8).view(np.int8) / 127.0
+    nibbles = np.empty((len(raw), 2 * raw.shape[1]), dtype=np.uint8)
+    np.bitwise_and(raw, 0x0F, out=nibbles[:, 0::2])
+    np.right_shift(raw, 4, out=nibbles[:, 1::2])
+    return nibbles[:, :dim], (np.arange(-8, 8) / 8.0 if codec.kind == "int4_uniform"
+                              else np.asarray(codec.codebook))
+
+
 def dequantize_batch(codec: Codec, payloads: np.ndarray, dim: int) -> np.ndarray:
     """Values of an (n, payload_size(dim)) uint8 payload matrix as an (n, dim)
     array; the inverse of payload_matrix."""
-    raw = np.ascontiguousarray(payloads, dtype=np.uint8)
-    if codec.kind == "fp32":
-        return raw.view("<f4").astype(np.float64)
-    if codec.kind == "int8_uniform":
-        return _decode_codes(codec, raw.view(np.int8))
-    codes = _unnibble_rows(raw, dim)
-    return _decode_codes(codec, codes if codec.kind == "int4_uniform" else codes + 8)
+    codes, table = code_matrix(codec, payloads, dim)
+    return codes.astype(np.float64) if table is None else table[codes]
 
 
 def reconstruction_mse(codec: Codec, z: np.ndarray) -> float:
-    """Mean squared error of quantize->dequantize over an (n, d) batch."""
+    """Mean squared error of quantize->dequantize over an (n, d) batch; rows
+    are quantized 256 at a time into one whole-batch error buffer."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    approx = dequantize_batch(codec, payload_matrix(codec, z), z.shape[1])
-    return float(np.mean((z - approx) ** 2))
+    err = np.empty_like(z)
+    for start in range(0, len(z), 256):
+        rows = slice(start, start + 256)
+        approx = dequantize_batch(codec, payload_matrix(codec, z[rows]), z.shape[1])
+        np.subtract(z[rows], approx, out=err[rows])
+    return float(np.mean(np.square(err, out=err)))
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -190,8 +191,8 @@ def _sorted_nearest(xs: np.ndarray, perm: np.ndarray, centers: np.ndarray,
         wins = (d1 < d0) | ((d1 == d0) & upper_first)
         hi = np.where(open_ & wins, mid, hi)
         lo = np.where(open_ & ~wins, mid + 1, lo)
-    assign = np.empty(len(xs), dtype=np.int64)
-    assign[perm] = np.repeat(order, np.diff(lo, prepend=0, append=len(xs)))
+    assign = np.empty(len(xs), dtype=np.uint8)
+    assign[perm] = np.repeat(order.astype(np.uint8), np.diff(lo, prepend=0, append=len(xs)))
     return assign
 
 
@@ -206,59 +207,61 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     _require_finite(x)
-    uniq = np.unique(x)
-    if len(uniq) < 16:
-        raise DataError(f"k-means needs >= 16 distinct samples, got {len(uniq)}")
+    if len(np.unique(x)) < 16:
+        raise DataError(f"k-means needs >= 16 distinct samples, got {len(np.unique(x))}")
 
     stream = Stream(derive_seed(seed, "kmeanspp"))
     centers = np.empty(16)
     centers[0] = x[stream.randint(len(x))]
-    d2 = (x - centers[0]) ** 2
+    # `err` is the scratch buffer (out=) of every sample-sized temporary
+    d2, err = (x - centers[0]) ** 2, np.empty_like(x)
     for k in range(1, 16):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass at chosen centers; pick an unused distinct value
-            unused = np.setdiff1d(uniq, centers[:k])
-            centers[k] = unused[0]
+            centers[k] = np.setdiff1d(x, centers[:k])[0]
         else:
             centers[k] = x[stream.choice_weighted(d2)]
-        d2 = np.minimum(d2, (x - centers[k]) ** 2)
+        np.minimum(d2, np.square(np.subtract(x, centers[k], out=err), out=err), out=d2)
+    del d2
 
     perm = np.argsort(x, kind="stable")
-    xs, scale = x[perm], float(max(-uniq[0], uniq[-1]))
+    xs, scale = x[perm], float(max(-x.min(), x.max()))
 
     def nearest(centers):
         assign = _sorted_nearest(xs, perm, centers, scale)
-        return _nearest(x, centers) if assign is None else assign
+        return _nearest(x, centers).astype(np.uint8) if assign is None else assign
+
+    def squared_errors(centers, assign):
+        np.take(centers, assign, out=err, mode="clip")  # in range: no bounds buffer
+        return np.square(np.subtract(x, err, out=err), out=err)
 
     sse_history: list[float] = []
     for _ in range(iters):
         assign = nearest(centers)
-        err = (x - centers[assign]) ** 2
-        sse_history.append(float(err.sum()))
-        grouped = x[np.argsort(assign.astype(np.uint8), kind="stable")]
-        edges = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=16))])
+        sse_history.append(float(squared_errors(centers, assign).sum()))
+        by_center = np.argsort(assign, kind="stable")  # sample order within a center
+        edges = np.searchsorted(assign[by_center], np.arange(17, dtype=np.uint8))
         new_centers = centers.copy()
         for k in range(16):
-            members = grouped[edges[k]:edges[k + 1]]
-            if len(members):
-                new_centers[k] = members.mean()
+            if edges[k] < edges[k + 1]:
+                new_centers[k] = x[by_center[edges[k]:edges[k + 1]]].mean()
             else:
                 far = int(err.argmax())
                 new_centers[k] = x[far]
                 err[far] = 0.0
+        del by_center
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
-    assign = nearest(centers)
-    sse_history.append(float(((x - centers[assign]) ** 2).sum()))
+    sse_history.append(float(squared_errors(centers, nearest(centers)).sum()))
     order = np.argsort(centers, kind="mergesort")
     centers = centers[order]
     # strictly-ascending invariant: collapse of duplicate centers cannot
     # happen with >= 16 distinct samples and final Lloyd means, but guard it
     if not np.all(np.diff(centers) > 0):
         centers = np.unique(centers)
-        fill = np.setdiff1d(uniq, centers)
+        fill = np.setdiff1d(x, centers)
         centers = np.sort(np.concatenate([centers, fill[: 16 - len(centers)]]))
     return Codec("int4_kmeans", tuple(float(c) for c in centers)), sse_history
 

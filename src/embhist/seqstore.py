@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, FormatError, unpack_from
-from .quantization import CODEC_IDS, Codec, QuantizedVec, codec_from_id, dequantize_batch
+from .quantization import (
+    CODEC_IDS, Codec, QuantizedVec, code_matrix, codec_from_id, dequantize_batch,
+)
 
 _MAGIC = b"LFSQ"
 _VERSION = 1
@@ -48,8 +50,9 @@ class SequenceStore:
     """Records in insertion order as read-only columns, which `extend`
     concatenates onto: `keys` (u64), `timestamps` (i64), `soft_labels` (f64,
     NaN for a record without one) and the (n, payload_size) uint8 `payloads`
-    matrix. Queries read a (key, timestamp, insertion) sort and the
-    dequantized rows, built on the first query after an append."""
+    matrix. Queries read a (key, timestamp, insertion) sort and the codes in
+    that order (`quantization.code_matrix`), built on the first query after
+    an append; a query decodes only the rows it returns."""
 
     def __init__(self, dim: int, codec: Codec):
         self.dim = dim
@@ -99,21 +102,20 @@ class SequenceStore:
         self._index = None
 
     def _query_index(self):
-        """(canonical order, its timestamps, key -> span of that order,
-        dequantized rows in insertion order)."""
+        """(canonical order, its timestamps, key -> span of that order, code
+        rows in that order, their value table or None for fp32)."""
         if self._index is None:
             order = np.lexsort((self.timestamps, self.keys))  # stable: ties by insertion
             keys, starts = np.unique(self.keys[order], return_index=True)
             stops = np.append(starts[1:], len(order))
             spans = dict(zip(keys.tolist(), zip(starts.tolist(), stops.tolist())))
-            values = dequantize_batch(self.codec, self.payloads, self.dim)
-            self._index = (order, self.timestamps[order], spans, values)
+            self._index = (order, self.timestamps[order], spans,
+                           *code_matrix(self.codec, self.payloads[order], self.dim))
         return self._index
 
-    @property
-    def values(self) -> np.ndarray:
-        """Dequantized (n, dim) rows in insertion order."""
-        return self._query_index()[3]
+    def dequantized(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows [start, stop) in insertion order, dequantized now and not kept."""
+        return dequantize_batch(self.codec, self.payloads[start:stop], self.dim)
 
     def build_sequence(self, key: int, t_cur: int, seq_len: int,
                        window: int) -> SequenceFeature:
@@ -123,16 +125,19 @@ class SequenceStore:
             raise ConfigError("sequence length cap must be >= 1")
         if window <= 0:
             raise ConfigError("retention window must be > 0")
-        order, stamps, spans, values = self._query_index()
+        _, stamps, spans, codes, table = self._query_index()
         start, stop = spans.get(key, (0, 0))
         lo = start + stamps[start:stop].searchsorted(t_cur - window)
         hi = start + stamps[start:stop].searchsorted(t_cur)
-        rows = order[max(lo, hi - seq_len):hi][::-1]  # equal stamps: later insert first
-        n = len(rows)
+        first = max(lo, hi - seq_len)
+        n = int(hi - first)
+        recent = codes[first:hi]
+        if table is not None:  # a flat lookup: one take over the rows' codes
+            recent = table.take(recent.ravel()).reshape(recent.shape)
         entries = np.zeros((seq_len, self.dim))
-        entries[:n] = values[rows]
+        entries[:n] = recent[::-1]  # equal stamps: later insert first
         times = np.full(seq_len, -1, dtype=np.int64)
-        times[:n] = self.timestamps[rows]
+        times[:n] = stamps[first:hi][::-1]
         return SequenceFeature(entries, np.arange(seq_len) < n, times, n)
 
     # -- persistence -------------------------------------------------------

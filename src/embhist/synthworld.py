@@ -119,7 +119,7 @@ class EventLog:
     keys, timestamps, chunks and labels are (N,) int64; ids is an
     (N, m_vm + m_extra) int64 matrix with the student-visible columns
     first; true_p is (N,) float64 and NaN where unknown (ingested logs).
-    Every column is read-only.
+    Every column is read-only; one given C-contiguous in its dtype is kept, not copied.
     """
 
     spec: WorldSpec
@@ -132,8 +132,8 @@ class EventLog:
 
     def __post_init__(self):
         for name in _COLUMNS:
-            col = np.array(getattr(self, name),
-                           dtype=np.float64 if name == "true_p" else np.int64)
+            col = np.ascontiguousarray(getattr(self, name),
+                                       dtype=np.float64 if name == "true_p" else np.int64)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         n, width = len(self.labels), self.n_visible + len(self.spec.extra_cardinalities)
@@ -262,6 +262,7 @@ def generate(spec: WorldSpec, seed: int | None = None) -> EventLog:
         table[need] = [true_probability(spec, d[:m_vm], d[m_vm:m], d[m]) for d in digits]
         true_p[t] = table[cell]
         labels[t] = u_label[:, t] < true_p[t]
+    del draws, u_feat, u_label, table  # before the log's columns are made
     steps = np.repeat(np.arange(t_count), n_users)
     return EventLog(
         spec=spec, keys=np.tile(np.arange(n_users), t_count), timestamps=steps,

@@ -75,9 +75,10 @@ def oracle_histories(samples, history_len):
 
 def oracle_fm_batch(schema, samples, histories, history_len):
     b = len(samples)
+    # batch ids are int32 (schema_ids), and so are the oracle's
     ids = {f.name: np.array([oracle_values(schema, s)[f.name] for s in samples],
-                            dtype=np.int64) for f in schema.features}
-    hist_ids = {f.name: np.zeros((b, history_len), dtype=np.int64) for f in schema.features}
+                            dtype=np.int32) for f in schema.features}
+    hist_ids = {f.name: np.zeros((b, history_len), dtype=np.int32) for f in schema.features}
     mask = np.zeros((b, history_len), dtype=bool)
     for i, hist in enumerate(histories):
         for t, ev in enumerate(list(hist)[-history_len:]):
@@ -224,7 +225,7 @@ def test_vm_batch_matches_per_sample_oracle():
                           seq_len=5, seq_dim=3)
     chosen = [log.samples[i] for i in rows]
     assert_same_ids(batch.ids, {
-        f.name: np.array([oracle_values(schema, s)[f.name] for s in chosen], dtype=np.int64)
+        f.name: np.array([oracle_values(schema, s)[f.name] for s in chosen], dtype=np.int32)
         for f in schema.vm_features
     })
     assert np.array_equal(batch.labels, np.array([[float(s.label)] for s in chosen]))

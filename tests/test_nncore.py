@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from embhist import nncore as nn
+from embhist.compression import AEConfig, MatryoshkaAE
 from embhist.errors import ContractViolation, DimensionError
 
 
@@ -228,6 +230,20 @@ class TestAdam:
         nn.adam_step(store, np.array([1.0]), state)
         # mhat = vhat = 1 after bias correction: a full lr-sized step
         assert store["w"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-8)
+
+    def test_step_allocates_less_than_one_parameter_vector(self):
+        # every temporary of a step lives in the state's two scratch vectors
+        store = MatryoshkaAE(32, AEConfig(), seed=0).params
+        assert store.flat.size == 14_208
+        state = nn.AdamState.for_params(store, lr=0.01)
+        grads = rand(store.flat.shape, 1)
+        tracemalloc.start()
+        try:
+            nn.adam_step(store, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < store.flat.nbytes
 
     def test_two_steps_monotone(self):
         store = nn.ParamStore()

@@ -304,15 +304,17 @@ def default_stage_inputs():
     store = pipeline.SequenceStore(cfg.active_dim, pipeline.fit_codec(cfg.codec_kind, z, 0))
     pipeline.append_store(store, teacher, ae, store.codec, cfg.active_dim)
     store.freeze()
-    store.values  # the query index is built by the first read, in train_vm
+    store.build_sequence(0, 0, 1, 1)  # the first query builds the index, in train_vm
     return cfg, log, schema, fm, teacher, store
 
 
 class TestStageMemory:
     """Each stage holds one batch of derived data plus its output columns.
-    The bounds sit at least 2x below the peaks of the whole-set versions
-    (22.0, 19.8 and 14.6 MiB), so a whole-set transient that comes back
-    fails. The batched stages peaked at 5.8, 8.8 and 3.4 MiB (numpy 2.4)."""
+    The first three bounds sit at least 2x below the peaks of the whole-set
+    versions (22.0, 19.8 and 14.6 MiB), so a whole-set transient that comes
+    back fails. The batched stages peaked at 5.8, 8.8 and 3.4 MiB (numpy
+    2.4), and at 2.7, 7.3 and 2.7 MiB once ids and history rows were int32
+    and the store kept codes."""
 
     def test_ae_epoch0_loss(self, default_stage_inputs):
         cfg, *_, teacher, _ = default_stage_inputs
@@ -330,6 +332,21 @@ class TestStageMemory:
             cfg.vm, seq_dim=pipeline._arm_settings(arm, cfg, store)[1]), 0)
             for arm in cfg.arms}
         assert traced_peak_mb(lambda: eval_vm(vms, log, schema, cfg, store)) < 5.0
+
+    def test_store_query_index(self, default_stage_inputs):
+        # the index keeps one byte of code per entry, not 8 bytes of value
+        # (3.0 MiB for this store)
+        *_, store = default_stage_inputs
+        fresh = pipeline.SequenceStore(store.dim, store.codec)
+        fresh.extend(store.keys, store.timestamps, store.soft_labels, store.payloads,
+                     store.dim)
+        fresh.freeze()
+        assert traced_peak_mb(lambda: fresh.build_sequence(0, 0, 1, 1)) < 1.0
+
+    def test_default_seed(self):
+        # 14.7 MiB when the store held float64 values, the teacher embeddings
+        # lived through the student phase and stages copied whole sets
+        assert traced_peak_mb(lambda: pipeline.run_seed(ExperimentConfig(), 0)) <= 12.0
 
 
 class TestIngestion:

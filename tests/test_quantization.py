@@ -1,10 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embhist.errors import DataError, FormatError
-from embhist.prng import Stream, derive_seed
+from embhist.prng import Stream, derive_seed, uniform_array
 from embhist.quantization import (
     Codec, QuantizedVec, _nearest, _sorted_nearest, dequantize, dequantize_batch,
     fit_kmeans_int4, payload_matrix, quantize, reconstruction_mse,
@@ -140,6 +143,32 @@ class TestKMeansCodec:
         rng = np.random.default_rng(9)
         codec, _ = fit_kmeans_int4(np.tanh(rng.normal(0, 0.8, 5000)), seed=2)
         assert np.all(np.diff(codec.codebook) > 0)
+
+    def test_default_size_pool_fits_lean_and_unchanged(self):
+        # 98,304 samples, as many as the default store's codec pool (3,072
+        # rows x 32 dims): the fit peaks under 6.0 MiB, where its
+        # whole-array version took 6.8, and returns that version's codebook
+        # and SSE history bit for bit (float.hex values recorded from it)
+        u = uniform_array(3, 98_304)
+        pool = u * u * u * 2.0 - 1.0
+        tracemalloc.start()
+        try:
+            codec, history = fit_kmeans_int4(pool, iters=40, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 2**20
+        assert [c.hex() for c in codec.codebook] == [
+            "-0x1.fa1b93b3296b6p-1", "-0x1.d6a88cf685550p-1", "-0x1.aa833077abf91p-1",
+            "-0x1.79750911c093fp-1", "-0x1.4450ea1fccb84p-1", "-0x1.0d3d07ce92754p-1",
+            "-0x1.a9759fa7675e2p-2", "-0x1.33e70a6e32cd5p-2", "-0x1.751b85f964f9ep-3",
+            "-0x1.c1e9a013762bcp-5", "0x1.610706910a1e3p-4", "0x1.e0e6c456d8ceap-3",
+            "0x1.90f0f1cfce599p-2", "0x1.1e243a7ff1554p-1", "0x1.75e6025a5323ep-1",
+            "0x1.d0ed8e2805be6p-1"]
+        assert (len(history), history[0].hex(), history[-1].hex()) == (
+            41, "0x1.16d456f4c56d6p+8", "0x1.774a5fd2f8a35p+6")
+        assert hashlib.sha256(" ".join(h.hex() for h in history).encode()).hexdigest() == (
+            "5184e9492866fbde6338993097930e834628c291945d646ee0ec08e47d39225c")
 
     def test_ties_take_lower_index(self):
         codec = Codec("int4_kmeans", UNIFORM_MIDPOINTS)

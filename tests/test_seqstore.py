@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from embhist.errors import ConfigError, DataError, FormatError
-from embhist.quantization import Codec, quantize
+from embhist.quantization import CODEC_IDS, Codec, dequantize_batch, payload_matrix, quantize
 from embhist.seqstore import (
     EmbeddingRecord, SequenceStore, centroid_drift,
 )
@@ -192,6 +197,45 @@ class TestBuildSequence:
                 assert got.timestamps[i] == records[ridx].timestamp
 
 
+CODECS = {kind: Codec(kind, tuple(np.linspace(-0.9, 0.9, 16)) if kind == "int4_kmeans"
+                      else None) for kind in CODEC_IDS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(CODECS)), dim=st.integers(1, 5), seed=st.integers(0, 2**32),
+       # few keys and timestamps: equal timestamps are common
+       rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=30),
+       # keys 4 and 5 are never stored; windows 1-8 cut histories of up to 7 steps
+       queries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8), st.integers(1, 4),
+                                  st.integers(1, 8)), min_size=1, max_size=8))
+def test_sequences_are_the_decoded_payload_rows(tmp_path_factory, kind, dim, seed, rows,
+                                                queries):
+    """For every codec, a sequence's entries are the oracle's rows of
+    dequantize_batch over the whole payload matrix, bit for bit, and a
+    persisted and reloaded store returns the same sequences."""
+    codec = CODECS[kind]
+    z = np.random.default_rng(seed).uniform(-1.2, 1.2, (len(rows), dim))
+    store = SequenceStore(dim, codec)
+    store.extend([k for k, _ in rows], [t for _, t in rows], [np.nan] * len(rows),
+                 payload_matrix(codec, z), dim)
+    store.freeze()
+    values = dequantize_batch(codec, store.payloads, dim)
+    path = tmp_path_factory.mktemp("store") / "store.lfsq"
+    store.persist(path)
+    loaded = SequenceStore.load(path)
+    records = [SimpleNamespace(key=k, timestamp=t) for k, t in rows]
+    for key, t_cur, seq_len, window in queries:
+        want = brute_force_sequence(records, key, t_cur, seq_len, window)
+        got = store.build_sequence(key, t_cur, seq_len, window)
+        assert type(got.length) is int and got.length == len(want)
+        assert got.entries[: got.length].tobytes() == values[want].tobytes()
+        assert not got.entries[got.length :].any()
+        again = loaded.build_sequence(key, t_cur, seq_len, window)
+        assert again.length == got.length
+        for name in ("entries", "mask", "timestamps"):
+            assert getattr(again, name).tobytes() == getattr(got, name).tobytes()
+
+
 def stored_values(record):
     from embhist.quantization import dequantize
 
@@ -301,15 +345,18 @@ class TestPersistence:
 class TestCentroidDrift:
     def test_identical_stores_zero(self):
         records = [rec(1, t, [0.2, -0.4, 0.6, 0.0]) for t in range(5)]
-        assert centroid_drift(fresh_store(records).values, fresh_store(records).values) == 0.0
+        a, b = fresh_store(records), fresh_store(records)
+        assert centroid_drift(a.dequantized(), b.dequantized()) == 0.0
 
     def test_constant_shift(self):
         base = [np.full(DIM, 0.1), np.full(DIM, 0.3)]
         shift = 0.25  # exactly two int4 steps
         a = fresh_store([rec(1, t, v) for t, v in enumerate(base)])
         b = fresh_store([rec(1, t, v + shift) for t, v in enumerate(base)])
-        assert centroid_drift(a.values, b.values) == pytest.approx(np.sqrt(DIM) * shift, abs=1e-12)
+        assert centroid_drift(a.dequantized(), b.dequantized()) == pytest.approx(
+            np.sqrt(DIM) * shift, abs=1e-12)
 
     def test_empty_store_rejected(self):
         with pytest.raises(DataError):
-            centroid_drift(fresh_store().values, fresh_store([rec(1, 0, [0.0] * DIM)]).values)
+            centroid_drift(fresh_store().dequantized(),
+                           fresh_store([rec(1, 0, [0.0] * DIM)]).dequantized())
