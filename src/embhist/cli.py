@@ -30,7 +30,7 @@ from .models import (
 )
 from .quantization import Codec
 from .seqstore import SequenceStore
-from .synthworld import WorldSpec, generate
+from .synthworld import WorldSpec, generate, load_event_log
 
 
 # INI section -> the config dataclass whose fields its keys set
@@ -103,8 +103,8 @@ def cmd_gen_world(args):
 
 
 def _load_log(cfg, args):
-    return pipeline._load_log(replace(cfg, event_log_path=args.events or cfg.event_log_path),
-                              args.seed)
+    path = args.events or cfg.event_log_path
+    return load_event_log(path, cfg.world) if path else generate(cfg.world, args.seed)
 
 
 def _fixed_stack_seeds(cfg, args) -> tuple[int, int, int]:

@@ -1,6 +1,5 @@
 """Experiment orchestration: the temporal streaming protocol, the
-four-arm comparison, ablations, the theory verification battery, and
-event-log ingestion.
+four-arm comparison, ablations and the theory verification battery.
 
 Protocol: the teacher trains on chunks 0-3 and logs soft labels plus
 extracted embeddings on chunks 4-7; the compressor trains on chunk-4
@@ -13,7 +12,6 @@ isolate the transfer channel.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -42,11 +40,8 @@ from .quantization import (
 )
 from .seqstore import SequenceStore, centroid_drift
 from .synthworld import (
-    N_CHUNKS, EventLog, EventSample, WorldSpec, enumerate_world, generate,
-    random_enumerable_spec,
+    EventLog, WorldSpec, enumerate_world, generate, load_event_log, random_enumerable_spec,
 )
-
-log = logging.getLogger(__name__)
 
 FM_TRAIN_CHUNKS = (0, 1, 2, 3)
 LOG_CHUNKS = (4, 5, 6, 7)
@@ -427,12 +422,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _load_log(cfg: ExperimentConfig, seed: int) -> EventLog:
-    if cfg.event_log_path:
-        return load_event_log(cfg.event_log_path, cfg.world)
-    return generate(cfg.world, seed)
-
-
 def run_protocol(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
                  segments, seed: int) -> SeedResult:
     """The teacher stack of `segments` (see checkpoint_segments), then the
@@ -446,13 +435,17 @@ def run_protocol(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
     return SeedResult(arm_results, fm_result, stack.drift, stack.codec_mse)
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
-    return run_protocol(_load_log(cfg, seed), FeatureSchema.from_world(cfg.world), cfg,
+def run_seed(cfg: ExperimentConfig, seed: int, log_: EventLog | None = None) -> SeedResult:
+    """One seed of the protocol on `log_`, or on the world's log generated with `seed`."""
+    return run_protocol(generate(cfg.world, seed) if log_ is None else log_,
+                        FeatureSchema.from_world(cfg.world), cfg,
                         checkpoint_segments(cfg.checkpoint_policy, seed), seed)
 
 
 def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
-    results = {seed: run_seed(cfg, seed) for seed in cfg.seeds}
+    """Every seed of `cfg`; an external event log is read once for all of them."""
+    shared = load_event_log(cfg.event_log_path, cfg.world) if cfg.event_log_path else None
+    results = {seed: run_seed(cfg, seed, shared) for seed in cfg.seeds}
     return RunReport(
         config_hash=cfg.hash(), code_version=__version__,
         seeds=tuple(cfg.seeds), results=results,
@@ -754,76 +747,6 @@ def run_theory_suite(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
     battery = theory_battery(n_worlds, seed)
     sweep = tr_sweep_suite(seed)
     return TheorySuiteResult(battery.checks + sweep.checks)
-
-
-# ---------------------------------------------------------------------------
-# event-log ingestion
-# ---------------------------------------------------------------------------
-
-
-def ingest_event_log(path):
-    """Stream (line number, EventSample) pairs from the delimited text format.
-
-    Validates field counts and value ranges line by line (bounded memory);
-    warns on non-monotone timestamps within a chunk.
-    """
-    last = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise DataError(
-                    f"line {line_no}: expected 6 tab-separated fields, got {len(parts)}"
-                )
-            try:
-                key, ts, chunk = int(parts[0]), int(parts[1]), int(parts[2])
-                vm = tuple(int(x) for x in parts[3].split(","))
-                extras = tuple(int(x) for x in parts[4].split(",")) if parts[4] else ()
-                label = int(parts[5])
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
-            if label not in (0, 1):
-                raise DataError(f"line {line_no}: label must be 0 or 1")
-            if not 0 <= chunk < N_CHUNKS:
-                raise DataError(f"line {line_no}: chunk {chunk} outside 0..{N_CHUNKS - 1}")
-            if chunk in last and ts < last[chunk]:
-                log.warning("line %d: non-monotone timestamp within chunk %d",
-                            line_no, chunk)
-            last[chunk] = max(ts, last.get(chunk, ts))
-            yield line_no, EventSample(key=key, timestamp=ts, chunk=chunk, vm_values=vm,
-                                       extra_values=extras, label=label, true_p=None)
-
-
-def load_event_log(path, spec: WorldSpec) -> EventLog:
-    """Columnar log of an event file; rejects a repeated (key, timestamp) and
-    a feature id outside [0, cardinality) of `spec`."""
-    first_line, rows = {}, []
-    cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
-    for line_no, s in ingest_event_log(path):
-        if len(s.vm_values) != len(spec.vm_cardinalities):
-            raise DataError(f"line {line_no}: wrong visible feature count")
-        if len(s.extra_values) != len(spec.extra_cardinalities):
-            raise DataError(f"line {line_no}: wrong extra feature count")
-        for j, (v, card) in enumerate(zip((*s.vm_values, *s.extra_values), cards)):
-            if not 0 <= v < card:
-                raise DataError(f"line {line_no}: feature {j} id {v} outside [0, {card})")
-        first = first_line.setdefault((s.key, s.timestamp), line_no)
-        if first != line_no:
-            raise DataError(f"lines {first} and {line_no}: duplicate key {s.key} "
-                            f"at timestamp {s.timestamp}")
-        rows.append((s.key, s.timestamp, s.chunk, s.label, *s.vm_values, *s.extra_values))
-    if not rows:
-        raise DataError("event log is empty")
-    try:
-        table = np.array(rows, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataError(f"event log value outside int64: {exc}") from exc
-    return EventLog(spec=spec, keys=table[:, 0], timestamps=table[:, 1],
-                    chunks=table[:, 2], labels=table[:, 3], ids=table[:, 4:],
-                    true_p=np.full(len(table), np.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,18 @@ information-theoretic verification.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SizeError
-from .infotheory import JointTable, VerificationWorld, _remap_referenced, hist_var
+from .errors import ConfigError, DataError, SizeError
+from .infotheory import JointTable, VerificationWorld, hist_var
 from .prng import Stream, derive_seed, uniform_array
+
+log = logging.getLogger(__name__)
 
 N_CHUNKS = 8
 _ENUM_BUDGET = 30_000_000
@@ -179,6 +183,73 @@ class EventLog:
                          f"{','.join(map(str, v[m:]))}\t{y}\n")
 
 
+def load_event_log(path, spec: WorldSpec) -> EventLog:
+    """The log of an event file in the format `EventLog.write_text` writes.
+
+    Each line is decoded, split and checked once, and its integers are
+    appended to int64 columns that the log keeps without a copy; blank lines
+    are skipped. A malformed line is a DataError that names it. A repeated
+    (key, timestamp) is found by one sort once every line has passed, and
+    names both of its lines. A timestamp below an earlier one of its chunk
+    is only logged as a warning.
+    """
+    cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
+    keys, stamps, chunks, labels, ids, lines = (array("q") for _ in range(6))
+    last = [-1] * N_CHUNKS  # the latest timestamp of each chunk so far
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                fields = raw.decode().rstrip("\r\n").split("\t")
+                if fields == [""]:
+                    continue
+                if len(fields) != 6:
+                    raise ValueError(f"expected 6 tab-separated fields, got {len(fields)}")
+                key, ts, chunk, vm, extra, label = fields
+                key, ts, chunk, label = int(key), int(ts), int(chunk), int(label)
+                vm, extra = ([int(x) for x in f.split(",")] if f else [] for f in (vm, extra))
+                if label not in (0, 1):
+                    raise ValueError("label must be 0 or 1")
+                if not 0 <= chunk < N_CHUNKS:
+                    raise ValueError(f"chunk {chunk} outside 0..{N_CHUNKS - 1}")
+                if key < 0 or ts < 0:
+                    raise ValueError("key and timestamp must be non-negative")
+                if len(vm) != len(spec.vm_cardinalities):
+                    raise ValueError("wrong visible feature count")
+                if len(extra) != len(spec.extra_cardinalities):
+                    raise ValueError("wrong extra feature count")
+                row = vm + extra
+                for j, (v, card) in enumerate(zip(row, cards)):
+                    if not 0 <= v < card:
+                        raise ValueError(f"feature {j} id {v} outside [0, {card})")
+                keys.append(key)
+                stamps.append(ts)
+                chunks.append(chunk)
+                labels.append(label)
+                ids.extend(row)
+                lines.append(line_no)
+            except ValueError as exc:  # from decode(), int() or a check above
+                raise DataError(f"line {line_no}: {exc}") from exc
+            except OverflowError as exc:  # from a key or timestamp append
+                raise DataError(f"line {line_no}: value outside int64") from exc
+            if ts < last[chunk]:
+                log.warning("line %d: non-monotone timestamp within chunk %d", line_no, chunk)
+            else:
+                last[chunk] = ts
+    if not lines:
+        raise DataError("event log is empty")
+    k, t = np.frombuffer(keys, np.int64), np.frombuffer(stamps, np.int64)
+    order = np.lexsort((t, k))
+    repeats = order[1:][(np.diff(k[order]) == 0) & (np.diff(t[order]) == 0)]
+    if len(repeats):  # the earliest line that repeats a pair, and its first line
+        later = repeats.min()
+        first = np.argmax((k == k[later]) & (t == t[later]))
+        raise DataError(f"lines {lines[first]} and {lines[later]}: duplicate key "
+                        f"{k[later]} at timestamp {t[later]}")
+    return EventLog(spec=spec, keys=k, timestamps=t, chunks=np.frombuffer(chunks, np.int64),
+                    ids=np.frombuffer(ids, np.int64).reshape(len(k), len(cards)),
+                    labels=np.frombuffer(labels, np.int64), true_p=np.full(len(k), np.nan))
+
+
 def _feature_probs(spec: WorldSpec, extras: bool) -> list[np.ndarray]:
     cards = spec.extra_cardinalities if extras else spec.vm_cardinalities
     given = spec.extra_feature_probs if extras else spec.vm_feature_probs
@@ -312,22 +383,6 @@ def enumerate_world(spec: WorldSpec, n_hist: int) -> VerificationWorld:
         vm_feature_cards=tuple(spec.vm_cardinalities),
         extra_feature_cards=tuple(spec.extra_cardinalities),
     )
-
-
-def true_conditional(spec: WorldSpec, cond_vars, n_hist: int = 2):
-    """Exact P(y=1 | conditioning assignment) by enumeration.
-
-    Returns (p1, support): p1 has one axis per conditioning variable;
-    support marks assignments with positive probability (p1 is 0.5
-    placeholder elsewhere).
-    """
-    world = enumerate_world(spec, n_hist)
-    t = _remap_referenced(world.table, [*cond_vars, "Y"])
-    joint = t.probs
-    denom = joint.sum(axis=-1)
-    support = denom > 0.0
-    p1 = np.divide(joint[..., 1], denom, out=np.full_like(denom, 0.5), where=support)
-    return p1, support
 
 
 # ---------------------------------------------------------------------------

@@ -439,3 +439,20 @@ def test_out_of_range_extra_id_on_last_line_exits_4(config_path, tmp_path, capsy
                                                      command, bad_id):
     assert _run_with_bad_id(config_path, tmp_path, command, 1152, 4, -1, bad_id) == 4
     assert f"line 1152: feature 3 id {bad_id} outside [0, 2)" in capsys.readouterr().err
+
+
+# each appends one line to the staged log of 1,152 lines, given its first line
+@pytest.mark.parametrize("appended, message", [
+    (lambda first: first, "lines 1 and 1153: duplicate key 0 at timestamp 0"),
+    (lambda first: b"\xff\n", "line 1153: 'utf-8' codec can't decode byte 0xff"),
+    (lambda first: b"-1" + first[first.index(b"\t"):],
+     "line 1153: key and timestamp must be non-negative"),
+], ids=["repeated_first_line", "not_utf8", "negative_key"])
+def test_bad_appended_line_exits_4(config_path, tmp_path, capsys, appended, message):
+    events = tmp_path / "events.tsv"
+    assert main(["gen-world", "--config", config_path, "--out", str(events)]) == 0
+    text = events.read_bytes()
+    events.write_bytes(text + appended(text[: text.index(b"\n") + 1]))
+    assert main(["train-fm", "--config", config_path, "--events", str(events),
+                 "--out", str(tmp_path / "fm.lfmm")]) == 4
+    assert message in capsys.readouterr().err

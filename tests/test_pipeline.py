@@ -1,6 +1,7 @@
 import gc
 import logging
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -15,7 +16,7 @@ from embhist.infotheory import mixed_radix_table
 from embhist.models import FMConfig, FMModel, FeatureSchema, VMConfig, VMModel
 from embhist.pipeline import (
     ExperimentConfig, FM_TRAIN_CHUNKS, TEST_CHUNK, VM_TRAIN_CHUNKS,
-    eval_vm, ingest_event_log, load_event_log, run_ablation,
+    eval_vm, load_event_log, run_ablation,
     run_streaming_experiment, theory_battery, tr_sweep_suite, train_vm, write_tsv,
 )
 from embhist.synthworld import WorldSpec, generate
@@ -361,25 +362,25 @@ class TestIngestion:
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0\t0\t1,0\t0,1\t1\n1\t0\t0\t1,0\n")
         with pytest.raises(DataError, match="line 2"):
-            list(ingest_event_log(path))
+            load_event_log(path, SMALL_WORLD)
 
     def test_bad_label(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0\t0\t1,0\t0,1\t7\n")
         with pytest.raises(DataError, match="label"):
-            list(ingest_event_log(path))
+            load_event_log(path, SMALL_WORLD)
 
     def test_chunk_range(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0\t9\t1,0\t0,1\t1\n")
         with pytest.raises(DataError, match="chunk"):
-            list(ingest_event_log(path))
+            load_event_log(path, SMALL_WORLD)
 
     def test_nonmonotone_timestamp_warns(self, tmp_path, caplog):
         path = tmp_path / "warn.tsv"
         path.write_text("1\t5\t0\t1,0\t0,1\t1\n2\t3\t0\t1,0\t0,1\t0\n")
         with caplog.at_level(logging.WARNING):
-            list(ingest_event_log(path))
+            load_event_log(path, SMALL_WORLD)
         assert any("non-monotone" in r.message for r in caplog.records)
 
     def test_streaming_bounded_memory(self, tmp_path):
@@ -388,13 +389,13 @@ class TestIngestion:
             for i in range(200_000):
                 fh.write(f"{i % 97}\t{i // 97}\t{min(i * 8 // 200_000, 7)}\t1,0\t0,1\t{i % 2}\n")
         tracemalloc.start()
-        count = 0
-        for _ in ingest_event_log(path):
-            count += 1
+        log = load_event_log(path, SMALL_WORLD)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert count == 200_000
-        assert peak < 30 * 1024 * 1024  # streaming, not materialized
+        assert len(log.labels) == 200_000
+        # the columns it returns take 13.7 MiB: the bound leaves room for the
+        # int64 buffers and the repeat sort, not for a Python object per line
+        assert peak < 30 * 1024 * 1024
 
     def test_feature_count_validated(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -413,6 +414,46 @@ class TestIngestion:
                         "1\t0\t0\t2,1\t1,1\t0\n")
         with pytest.raises(DataError, match="lines 1 and 4"):
             load_event_log(path, SMALL_WORLD)
+
+    @pytest.mark.parametrize("line, message", [
+        (b"1\t1\t0\t1,0\t0,\xff\t1\n", "line 2: 'utf-8' codec can't decode byte 0xff"),
+        (b"-1\t1\t0\t1,0\t0,1\t1\n", "line 2: key and timestamp must be non-negative"),
+        (b"1\t-1\t5\t1,0\t0,1\t1\n", "line 2: key and timestamp must be non-negative"),
+        (b"1\t9223372036854775808\t0\t1,0\t0,1\t1\n", "line 2: value outside int64"),
+    ], ids=["not_utf8", "negative_key", "negative_timestamp", "over_int64"])
+    def test_bad_value_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"1\t0\t0\t1,0\t0,1\t1\n" + line)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_event_log(path, SMALL_WORLD)
+
+    def test_repeat_found_after_every_line_passed(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        rows = ["1\t0\t0\t1,0\t0,1\t1", "2\t0\t0\t1,0\t0,1\t0",
+                "2\t0\t0\t1,0\t0,1\t1", "1\t0\t0\t1,0\t0,1\t0"]
+        path.write_text("\n".join(rows) + "\n")
+        # the earliest line that repeats a pair, named with that pair's first line
+        with pytest.raises(DataError, match="lines 2 and 3: duplicate key 2 at timestamp 0"):
+            load_event_log(path, SMALL_WORLD)
+        # a bad line after the repeats is reported first
+        path.write_text("\n".join([*rows, "3\t0\t0\t1,0\t0,1\t7"]) + "\n")
+        with pytest.raises(DataError, match="line 5: label"):
+            load_event_log(path, SMALL_WORLD)
+
+    def test_external_log_read_once_per_experiment(self, tmp_path, monkeypatch, report):
+        path = tmp_path / "events.tsv"
+        generate(SMALL_WORLD, 0).write_text(path)
+        reads = []
+
+        def counted(*args):
+            reads.append(args)
+            return load_event_log(*args)
+
+        monkeypatch.setattr(pipeline, "load_event_log", counted)
+        shared = run_streaming_experiment(small_cfg(seeds=(0, 1), event_log_path=str(path)))
+        assert len(reads) == 1
+        # seed 0 on the written log is seed 0 on the log generated in memory
+        assert shared.results[0] == report.results[0]
 
     def test_same_timestamp_other_key_accepted(self, tmp_path):
         path = tmp_path / "ok.tsv"

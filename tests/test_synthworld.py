@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from embhist.errors import ConfigError, SizeError
+from embhist.errors import ConfigError, DataError, SizeError
+from embhist.infotheory import mixed_radix_table
 from embhist.synthworld import (
-    WorldSpec, enumerate_world, feature_effect, generate,
-    random_enumerable_spec, true_conditional, true_probability,
+    WorldSpec, enumerate_world, feature_effect, generate, load_event_log,
+    random_enumerable_spec, true_probability,
 )
 
 TINY = WorldSpec(
@@ -65,8 +70,6 @@ class TestGenerate:
             past.append(s.label)
 
     def test_text_round_trip(self, tmp_path):
-        from embhist.pipeline import load_event_log
-
         log = generate(TINY, 7)
         path = tmp_path / "events.tsv"
         log.write_text(path)
@@ -126,30 +129,39 @@ class TestEnumeration:
 
 
 class TestTrueConditional:
-    def test_full_conditioning_matches_generative_law(self):
-        p1, support = true_conditional(TINY, ("V", "E", "Y1", "Y2"), n_hist=2)
-        from embhist.infotheory import mixed_radix_table
+    """P(y=1 | ...) read off the exact joint of an enumerated world."""
 
+    def test_full_conditioning_matches_generative_law(self):
+        table = enumerate_world(TINY, n_hist=2).table
+        joint = table.marginal_array(("V", "E", "Y1", "Y2", "Y"))
+        vm, extra = (mixed_radix_table(TINY.vm_cardinalities),
+                     mixed_radix_table(TINY.extra_cardinalities))
         for v in range(TINY.vm_card):
             for e in range(TINY.extra_card):
                 for y1 in range(2):
                     for y2 in range(2):
-                        if not support[v, e, y1, y2]:
-                            continue
+                        cell = joint[v, e, y1, y2]
+                        assert cell.sum() > 0.0
                         # window 2 covers both history labels
-                        expect = true_probability(
-                            TINY,
-                            mixed_radix_table(TINY.vm_cardinalities)[v],
-                            mixed_radix_table(TINY.extra_cardinalities)[e],
-                            y1 + y2,
-                        )
-                        assert p1[v, e, y1, y2] == pytest.approx(expect, abs=1e-12)
+                        expect = true_probability(TINY, vm[v], extra[e], y1 + y2)
+                        assert cell[1] / cell.sum() == pytest.approx(expect, abs=1e-12)
 
     def test_empty_conditioning_is_base_rate(self):
-        p1, _ = true_conditional(TINY, (), n_hist=2)
-        world = enumerate_world(TINY, n_hist=2)
-        marg = world.table.marginal_array(("Y",))
-        assert float(p1) == pytest.approx(marg[1], abs=1e-12)
+        p1 = enumerate_world(TINY, n_hist=2).table.marginal_array(("Y",))[1]
+        # the same rate summed along the generative law's chain: uniform
+        # features, each label drawn given the labels before it
+        steps = [(v, e) for v in mixed_radix_table(TINY.vm_cardinalities)
+                 for e in mixed_radix_table(TINY.extra_cardinalities)]
+        w = 1.0 / len(steps)
+
+        def rate(pos: int) -> float:
+            return w * sum(true_probability(TINY, v, e, pos) for v, e in steps)
+
+        first = rate(0)
+        expect = sum((first if y1 else 1.0 - first)
+                     * (rate(y1) if y2 else 1.0 - rate(y1)) * rate(y1 + y2)
+                     for y1 in range(2) for y2 in range(2))
+        assert p1 == pytest.approx(expect, abs=1e-12)
 
 
 class TestJointTable:
@@ -208,3 +220,77 @@ class TestJointTable:
         h_hat = -(p_hat * np.log2(p_hat) + (1 - p_hat) * np.log2(1 - p_hat))
         dh = abs(np.log2(p_exact / (1 - p_exact)))  # |dH/dp| at p_exact
         assert abs(h_hat - h_exact) < 3 * sigma * dh + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# event-log text: round trip and fuzzed lines
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec_seed=st.integers(0, 2**16), n_users=st.integers(1, 6),
+       events=st.sampled_from([8, 16]), seed=st.integers(0, 2**16))
+def test_written_log_reads_back_to_its_columns(tmp_path_factory, spec_seed, n_users,
+                                               events, seed):
+    spec = replace(random_enumerable_spec(spec_seed), n_users=n_users,
+                   events_per_user=events)
+    log = generate(spec, seed)
+    path = tmp_path_factory.mktemp("log") / "events.tsv"
+    log.write_text(path)
+    back = load_event_log(path, spec)
+    for name in ("keys", "timestamps", "chunks", "ids", "labels"):
+        assert np.array_equal(getattr(back, name), getattr(log, name)), name
+    assert np.isnan(back.true_p).all()
+
+
+FUZZ_WORLD = replace(TINY, n_users=3, events_per_user=8)
+_BYTES = st.sampled_from(b"\xff\t\n\r,-0 ") | st.integers(0, 255)
+_TOKENS = st.sampled_from(["", "x", "1.5", "-1", "2", " 1 ", "1_0", "9" * 5000, str(2**63),
+                           str(2**64), str(-2**63 - 1)])
+_EDITS = ("flip_byte", "drop_byte", "insert_byte", "drop_field", "repeat_field",
+          "swap_fields", "token", "blank_line", "repeat_line")
+
+
+def _edit(data, lines: list[bytes]) -> list[bytes]:
+    """`lines` with one edit, drawn from `data`, to one line or between two."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line, edit = lines[i], data.draw(st.sampled_from(_EDITS))
+    if edit in ("blank_line", "repeat_line"):
+        at = data.draw(st.integers(0, len(lines)))
+        return lines[:at] + [b"" if edit == "blank_line" else line] + lines[at:]
+    if edit.endswith("_byte"):
+        cut = edit != "insert_byte"
+        at = data.draw(st.integers(0, len(line) - cut))
+        new = b"" if edit == "drop_byte" else bytes([data.draw(_BYTES)])
+        line = line[:at] + new + line[at + cut:]
+    else:
+        fields = line.split(b"\t")
+        f, g = data.draw(st.permutations(range(6)))[:2]
+        if edit == "token":
+            items = fields[f].split(b",")
+            items[data.draw(st.integers(0, len(items) - 1))] = data.draw(_TOKENS).encode()
+            fields[f] = b",".join(items)
+        elif edit == "drop_field":
+            del fields[f]
+        elif edit == "repeat_field":
+            fields.insert(f, fields[f])
+        else:
+            fields[f], fields[g] = fields[g], fields[f]
+        line = b"\t".join(fields)
+    return lines[:i] + [line] + lines[i + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_log_loads_or_raises_data_error(tmp_path_factory, data):
+    """One edit to a valid log: the reader returns a log of every non-blank
+    line, or raises DataError; nothing else escapes."""
+    path = tmp_path_factory.mktemp("fuzz") / "events.tsv"
+    generate(FUZZ_WORLD, 0).write_text(path)
+    blob = b"\n".join(_edit(data, path.read_bytes().split(b"\n")[:-1])) + b"\n"
+    path.write_bytes(blob)
+    try:
+        log = load_event_log(path, FUZZ_WORLD)
+    except DataError:
+        return
+    assert len(log.labels) == sum(bool(part.rstrip(b"\r")) for part in blob.split(b"\n"))
