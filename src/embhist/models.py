@@ -144,21 +144,21 @@ def schema_ids(schema: FeatureSchema, log_: EventLog) -> np.ndarray:
     return ids
 
 
-def history_index(keys: np.ndarray, history_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, history_len) int32 row indices of each event's same-key past
-    events, plus their mask: positions 0..k-1 hold the last k <= history_len
-    earlier rows of the key, oldest first; masked slots point at row 0."""
+def history_index(keys: np.ndarray, history_len: int,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(len(rows), history_len) int32 row indices of the same-key past events
+    of each of `rows`, plus their mask: positions 0..k-1 hold the last
+    k <= history_len earlier rows of the key, oldest first; masked slots
+    point at row 0."""
     order = np.argsort(keys, kind="stable").astype(np.int32)  # grouped by key
-    grouped = keys[order]
     at = np.empty_like(order)  # each row's position in the grouped order
     at[order] = np.arange(len(keys), dtype=np.int32)
-    count = np.minimum(at - np.searchsorted(grouped, grouped)[at], history_len).astype(np.int32)
+    at = at[rows]  # less its key's first position: the row's count of earlier rows
+    count = np.minimum(at - np.searchsorted(keys[order], keys[rows]), history_len).astype(np.int32)
     mask = np.arange(history_len) < count[:, None]
     pos = (at - count)[:, None] + np.arange(history_len, dtype=np.int32)
     pos *= mask  # masked slots read grouped position 0 ...
-    rows = order[pos]
-    rows *= mask  # ... and point at row 0
-    return rows, mask
+    return np.multiply(order[pos], mask, out=pos), mask  # ... and point at row 0
 
 
 def make_fm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
@@ -166,9 +166,9 @@ def make_fm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
     """Teacher batch of the given log rows, gathered by fancy indexing.
 
     `ids` is `schema_ids(schema, log_)`, `labels` the log's label column
-    and `history` its `history_index`; history ids are 0 where masked.
+    and `history` the `history_index` of `rows`; history ids are 0 where masked.
     """
-    hist_rows, hist_mask = history[0][rows], history[1][rows]
+    hist_rows, hist_mask = history
     return FMBatch(
         ids=ids[rows],
         hist_ids=np.where(hist_mask[:, :, None], ids[hist_rows], 0),
@@ -249,12 +249,7 @@ def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
     if kind == "din_attention":
         if query is None or nodes is None:
             raise ConfigError("din_attention needs a query and score parameters")
-        if query.value.shape[1] != entries.value.shape[1]:
-            raise DimensionError("attention query dim must match entry dim")
-        qrep = nn.repeat_rows(query, l)
-        feats = nn.concat_cols(
-            [entries, qrep, nn.mul(entries, qrep), nn.sub(entries, qrep)]
-        )
+        feats = nn.din_features(entries, query, l)
         h = nn.relu(nn.affine(feats, nodes[f"{prefix}.s0.w"], nodes[f"{prefix}.s0.b"]))
         scores = nn.affine(h, nodes[f"{prefix}.s1.w"], nodes[f"{prefix}.s1.b"])
         weights = nn.masked_softmax(nn.reshape(scores, b, l), mask)

@@ -1,10 +1,11 @@
 """Dense neural-net kernel: float64 arrays, reverse-mode tape, Adam.
 
 Everything is plain numpy float64; matrices are 2-D row-major arrays. The
-op vocabulary is fixed to what the models in this package need (affine, a
-few activations, embedding gather, masked softmax, pooling, concat,
-clamped cross-entropy); this is manual backpropagation with a recorded
-cache, not a general autodiff system.
+op vocabulary is fixed to what the models in this package need (affine,
+elementwise add/sub/mul/scale, a few activations, embedding gather, column
+concat and slice, reshape, DIN's [z; q; z*q; z-q] attention input as one
+fused op, masked softmax, pooling, sums, clamped cross-entropy); this is
+manual backpropagation with a recorded cache, not a general autodiff system.
 
 Each op is a Node subclass with one forward/backward pair. A tape starts
 at `ParamStore.as_nodes` (a node per parameter and per batch array) and
@@ -339,16 +340,42 @@ class gather_rows(_Op):
         table.grad = np.bincount(cells, weights, minlength=n * d).reshape(n, d)
 
 
-class repeat_rows(_Unary):
-    """Tile each row k times consecutively: (B, d) -> (B*k, d), as (x, k)."""
+class din_features(_Op):
+    """DIN's attention input [z; q; z*q; z-q] of entries z (B*L, d) and queries
+    q (B, d), as (z, q, L): one (B*L, 4d) value, q broadcast over its L entries.
+    Backward adds the contributions of the four ops it fuses (row repeat, mul,
+    sub, concat) in their order, so every gradient keeps its bits."""
+
+    def __init__(self, entries: Node, query: Node, seq_len: int):
+        if entries.value.shape != (len(query.value) * seq_len, query.value.shape[1]):
+            raise DimensionError(f"din_features {entries.value.shape} vs {seq_len} x "
+                                 f"{query.value.shape}")
+        super().__init__(entries, query, aux=seq_len)
+
+    def _blocks(self, arr):
+        """The (B, L, d) views of the four column blocks of a (B*L, 4d) array."""
+        b, d = self.parents[1].value.shape
+        return np.moveaxis(arr.reshape(b, self.aux, 4, d), 2, 0)
 
     def fw(self, out):
-        return np.repeat(self.parents[0].value, self.aux[0], axis=0)
+        z, q = self.parents[0].value, self.parents[1].value[:, None, :]
+        out = np.empty((len(z), 4 * q.shape[2])) if out is None else out
+        o_z, o_q, o_mul, o_sub = self._blocks(out)
+        o_z[...], o_q[...] = z.reshape(o_z.shape), q
+        np.multiply(o_z, q, out=o_mul)
+        np.subtract(o_z, q, out=o_sub)
+        return out
 
     def bw(self, g):
-        x = self.parents[0]
-        b, d = x.value.shape
-        _acc(x, g.reshape(b, self.aux[0], d).sum(axis=1, out=_buf(x)))
+        z, q = self.parents
+        g_z, g_q, g_mul, g_sub = self._blocks(g)
+        if z.flows:  # concat's block, then sub's, then mul's
+            for part in (g_z, g_sub, np.multiply(g_mul, q.value[:, None, :])):
+                _acc(z, part.reshape(z.value.shape))
+        if q.flows:  # g_q + (-g_sub) has the bits of g_q - g_sub
+            rep = np.subtract(g_q, g_sub)
+            rep += np.multiply(g_mul, z.value.reshape(g_mul.shape))
+            _acc(q, rep.sum(axis=1, out=_buf(q)))
 
 
 class masked_softmax(_Op):
@@ -633,8 +660,8 @@ class Trace:
 
     def trace(self, key: tuple, arrays: dict[str, np.ndarray]) -> float:
         """One eager step; keeps its tape (batch leaves, op nodes, flowing
-        nodes, loss) with a gradient buffer per flowing node, a parameter's
-        being its view of `grads`."""
+        nodes, loss) with a gradient buffer per flowing node whose eager
+        gradient was its own, not a view, a parameter's being its view of `grads`."""
         nodes = self.params.as_nodes(arrays)
         loss = self.build(nodes)
         backward(loss)
@@ -648,8 +675,9 @@ class Trace:
         params = [n for n in flowing if n._guard is not None]
         self._collect(params)
         for n in flowing:  # each eager gradient goes before its replay buffer comes
+            owned = n.grad is not None and n.grad.base is None  # else a view each replay hands on
             n.grad = None
-            if n.gbuf is None:
+            if n.gbuf is None and owned:
                 n.gbuf = np.empty_like(n.value)
         self.tapes[key] = ([nodes[name] for name in arrays],
                            [(n, n.fw) for n in tape if n.fw is not None],

@@ -115,9 +115,9 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _batches(indices, size):
-    for start in range(0, len(indices), size):
-        yield indices[start : start + size]
+def _batches(n: int, size: int):
+    """Slices of `size` consecutive positions that cover 0..n-1."""
+    return (slice(start, start + size) for start in range(0, n, size))
 
 
 def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
@@ -125,10 +125,10 @@ def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
     """A generator of the teacher batches over the log rows in `chunks`, in
     log order, `size` rows each and built one at a time, plus those rows."""
     ids = schema_ids(schema, log_)
-    history = history_index(log_.keys, history_len)
     rows = np.flatnonzero(np.isin(log_.chunks, chunks))
-    return (make_fm_batch(schema, ids, log_.labels, part, history)
-            for part in _batches(rows, size)), rows
+    history = history_index(log_.keys, history_len, rows)
+    return (make_fm_batch(schema, ids, log_.labels, rows[part], [h[part] for h in history])
+            for part in _batches(len(rows), size)), rows
 
 
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
@@ -201,9 +201,9 @@ def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks) -> TeacherLog:
     size = fm.config.batch_size
     batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks, size)
     soft, emb = np.empty(len(rows)), np.empty((len(rows), fm.layer_width(layer)))
-    for start, batch in zip(range(0, len(rows), size), batches):
-        soft[start : start + size], bundle = fm.predict_batch(batch)
-        emb[start : start + size] = extract_embedding(bundle, layer)
+    for part, batch in zip(_batches(len(rows), size), batches):
+        soft[part], bundle = fm.predict_batch(batch)
+        emb[part] = extract_embedding(bundle, layer)
     return TeacherLog(keys=log_.keys[rows], timestamps=log_.timestamps[rows],
                       chunks=log_.chunks[rows], labels=log_.labels[rows], soft=soft, emb=emb)
 
@@ -220,16 +220,16 @@ def append_store(store: SequenceStore, teacher: TeacherLog, ae: MatryoshkaAE,
     """Encode and pack every teacher row into `store`, one block of rows at
     a time."""
     if len(teacher.keys):
-        payloads = [payload_matrix(codec, z) for z in _encoded(ae, teacher.emb, d_prime)]
+        payloads = [payload_matrix(codec, z) for _, z in _encoded(ae, teacher.emb, d_prime)]
         store.extend(teacher.keys, teacher.timestamps, teacher.soft,
                      np.concatenate(payloads), d_prime)
 
 
 def _encoded(ae: MatryoshkaAE, emb: np.ndarray, d_prime: int):
-    """The first `d_prime` code columns of `emb`, encoded and yielded
-    _STORE_BLOCK rows at a time."""
-    for start in range(0, len(emb), _STORE_BLOCK):
-        yield ae.encode_batch(emb[start : start + _STORE_BLOCK])[:, :d_prime]
+    """(rows, the first `d_prime` code columns of emb[rows]) for each
+    _STORE_BLOCK rows of `emb`, encoded one block at a time."""
+    for rows in _batches(len(emb), _STORE_BLOCK):
+        yield rows, ae.encode_batch(emb[rows])[:, :d_prime]
 
 
 @dataclass
@@ -273,7 +273,9 @@ def teacher_stack(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
             if c == log_chunks[0]:
                 ae, _ = ae_train(teacher.emb, cfg.ae, ae_seed)
             if store is None:
-                z = np.concatenate(list(_encoded(ae, teacher.emb, cfg.active_dim)))
+                z = np.empty((len(teacher.emb), cfg.active_dim))
+                for rows, block in _encoded(ae, teacher.emb, cfg.active_dim):
+                    z[rows] = block
                 codec = fit_codec(cfg.codec_kind, z, codec_seed)
                 codec_mse = reconstruction_mse(codec, z)
                 store = SequenceStore(cfg.active_dim, codec)
@@ -325,8 +327,7 @@ def train_vm(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
                           dtype=np.float64)[:, None]
         soft.flags.writeable = False
     seq_dims = {arm: seq_dim for arm, (_, seq_dim) in settings.items()}
-    for start in range(0, len(rows), cfg.vm.batch_size):
-        part = slice(start, start + cfg.vm.batch_size)
+    for part in _batches(len(rows), cfg.vm.batch_size):
         for arm, batch in _arm_batches(log_, ids, rows[part], schema, cfg, seq_dims,
                                        store).items():
             if arm in kd_arms:
@@ -360,8 +361,8 @@ def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
     scores = {arm: [] for arm in vms}
-    for part in _batches(rows, 128):
-        for arm, s in _predict(vms, _arm_batches(log_, ids, part, schema, cfg, seq_dims,
+    for part in _batches(len(rows), 128):
+        for arm, s in _predict(vms, _arm_batches(log_, ids, rows[part], schema, cfg, seq_dims,
                                                  store)).items():
             scores[arm].append(s)
     return {arm: evaluate(np.concatenate(s), log_.labels[rows]) for arm, s in scores.items()}
@@ -442,9 +443,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, log_: EventLog | None = None) -> 
                         checkpoint_segments(cfg.checkpoint_policy, seed), seed)
 
 
-def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Every seed of `cfg`; an external event log is read once for all of them."""
-    shared = load_event_log(cfg.event_log_path, cfg.world) if cfg.event_log_path else None
+def run_streaming_experiment(cfg: ExperimentConfig, shared: EventLog | None = None) -> RunReport:
+    """Every seed of `cfg` on `shared`, else on its external log read once, else on its own."""
+    if shared is None and cfg.event_log_path:
+        shared = load_event_log(cfg.event_log_path, cfg.world)
     results = {seed: run_seed(cfg, seed, shared) for seed in cfg.seeds}
     return RunReport(
         config_hash=cfg.hash(), code_version=__version__,
@@ -458,19 +460,20 @@ def run_streaming_experiment(cfg: ExperimentConfig) -> RunReport:
 
 
 def run_ablation(cfg: ExperimentConfig, axis: str, values=None) -> list[dict]:
-    """One row per axis setting; every row reruns the full protocol."""
+    """One row per axis setting; each reruns the protocol (an external log is read once)."""
     if axis == "deltasweep":
         return run_delta_sweep(cfg, values or DELTA_VALUES)
     if axis not in _ABLATIONS:
         raise ConfigError(f"unknown ablation axis {axis!r}")
     name, defaults, extra = _ABLATIONS[axis]
     settings = tuple(values or defaults)
+    shared = load_event_log(cfg.event_log_path, cfg.world) if cfg.event_log_path else None
     rows = []
     for setting in settings:
         changes = {name: setting}
         if name == "active_dim":  # the compressor must train every active dim
             changes["ae"] = replace(cfg.ae, dims=settings)
-        report = run_streaming_experiment(replace(cfg, **changes))
+        report = run_streaming_experiment(replace(cfg, **changes), shared)
         row = _axis_row(axis, setting, report)
         if extra:
             column, per_seed = extra

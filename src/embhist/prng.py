@@ -79,8 +79,3 @@ class Stream:
     def randint(self, bound: int) -> int:
         """Integer in [0, bound) via rejection-free scaling (bound << 2**53)."""
         return int(self.uniform() * bound)
-
-    def choice_weighted(self, weights: np.ndarray) -> int:
-        cumulative = np.cumsum(weights)
-        u = self.uniform() * cumulative[-1]
-        return int(np.searchsorted(cumulative, u, side="right"))

@@ -203,34 +203,41 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
     iteration, which is non-increasing. Empty clusters are reseeded to the
     sample farthest from its assigned center. Assignments come from one
     sort of the samples (see _sorted_nearest) and equal _nearest's; each
-    cluster mean sums its members in sample order.
+    cluster mean sums its members, a run of that sort, in sample order.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     _require_finite(x)
-    if len(np.unique(x)) < 16:
-        raise DataError(f"k-means needs >= 16 distinct samples, got {len(np.unique(x))}")
+    perm = np.argsort(x, kind="stable").astype(np.int32)
+    # `err` is the scratch buffer (out=) of every sample-sized temporary
+    err = np.take(x, perm, mode="clip")  # x sorted, for now
+    distinct = len(x) and 1 + np.count_nonzero(err[1:] != err[:-1])
+    if distinct < 16:
+        raise DataError(f"k-means needs >= 16 distinct samples, got {distinct}")
 
     stream = Stream(derive_seed(seed, "kmeanspp"))
     centers = np.empty(16)
     centers[0] = x[stream.randint(len(x))]
-    # `err` is the scratch buffer (out=) of every sample-sized temporary
-    d2, err = (x - centers[0]) ** 2, np.empty_like(x)
+    d2 = (x - centers[0]) ** 2
     for k in range(1, 16):
         total = d2.sum()
         if total <= 0.0:
             # all remaining mass at chosen centers; pick an unused distinct value
             centers[k] = np.setdiff1d(x, centers[:k])[0]
         else:
-            centers[k] = x[stream.choice_weighted(d2)]
+            cumulative = np.cumsum(d2, out=err)  # the next center is drawn with weight d2
+            centers[k] = x[np.searchsorted(cumulative, stream.uniform() * cumulative[-1], "right")]
         np.minimum(d2, np.square(np.subtract(x, centers[k], out=err), out=err), out=d2)
+    xs, scale = np.take(x, perm, out=d2, mode="clip"), float(max(-x.min(), x.max()))
     del d2
 
-    perm = np.argsort(x, kind="stable")
-    xs, scale = x[perm], float(max(-x.min(), x.max()))
-
     def nearest(centers):
+        """(each sample's center, each one's (start, stop) run of the sort or None)"""
         assign = _sorted_nearest(xs, perm, centers, scale)
-        return _nearest(x, centers).astype(np.uint8) if assign is None else assign
+        if assign is None:
+            return _nearest(x, centers).astype(np.uint8), None
+        counts, order = np.bincount(assign, minlength=16), np.argsort(centers, kind="stable")
+        stops = np.cumsum(counts[order])[np.argsort(order)]  # runs follow the sorted centers
+        return assign, np.column_stack([stops - counts, stops])
 
     def squared_errors(centers, assign):
         np.take(centers, assign, out=err, mode="clip")  # in range: no bounds buffer
@@ -238,23 +245,22 @@ def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, lis
 
     sse_history: list[float] = []
     for _ in range(iters):
-        assign = nearest(centers)
+        assign, runs = nearest(centers)
         sse_history.append(float(squared_errors(centers, assign).sum()))
-        by_center = np.argsort(assign, kind="stable")  # sample order within a center
-        edges = np.searchsorted(assign[by_center], np.arange(17, dtype=np.uint8))
         new_centers = centers.copy()
         for k in range(16):
-            if edges[k] < edges[k + 1]:
-                new_centers[k] = x[by_center[edges[k]:edges[k + 1]]].mean()
+            members = np.sort(perm[slice(*runs[k])]) if runs is not None else np.flatnonzero(
+                assign == k)
+            if len(members):
+                new_centers[k] = np.take(x, members, mode="clip").mean()
             else:
                 far = int(err.argmax())
                 new_centers[k] = x[far]
                 err[far] = 0.0
-        del by_center
         if np.array_equal(new_centers, centers):
             break
         centers = new_centers
-    sse_history.append(float(squared_errors(centers, nearest(centers)).sum()))
+    sse_history.append(float(squared_errors(centers, nearest(centers)[0]).sum()))
     order = np.argsort(centers, kind="mergesort")
     centers = centers[order]
     # strictly-ascending invariant: collapse of duplicate centers cannot

@@ -191,10 +191,10 @@ def load_event_log(path, spec: WorldSpec) -> EventLog:
     are skipped. A malformed line is a DataError that names it. A repeated
     (key, timestamp) is found by one sort once every line has passed, and
     names both of its lines. A timestamp below an earlier one of its chunk
-    is only logged as a warning.
+    is only logged, once per load with the count and the first such line.
     """
     cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
-    keys, stamps, chunks, labels, ids, lines = (array("q") for _ in range(6))
+    keys, stamps, chunks, labels, ids, lines, backwards = (array("q") for _ in range(7))
     last = [-1] * N_CHUNKS  # the latest timestamp of each chunk so far
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -232,11 +232,14 @@ def load_event_log(path, spec: WorldSpec) -> EventLog:
             except OverflowError as exc:  # from a key or timestamp append
                 raise DataError(f"line {line_no}: value outside int64") from exc
             if ts < last[chunk]:
-                log.warning("line %d: non-monotone timestamp within chunk %d", line_no, chunk)
+                backwards.append(line_no)
             else:
                 last[chunk] = ts
     if not lines:
         raise DataError("event log is empty")
+    if backwards:
+        log.warning("non-monotone timestamp within its chunk on %d lines, first on line %d",
+                    len(backwards), backwards[0])
     k, t = np.frombuffer(keys, np.int64), np.frombuffer(stamps, np.int64)
     order = np.lexsort((t, k))
     repeats = order[1:][(np.diff(k[order]) == 0) & (np.diff(t[order]) == 0)]

@@ -126,7 +126,7 @@ def test_criterion_5_gradient_checks():
         fm = FMModel(schema, FMConfig(use_history=use_history), seed=5)
         fm.params.set_("out.w", nn.glorot_uniform(*fm.params["out.w"].shape, 9, "p"))
         batch = make_fm_batch(schema, ids, log.labels, chosen,
-                              history_index(log.keys, fm.config.history_len))
+                              history_index(log.keys, fm.config.history_len, chosen))
         key = "teacher+attn" if use_history else "teacher"
         results[key] = nn.grad_check(fm.loss_fn(batch), fm.params, n_probes=40)
 

@@ -174,7 +174,7 @@ def test_fm_batch_matches_per_sample_oracle(case, history_len):
     want_ids, want_hist, want_mask, want_labels = oracle_fm_batch(
         schema, [samples[i] for i in rows], [hists[i] for i in rows], history_len)
     batch = make_fm_batch(schema, schema_ids(schema, log), log.labels, np.array(rows),
-                          history_index(log.keys, history_len))
+                          history_index(log.keys, history_len, np.array(rows)))
     assert_same_ids(batch.ids, want_ids)
     assert_same_ids(batch.hist_ids, want_hist)
     assert np.array_equal(batch.hist_mask, want_mask)
@@ -184,11 +184,19 @@ def test_fm_batch_matches_per_sample_oracle(case, history_len):
 
 def test_history_index_on_all_rows():
     log = crafted_log()
-    rows, mask = history_index(log.keys, 3)
+    rows, mask = history_index(log.keys, 3, np.arange(len(log.keys)))
     for i, past in enumerate(oracle_histories(log.samples, 3)):
         assert mask[i].sum() == len(past)
         got = [log.timestamps[r] for r in rows[i, : len(past)]]
         assert got == [s.timestamp for s in past]
+
+
+def test_history_index_of_rows_is_their_rows_of_the_whole_log():
+    log = generate(SKEWED, 1)
+    every = history_index(log.keys, 5, np.arange(len(log.keys)))
+    rows = np.array([700, 3, 3, 0, len(log.keys) - 1, 41])  # any order, repeats too
+    got = history_index(log.keys, 5, rows)
+    assert all(g.dtype == e.dtype and np.array_equal(g, e[rows]) for g, e in zip(got, every))
 
 
 def test_prefix_schema_reads_leading_extra_columns():
@@ -201,7 +209,7 @@ def test_prefix_schema_reads_leading_extra_columns():
     want_ids, want_hist, _, _ = oracle_fm_batch(
         schema, [log.samples[i] for i in rows], [hists[i] for i in rows], 4)
     batch = make_fm_batch(schema, schema_ids(schema, log), log.labels, rows,
-                          history_index(log.keys, 4))
+                          history_index(log.keys, 4, rows))
     assert_same_ids(batch.ids, want_ids)
     assert_same_ids(batch.hist_ids, want_hist)
 

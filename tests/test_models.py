@@ -33,8 +33,9 @@ def sample_log():
 
 def fm_batch(schema_, log, rows, history_len=6):
     """Teacher batch of the given log rows with their same-user histories."""
+    rows = np.asarray(rows)
     return make_fm_batch(schema_, schema_ids(schema_, log), log.labels,
-                         np.asarray(rows), history_index(log.keys, history_len))
+                         rows, history_index(log.keys, history_len, rows))
 
 
 def vm_batch(schema_, log, rows, **kw):
@@ -371,7 +372,8 @@ class TestGradChecks:
     def test_fm_with_attention_over_past_events(self):
         # the first rows are t=0 events with empty histories; these rows
         # attend over real past events, and over different numbers of them
-        _, mask = history_index(sample_log().keys, FMConfig().history_len)
+        keys = sample_log().keys
+        _, mask = history_index(keys, FMConfig().history_len, np.arange(len(keys)))
         rows = np.flatnonzero(mask.any(axis=1))
         rows = rows[np.linspace(0, len(rows) - 1, 10).astype(int)]
         assert mask[rows].any(axis=1).all() and len(set(mask[rows].sum(axis=1))) > 1
@@ -490,6 +492,17 @@ class TestReplay:
             return ae, ae.loss
 
         self._check(make, lambda rows: {"x": e[rows]})
+
+    def test_view_gradients_get_no_replay_buffer(self):
+        # each gather's gradient is its reshape's, viewed; the attention
+        # input's is written by the affine over it
+        fm = FMModel(schema(), FMConfig(embed_dim=4, hidden=(8, 6, 4), history_len=3), seed=3)
+        trace = nn.Trace(fm.loss, fm.params, nn.AdamState.for_params(fm.params))
+        trace.step(fm.arrays(fm_batch(fm.schema, sample_log(), np.arange(16), 3)))
+        (_, _, flowing, *_), = trace.tapes.values()
+        gathers = [n for n in flowing if isinstance(n, nn.gather_rows)]
+        assert len(gathers) == 2 and all(n.gbuf is None for n in gathers)
+        assert all(n.gbuf is not None for n in flowing if isinstance(n, nn.din_features))
 
     def test_outside_mutation_rejected(self):
         vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=5)

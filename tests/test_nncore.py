@@ -161,11 +161,23 @@ class TestOpsGradients:
 
         self._check(build, {"table": (3, 4)}, tol=1e-5)
 
-    def test_repeat_and_slice(self):
+    def test_din_features_and_slice(self):
+        # both parents flow, as in the teacher's attention over its history;
+        # the slice reads part of each of the four blocks
         def build(nodes):
-            rep = nn.repeat_rows(nodes["q"], 3)
-            part = nn.slice_cols(rep, 1, 3)
+            feats = nn.din_features(nodes["z"], nodes["q"], 3)
+            part = nn.slice_cols(feats, 2, 14)
             return nn.mean_all(nn.mul(part, nn.tanh_(part)))
+
+        self._check(build, {"z": (6, 4), "q": (2, 4)}, tol=1e-5)
+
+    def test_din_features_constant_entries(self):
+        # the student's din_attention arm: only the query flows
+        z = rand((6, 4), 3)
+
+        def build(nodes):
+            feats = nn.din_features(nn.constant(z), nodes["q"], 3)
+            return nn.mean_all(nn.mul(feats, nn.tanh_(feats)))
 
         self._check(build, {"q": (2, 4)}, tol=1e-5)
 
@@ -276,6 +288,63 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
         limit = math.sqrt(6.0 / 11.0)
         assert np.all(np.abs(a) <= limit)
+
+
+class _RepeatRows(nn._Unary):
+    """The row repeat that din_features fuses: (B, d) -> (B*k, d), as (x, k)."""
+
+    def fw(self, out):
+        return np.repeat(self.parents[0].value, self.aux[0], axis=0)
+
+    def bw(self, g):
+        x = self.parents[0]
+        b, d = x.value.shape
+        nn._acc(x, g.reshape(b, self.aux[0], d).sum(axis=1, out=nn._buf(x)))
+
+
+def _unfused_din_features(z, q, seq_len):
+    rep = _RepeatRows(q, seq_len)
+    return nn.concat_cols([z, rep, nn.mul(z, rep), nn.sub(z, rep)])
+
+
+class TestDinFeatures:
+    """din_features gives the bits of the four ops it fuses, forward and
+    backward."""
+
+    def test_forward_is_the_concatenated_blocks(self):
+        z, q = rand((12, 5), 1), rand((3, 5), 2)
+        rep = np.repeat(q, 4, axis=0)
+        want = np.concatenate([z, rep, z * rep, z - rep], axis=1)
+        got = nn.din_features(nn.constant(z), nn.constant(q), 4).value
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entries_flow", [True, False])
+    def test_gradients_match_the_unfused_ops(self, entries_flow):
+        rng = np.random.default_rng(6)
+        # a wide dynamic range, so a different summation order changes the bits
+        init = {"z": rng.normal(size=(12, 5)) * 10.0 ** rng.uniform(-6, 6, (12, 5)),
+                "q": rng.normal(size=(3, 5)), "w": rng.normal(size=(20, 1))}
+        grads = {}
+        for feats_fn in (nn.din_features, _unfused_din_features):
+            store = nn.ParamStore()
+            for name, value in init.items():
+                store.add(name, value)
+            nodes = store.as_nodes()
+            # z and q also reach the loss through other ops, before and after
+            # the features, so each of their gradients sums several parts
+            z = nn.scale(nodes["z"], 0.5) if entries_flow else nn.constant(init["z"])
+            q = nn.scale(nodes["q"], 2.0)
+            h = nn.matmul(feats_fn(z, q, 4), nodes["w"])
+            pooled = nn.attn_pool(nn.reshape(h, 3, 4), z, 4)
+            nn.backward(nn.sum_all(nn.mul(pooled, q)))
+            grads[feats_fn] = nn.collect_grads(store, nodes)
+        assert grads[nn.din_features].tobytes() == grads[_unfused_din_features].tobytes()
+
+    def test_layout_mismatch(self):
+        with pytest.raises(DimensionError):
+            nn.din_features(nn.constant(rand((12, 5), 1)), nn.constant(rand((3, 5), 2)), 5)
+        with pytest.raises(DimensionError):
+            nn.din_features(nn.constant(rand((12, 4), 1)), nn.constant(rand((3, 5), 2)), 4)
 
 
 class TestLeanTape:

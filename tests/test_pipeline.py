@@ -344,6 +344,20 @@ class TestStageMemory:
         fresh.freeze()
         assert traced_peak_mb(lambda: fresh.build_sequence(0, 0, 1, 1)) < 1.0
 
+    def test_train_fm(self, default_stage_inputs):
+        # 6.97 MiB while the attention input took four ops and history was
+        # indexed for every log row; 5.7 with one fused op and history for
+        # the trained rows only
+        cfg, log, schema, *_ = default_stage_inputs
+        assert traced_peak_mb(lambda: pipeline.train_fm(
+            log, schema, replace(cfg.fm, epochs=1), 0)) < 6.5
+
+    def test_log_teacher_one_chunk(self, default_stage_inputs):
+        # one logged chunk, as teacher_stack logs them: 4.91 MiB with a
+        # whole-log history index, 3.4 with the chunk's own
+        cfg, log, _, fm, *_ = default_stage_inputs
+        assert traced_peak_mb(lambda: pipeline.log_teacher(fm, log, cfg.layer, (4,))) < 4.0
+
     def test_default_seed(self):
         # 14.7 MiB when the store held float64 values, the teacher embeddings
         # lived through the student phase and stages copied whole sets
@@ -382,6 +396,25 @@ class TestIngestion:
         with caplog.at_level(logging.WARNING):
             load_event_log(path, SMALL_WORLD)
         assert any("non-monotone" in r.message for r in caplog.records)
+
+    def test_reversed_log_warns_once(self, tmp_path, caplog):
+        path = tmp_path / "reversed.tsv"
+        generate(SMALL_WORLD, 0).write_text(path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(reversed(lines)))
+        latest, backwards = {}, []  # per chunk, as the reader checks them
+        for line_no, line in enumerate(reversed(lines), 1):
+            _, ts, chunk = map(int, line.split("\t")[:3])
+            if ts < latest.get(chunk, -1):
+                backwards.append(line_no)
+            else:
+                latest[chunk] = ts
+        with caplog.at_level(logging.WARNING):
+            load_event_log(path, SMALL_WORLD)
+        assert len(backwards) > 1000
+        assert [r.getMessage() for r in caplog.records] == [
+            f"non-monotone timestamp within its chunk on {len(backwards)} lines, "
+            f"first on line {backwards[0]}"]
 
     def test_streaming_bounded_memory(self, tmp_path):
         path = tmp_path / "big.tsv"
@@ -454,6 +487,21 @@ class TestIngestion:
         assert len(reads) == 1
         # seed 0 on the written log is seed 0 on the log generated in memory
         assert shared.results[0] == report.results[0]
+
+    def test_external_log_read_once_per_ablation(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.tsv"
+        generate(SMALL_WORLD, 0).write_text(path)
+        reads = []
+
+        def counted(*args):
+            reads.append(args)
+            return load_event_log(*args)
+
+        monkeypatch.setattr(pipeline, "load_event_log", counted)
+        cfg = small_cfg(arms=("emb_hist",), event_log_path=str(path))
+        rows = run_ablation(cfg, "seqlen", values=(5, 10, 20))
+        assert len(reads) == 1
+        assert [r["setting"] for r in rows] == [5, 10, 20]
 
     def test_same_timestamp_other_key_accepted(self, tmp_path):
         path = tmp_path / "ok.tsv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embhist import quantization
 from embhist.errors import DataError, FormatError
 from embhist.prng import Stream, derive_seed, uniform_array
 from embhist.quantization import (
@@ -224,7 +225,9 @@ def reference_fit(samples, iters, seed):
         if d2.sum() <= 0.0:
             centers[k] = np.setdiff1d(uniq, centers[:k])[0]
         else:
-            centers[k] = x[stream.choice_weighted(d2)]
+            cumulative = np.cumsum(d2)
+            centers[k] = x[np.searchsorted(cumulative, stream.uniform() * cumulative[-1],
+                                           side="right")]
         d2 = np.minimum(d2, (x - centers[k]) ** 2)
     history = []
     for _ in range(iters):
@@ -281,6 +284,15 @@ class TestSortOnceLloyd:
             return
         codec, history = fit_kmeans_int4(x, iters=iters, seed=seed % 97)
         assert (codec.codebook, history) == reference_fit(x, iters, seed % 97)
+
+    def test_fit_off_the_sort_path_is_unchanged(self, monkeypatch):
+        # centers too close for the sort are assigned by _nearest, and each
+        # mean then takes its members by mask; force that path throughout
+        x = np.tanh(np.random.default_rng(4).normal(0, 1, 2000))
+        codec, history = fit_kmeans_int4(x, iters=20, seed=5)
+        monkeypatch.setattr(quantization, "_sorted_nearest", lambda *args: None)
+        assert fit_kmeans_int4(x, iters=20, seed=5) == (codec, history)
+        assert (codec.codebook, history) == reference_fit(x, 20, 5)
 
     def test_non_finite_sample_names_its_index(self):
         x = np.linspace(-1, 1, 40)
