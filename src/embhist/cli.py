@@ -1,7 +1,8 @@
 """Command-line entry points for each pipeline stage.
 
-Exit codes: 0 ok, 2 configuration error, 3 verification failure,
-4 data/format error. Output paths default under $EMBHIST_OUT (or ./runs).
+Exit codes: 0 ok, 1 any other package error (e.g. a training loss that is
+not finite), 2 configuration error, 3 verification failure, 4 data/format
+error. Output paths default under $EMBHIST_OUT (or ./runs).
 Configs are INI files; see README.md for the schema.
 """
 
@@ -180,7 +181,7 @@ def cmd_quantize(args):
     teacher = _load_teacher(args.teacher)
     ae = load_ae(args.ae)
     rows = teacher.rows_in_chunk(pipeline.LOG_CHUNKS[0])
-    z = ae.encode_batch(teacher.emb[rows])[:, : cfg.active_dim]
+    z = pipeline.encode(ae, teacher.emb[rows], cfg.active_dim)
     codec = pipeline.fit_codec(cfg.codec_kind, z, codec_seed)
     descriptor = {"kind": codec.kind}
     if codec.codebook:
@@ -205,7 +206,7 @@ def cmd_build_store(args):
     ae = load_ae(args.ae)
     codec = _load_codec(args.codec)
     store = SequenceStore(cfg.active_dim, codec)
-    pipeline.append_store(store, teacher, ae, codec, cfg.active_dim)
+    pipeline.append_store(store, teacher, pipeline.encode(ae, teacher.emb, cfg.active_dim))
     store.persist(_ensure_parent(Path(args.out)))
     print(f"store with {len(store)} records -> {args.out}")
     return 0

@@ -558,16 +558,6 @@ class PipelineReport:
 
 
 @dataclass(frozen=True)
-class SandwichResult:
-    lower: float
-    upper: float
-    value: float
-    lower_slack: float
-    upper_slack: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class TRBoundParams:
     """Constants of the transfer-ratio lower bound."""
 
@@ -591,14 +581,6 @@ class TRBoundParams:
             raise DomainError("delta must be >= 0")
 
 
-def xi_from_capacity(m: int, p: int, n: int) -> float:
-    """Sample-complexity envelope m/n + n/(p - m) for an overparameterized
-    teacher with m feature directions, p parameters, n training samples."""
-    if p <= m or n <= 0:
-        raise DomainError("need p > m and n > 0")
-    return m / n + n / (p - m)
-
-
 def eval_tr_lower_bound(params: TRBoundParams) -> float:
     denom = (
         params.kappa_gap_hi * params.delta
@@ -615,19 +597,10 @@ def eval_tr_lower_bound(params: TRBoundParams) -> float:
 class TRPopulationReport:
     tr_pop: float
     tr_lb: float
-    holds: bool
     bound_applicable: bool   # numerator of the bound is non-negative
     a3_holds: bool
-    delta: int
-    delta_teacher: float
-    tau2: float
     eta1: float
     eta2: float
-    kappa_gap_lo: float
-    kappa_gap_hi: float
-    kappa_gap_hist_lo: float
-    kappa_gap_hist_hi: float
-    i_temporal: float
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +698,12 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
     )
 
 
-def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport) -> SandwichResult:
-    """(1-tau)*I_temporal + (1-eta)*I_raw <= gain <= I_temporal + (1-eta)*I_raw."""
+def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport) -> tuple[float, float]:
+    """The (lower, upper) slacks of the sandwich
+    (1-tau)*I_temporal + (1-eta)*I_raw <= gain <= I_temporal + (1-eta)*I_raw."""
     lower = (1.0 - pipe.tau) * gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
     upper = gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
-    lo_slack = gain.i_loopgain - lower
-    up_slack = upper - gain.i_loopgain
-    return SandwichResult(
-        lower=lower, upper=upper, value=gain.i_loopgain,
-        lower_slack=lo_slack, upper_slack=up_slack,
-        holds=(lo_slack >= -1e-9 and up_slack >= -1e-9),
-    )
+    return gain.i_loopgain - lower, upper - gain.i_loopgain
 
 
 def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,
@@ -802,10 +770,12 @@ def _gap_terms(world: VerificationWorld, j: int) -> tuple[float, float]:
     return current, t2.cond_mutual_info(tuple(d.name for d in uj_hist), ("Y",), cond)
 
 
-def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
-                        rep1, rep2) -> TRPopulationReport:
+def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist) -> TRPopulationReport:
+    """The transfer ratio of upgrading pipe1 (None: initial launch) to pipe2,
+    and its bound from the gap terms of features [m1, m2) and verify_pipeline."""
     delta = m2 - m1
     launch = pipe1 is None
+    rep2 = verify_pipeline(world, pipe2)
 
     specs = [_extras_derived(world, "E1v", "E", slice(m1)),
              _extras_derived(world, "E2v", "E", slice(m2)),
@@ -826,32 +796,21 @@ def _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist,
 
     if launch:
         # launch bound: ((1 - tau2) I_temporal + (1 - eta2) I_raw2) / delta_teacher
-        tr_lb = (
-            (1.0 - rep2.tau) * rep2.i_temporal
-            + (1.0 - rep2.eta) * rep2.i_feature_raw
-        ) / delta_teacher
+        tr_lb = ((1.0 - rep2.tau) * rep2.i_temporal
+                 + (1.0 - rep2.eta) * rep2.i_feature_raw) / delta_teacher
         eta1, applicable, a3_holds = rep2.eta, True, True
-        holds = tr_pop >= max(tr_lb, 0.0) - 1e-9
     else:
-        a3_holds = (
-            rep2.l_repr_cross + rep2.l_ae_cross + rep2.l_q_cross
-            <= rep1.l_repr_cross + rep1.l_ae_cross + rep1.l_q_cross + 1e-12
-        )
+        rep1 = verify_pipeline(world, pipe1)
+        a3_holds = (rep2.l_repr_cross + rep2.l_ae_cross + rep2.l_q_cross
+                    <= rep1.l_repr_cross + rep1.l_ae_cross + rep1.l_q_cross + 1e-12)
         eta1 = rep1.eta
         tr_lb = eval_tr_lower_bound(TRBoundParams(
             tau2=rep2.tau, eta1=eta1, kappa_gap_hist_lo=min(hist), kappa_gap_hi=max(cur),
             i_temporal=rep2.i_temporal, delta=float(delta),
         ))
         applicable = -rep2.tau * rep2.i_temporal + (1.0 - eta1) * min(hist) * delta >= 0.0
-        holds = (tr_pop >= tr_lb - 1e-9) if (applicable and a3_holds) else True
-    return TRPopulationReport(
-        tr_pop=tr_pop, tr_lb=tr_lb, holds=holds, bound_applicable=applicable,
-        a3_holds=a3_holds, delta=delta, delta_teacher=delta_teacher,
-        tau2=rep2.tau, eta1=eta1, eta2=rep2.eta,
-        kappa_gap_lo=min(cur), kappa_gap_hi=max(cur),
-        kappa_gap_hist_lo=min(hist), kappa_gap_hist_hi=max(hist),
-        i_temporal=rep2.i_temporal,
-    )
+    return TRPopulationReport(tr_pop=tr_pop, tr_lb=tr_lb, bound_applicable=applicable,
+                              a3_holds=a3_holds, eta1=eta1, eta2=rep2.eta)
 
 
 def verify_tr_bound_population(world: VerificationWorld,
@@ -870,17 +829,14 @@ def verify_tr_bound_population(world: VerificationWorld,
     risk); the launch form of the bound is then used and the transfer
     ratio is guaranteed non-negative.
     """
-    launch = pipe1 is None
-    m1 = m1_features if launch else pipe1.n_extras_visible
+    m1 = m1_features if pipe1 is None else pipe1.n_extras_visible
     if m1 is None:
         raise SchemaError("initial launch needs m1_features for the old teacher view")
     m2 = pipe2.n_extras_visible
     if not 0 <= m1 < m2 <= len(world.extra_feature_cards):
         raise SchemaError("teacher feature views must nest: m1 < m2")
     cur, hist = per_feature_gap_terms(world, m1, m2)
-    rep1 = None if launch else verify_pipeline(world, pipe1)
-    rep2 = verify_pipeline(world, pipe2)
-    return _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist, rep1, rep2)
+    return _assemble_tr_report(world, pipe1, pipe2, m1, m2, cur, hist)
 
 
 def tr_delta_sweep(world: VerificationWorld, pipe1: TablePipeline,
@@ -893,17 +849,8 @@ def tr_delta_sweep(world: VerificationWorld, pipe1: TablePipeline,
     per-feature chain terms and the old pipeline's report are shared.
     """
     m1 = pipe1.n_extras_visible
-    max_delta = max(deltas)
-    if m1 + max_delta > len(world.extra_feature_cards):
+    if m1 + max(deltas) > len(world.extra_feature_cards):
         raise SchemaError("sweep exceeds the world's extra feature count")
-    cur_all, hist_all = per_feature_gap_terms(world, m1, m1 + max_delta)
-    rep1 = verify_pipeline(world, pipe1)
-    out = []
-    for delta in deltas:
-        pipe2 = pipe2_factory(m1 + delta)
-        rep2 = verify_pipeline(world, pipe2)
-        out.append(
-            _assemble_tr_report(world, pipe1, pipe2, m1, m1 + delta,
-                                cur_all, hist_all, rep1, rep2)
-        )
-    return out
+    cur, hist = per_feature_gap_terms(world, m1, m1 + max(deltas))
+    return [_assemble_tr_report(world, pipe1, pipe2_factory(m1 + delta), m1, m1 + delta,
+                                cur, hist) for delta in deltas]

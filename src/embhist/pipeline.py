@@ -215,21 +215,23 @@ def fit_codec(kind: str, z_pool: np.ndarray, seed: int) -> Codec:
     return Codec(kind)
 
 
-def append_store(store: SequenceStore, teacher: TeacherLog, ae: MatryoshkaAE,
-                 codec: Codec, d_prime: int) -> None:
-    """Encode and pack every teacher row into `store`, one block of rows at
-    a time."""
-    if len(teacher.keys):
-        payloads = [payload_matrix(codec, z) for _, z in _encoded(ae, teacher.emb, d_prime)]
-        store.extend(teacher.keys, teacher.timestamps, teacher.soft,
-                     np.concatenate(payloads), d_prime)
-
-
-def _encoded(ae: MatryoshkaAE, emb: np.ndarray, d_prime: int):
-    """(rows, the first `d_prime` code columns of emb[rows]) for each
-    _STORE_BLOCK rows of `emb`, encoded one block at a time."""
+def encode(ae: MatryoshkaAE, emb: np.ndarray, d_prime: int) -> np.ndarray:
+    """The first `d_prime` code columns of every row of `emb`, encoded
+    _STORE_BLOCK rows at a time into one array."""
+    z = np.empty((len(emb), d_prime))
     for rows in _batches(len(emb), _STORE_BLOCK):
-        yield rows, ae.encode_batch(emb[rows])[:, :d_prime]
+        z[rows] = ae.encode_batch(emb[rows])[:, :d_prime]
+    return z
+
+
+def append_store(store: SequenceStore, teacher: TeacherLog, z: np.ndarray) -> None:
+    """Pack the codes `z` of every teacher row (see encode) into `store`
+    with its codec, _STORE_BLOCK rows at a time."""
+    if len(teacher.keys):
+        payloads = [payload_matrix(store.codec, z[rows])
+                    for rows in _batches(len(z), _STORE_BLOCK)]
+        store.extend(teacher.keys, teacher.timestamps, teacher.soft,
+                     np.concatenate(payloads), z.shape[1])
 
 
 @dataclass
@@ -264,7 +266,8 @@ def teacher_stack(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
     its segment's first logged chunk. The codec is fit on the first
     segment's first-chunk codes and reused by later segments, so the store
     stays self-describing under one codec. The teacher logs one chunk at a
-    time; its embeddings are dropped once the store holds their codes."""
+    time, and each chunk is encoded once; its embeddings are dropped once
+    encoded, and its codes once the store holds them."""
     parts, store, edges = [], None, [0]
     for train_chunks, log_chunks, (fm_seed, ae_seed, codec_seed) in segments:
         fm = train_fm(log_, schema, cfg.fm, fm_seed, train_chunks=train_chunks)
@@ -272,17 +275,16 @@ def teacher_stack(log_: EventLog, schema: FeatureSchema, cfg: ExperimentConfig,
             teacher = log_teacher(fm, log_, cfg.layer, (c,))
             if c == log_chunks[0]:
                 ae, _ = ae_train(teacher.emb, cfg.ae, ae_seed)
-            if store is None:
-                z = np.empty((len(teacher.emb), cfg.active_dim))
-                for rows, block in _encoded(ae, teacher.emb, cfg.active_dim):
-                    z[rows] = block
+            z = encode(ae, teacher.emb, cfg.active_dim)
+            teacher = replace(teacher, emb=np.empty((len(z), 0)))
+            if store is None:  # the first chunk's codes are the codec pool
                 codec = fit_codec(cfg.codec_kind, z, codec_seed)
                 codec_mse = reconstruction_mse(codec, z)
                 store = SequenceStore(cfg.active_dim, codec)
-                del z
-            append_store(store, teacher, ae, store.codec, cfg.active_dim)
+            append_store(store, teacher, z)
+            del z
             edges.append(len(store))
-            parts.append(replace(teacher, emb=np.empty((len(teacher.keys), 0))))
+            parts.append(teacher)
     store.freeze()
     drift = tuple(centroid_drift(store.dequantized(a, b), store.dequantized(b, c))
                   for a, b, c in zip(edges, edges[1:], edges[2:]))
@@ -615,18 +617,42 @@ class TheorySuiteResult:
         ]
 
 
-def _hist_cells(spec: WorldSpec, n_hist: int) -> int:
-    per_step = spec.vm_card * spec.extra_card * 2
-    return per_step ** (n_hist + 1)
+# the gate of every theory check: name -> (threshold, whether the value
+# passes strictly below it; otherwise it passes at or above it)
+_GATES = {
+    # theory_battery, per random world
+    "gain_identity_residual": (1e-10, True),
+    "dpi_cross_le_raw": (-1e-9, False),
+    "cross_identity_residual": (1e-10, True),
+    "pipeline_bound_slack": (-1e-9, False),
+    "eta_in_unit_interval": (1.0 + 1e-9, True),
+    "gain_sandwich": (-1e-9, False),
+    "monotone_history_gain": (-1e-10, False),
+    "gain_capped_by_label_entropy": (-1e-10, False),
+    "conditioning_reduces_entropy": (-1e-10, False),
+    "a3_implies_eta_ordering": (-1e-9, False),
+    # tr_sweep_suite: flags pass at 1.0
+    "a3_holds_on_sweep": (1.0, False),
+    "tr_bound_applicable": (1.0, False),
+    "tr_pop_ge_lb": (-1e-9, False),
+    "tr_lb_nondecreasing_in_delta": (-1e-12, False),
+    "tr_lb_grid_monotone": (-1e-12, False),
+    "tr_lb_grid_below_limit": (-1e-12, False),
+    "initial_launch_tr_nonneg": (-1e-12, False),
+    "initial_launch_bound_holds": (-1e-9, False),
+    "negative_transfer_a3_violated": (1.0, False),
+    "negative_transfer_tr_negative": (0.0, True),
+}
 
 
-def _check(name: str, world: str, value, threshold: float,
-           below: bool = False) -> TheoryCheck:
-    """A check that passes when `value >= threshold`, or `value < threshold`
-    when `below`, so the threshold it reports is the gate it applied."""
-    value = float(value)
-    return TheoryCheck(name, world, value, threshold,
-                       value < threshold if below else value >= threshold)
+def _checks(world: str, values: dict):
+    """One TheoryCheck per (name, value) of `values`, in order, each gated
+    and reporting its threshold as _GATES gives them."""
+    for name, value in values.items():
+        threshold, below = _GATES[name]
+        value = float(value)
+        yield TheoryCheck(name, world, value, threshold,
+                          value < threshold if below else value >= threshold)
 
 
 def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
@@ -634,28 +660,25 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
     checks: list[TheoryCheck] = []
     for k in range(n_worlds):
         spec = random_enumerable_spec(derive_seed(seed, "battery", k))
-        n_hist = 2 if _hist_cells(spec, 2) <= 300_000 else 1
+        # two history steps when their joint has at most 300,000 cells
+        n_hist = 2 if (spec.vm_card * spec.extra_card * 2) ** 3 <= 300_000 else 1
         world = enumerate_world(spec, n_hist)
-        wid = f"w{k}"
         pipe = random_table_pipeline(world, derive_seed(seed, "pipe", k))
 
         gain = verify_gain_decomposition(world, pipe)
         rep = verify_pipeline(world, pipe)
-        sand = verify_gain_sandwich(gain, rep)
         gains_by_len = verify_monotone_L(world, pipe)
         cap = world.table.cond_entropy(("Y",), ("V",))
-        checks += [
-            _check("gain_identity_residual", wid, gain.identity_residual, 1e-10, below=True),
-            _check("dpi_cross_le_raw", wid, gain.i_feature_raw - gain.i_cross, -1e-9),
-            _check("cross_identity_residual", wid, rep.cross_identity_residual, 1e-10,
-                   below=True),
-            _check("pipeline_bound_slack", wid, rep.pipeline_bound_slack, -1e-9),
-            _check("eta_in_unit_interval", wid, rep.eta, 1.0 + 1e-9, below=True),
-            _check("gain_sandwich", wid, min(sand.lower_slack, sand.upper_slack), -1e-9),
-            _check("monotone_history_gain", wid, np.diff(gains_by_len).min(initial=0.0),
-                   -1e-10),
-            _check("gain_capped_by_label_entropy", wid, cap - gains_by_len[-1], -1e-10),
-        ]
+        values = {
+            "gain_identity_residual": gain.identity_residual,
+            "dpi_cross_le_raw": gain.i_feature_raw - gain.i_cross,
+            "cross_identity_residual": rep.cross_identity_residual,
+            "pipeline_bound_slack": rep.pipeline_bound_slack,
+            "eta_in_unit_interval": rep.eta,
+            "gain_sandwich": min(verify_gain_sandwich(gain, rep)),
+            "monotone_history_gain": np.diff(gains_by_len).min(initial=0.0),
+            "gain_capped_by_label_entropy": cap - gains_by_len[-1],
+        }
 
         # conditioning reduces entropy along growing conditioning sets
         h_prev, worst, cond = cap, 0.0, ("V",)
@@ -664,7 +687,7 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
             h_next = world.table.cond_entropy(("Y",), cond)
             worst = min(worst, h_prev - h_next)
             h_prev = h_next
-        checks.append(_check("conditioning_reduces_entropy", wid, worst, -1e-10))
+        values["conditioning_reduces_entropy"] = worst
 
         # finer quantization cannot worsen the pipeline (A3-style pair)
         fine = TablePipeline(pipe.n_extras_visible, pipe.emb_fn, pipe.ae_fn,
@@ -673,8 +696,8 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
         cross_fine = rep_fine.l_repr_cross + rep_fine.l_ae_cross + rep_fine.l_q_cross
         cross_coarse = rep.l_repr_cross + rep.l_ae_cross + rep.l_q_cross
         if cross_fine <= cross_coarse + 1e-12 and rep.i_feature_raw > 1e-12:
-            checks.append(_check("a3_implies_eta_ordering", wid, rep.eta - rep_fine.eta,
-                                 -1e-9))
+            values["a3_implies_eta_ordering"] = rep.eta - rep_fine.eta
+        checks += _checks(f"w{k}", values)
     return TheorySuiteResult(checks)
 
 
@@ -693,13 +716,12 @@ def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
     checks: list[TheoryCheck] = []
     prev_lb = -math.inf
     for delta, pop in zip(DELTA_VALUES, pops):
-        wid = f"delta{delta}"
-        checks += [
-            _check("a3_holds_on_sweep", wid, pop.a3_holds, 1.0),
-            _check("tr_bound_applicable", wid, pop.bound_applicable, 1.0),
-            _check("tr_pop_ge_lb", wid, pop.tr_pop - pop.tr_lb, -1e-9),
-            _check("tr_lb_nondecreasing_in_delta", wid, pop.tr_lb - prev_lb, -1e-12),
-        ]
+        checks += _checks(f"delta{delta}", {
+            "a3_holds_on_sweep": pop.a3_holds,
+            "tr_bound_applicable": pop.bound_applicable,
+            "tr_pop_ge_lb": pop.tr_pop - pop.tr_lb,
+            "tr_lb_nondecreasing_in_delta": pop.tr_lb - prev_lb,
+        })
         prev_lb = pop.tr_lb
 
     # closed-form bound is monotone on a dense grid under valid constants
@@ -713,22 +735,18 @@ def tr_sweep_suite(seed: int = 0) -> TheorySuiteResult:
         for d in range(1, 65)
     ]
     limit = (1.0 - params0.eta1) * params0.kappa_gap_hist_lo / params0.kappa_gap_hi
-    checks += [
-        _check("tr_lb_grid_monotone", "grid64", np.diff(grid).min(), -1e-12),
-        _check("tr_lb_grid_below_limit", "grid64", limit - grid[-1], -1e-12),
-    ]
+    checks += _checks("grid64", {"tr_lb_grid_monotone": np.diff(grid).min(),
+                                 "tr_lb_grid_below_limit": limit - grid[-1]})
 
     # initial launch: no prior sequence feature, gain can only help
     launch = verify_tr_bound_population(world, None, new_pipes[m1 + 2], m1_features=m1)
     # crafted neg-transfer: new teacher sees more but ships a coarser pipeline
     neg = negative_transfer_example(world, new_pipes[m1 + 1])
-    checks += [
-        _check("initial_launch_tr_nonneg", "launch", launch.tr_pop, -1e-12),
-        _check("initial_launch_bound_holds", "launch",
-               launch.tr_pop - max(launch.tr_lb, 0.0), -1e-9),
-        _check("negative_transfer_a3_violated", "crafted", not neg.a3_holds, 1.0),
-        _check("negative_transfer_tr_negative", "crafted", neg.tr_pop, 0.0, below=True),
-    ]
+    checks += _checks("launch", {"initial_launch_tr_nonneg": launch.tr_pop,
+                                 "initial_launch_bound_holds":
+                                     launch.tr_pop - max(launch.tr_lb, 0.0)})
+    checks += _checks("crafted", {"negative_transfer_a3_violated": not neg.a3_holds,
+                                  "negative_transfer_tr_negative": neg.tr_pop})
     return TheorySuiteResult(checks)
 
 

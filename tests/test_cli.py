@@ -107,6 +107,18 @@ def test_bad_model_size_exits_2(tmp_path, capsys, section, line):
     assert "config error" in err and line.split(" =")[0] in err
 
 
+def test_non_finite_training_loss_exits_1(tmp_path, capsys):
+    # a finite learning rate that passes config validation but overflows
+    # the teacher's first step
+    path = tmp_path / "huge_lr.ini"
+    path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n"
+                    "[fm]\nepochs = 1\nlr = 1.7e308\n[experiment]\nseeds = 0\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: loss is not finite"]
+
+
 def test_missing_artifact_exits_4(tmp_path, capsys):
     rc = main(["report", "--run", str(tmp_path / "absent")])
     assert rc == 4

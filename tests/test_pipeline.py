@@ -212,10 +212,11 @@ class TestStreamingExperiment:
         )
         ae, _ = ae_train(teacher.emb, AEConfig(dims=(3, 6), epochs=2), seed=0)
         z = ae.encode_batch(teacher.emb)[:, :3]  # odd d'
+        assert np.array_equal(pipeline.encode(ae, teacher.emb, 3), z)  # one 256-row block
         kmeans, _ = fit_kmeans_int4(rng.uniform(-1, 1, 200), seed=0)
         for codec in (Codec("fp32"), Codec("int8_uniform"), Codec("int4_uniform"), kmeans):
             store = SequenceStore(3, codec)
-            append_store(store, teacher, ae, codec, 3)
+            append_store(store, teacher, z)
             assert len(store) == len(z)
             for row, vec in zip(store.payloads, z):
                 q = quantize(codec, vec)
@@ -301,9 +302,9 @@ def default_stage_inputs():
     fm = FMModel(schema, cfg.fm, 0)
     teacher = pipeline.log_teacher(fm, log, cfg.layer, pipeline.LOG_CHUNKS)
     ae, _ = pipeline.ae_train(teacher.emb, replace(cfg.ae, epochs=0), 0)
-    z = ae.encode_batch(teacher.emb)[:, : cfg.active_dim]
+    z = pipeline.encode(ae, teacher.emb, cfg.active_dim)
     store = pipeline.SequenceStore(cfg.active_dim, pipeline.fit_codec(cfg.codec_kind, z, 0))
-    pipeline.append_store(store, teacher, ae, store.codec, cfg.active_dim)
+    pipeline.append_store(store, teacher, z)
     store.freeze()
     store.build_sequence(0, 0, 1, 1)  # the first query builds the index, in train_vm
     return cfg, log, schema, fm, teacher, store
@@ -357,6 +358,24 @@ class TestStageMemory:
         # whole-log history index, 3.4 with the chunk's own
         cfg, log, _, fm, *_ = default_stage_inputs
         assert traced_peak_mb(lambda: pipeline.log_teacher(fm, log, cfg.layer, (4,))) < 4.0
+
+    def test_teacher_stack_encodes_each_row_once(self, monkeypatch):
+        # 3,072 rows for the compressor's epoch-0 loss, then each of the four
+        # logged chunks once (18,432 rows when the codec pool encoded the
+        # first chunk again); training epochs do not change the count
+        encode_batch, rows = pipeline.MatryoshkaAE.encode_batch, []
+
+        def counted(ae, e):
+            rows.append(len(e))
+            return encode_batch(ae, e)
+
+        monkeypatch.setattr(pipeline.MatryoshkaAE, "encode_batch", counted)
+        cfg = ExperimentConfig()
+        cfg = replace(cfg, fm=replace(cfg.fm, epochs=0), ae=replace(cfg.ae, epochs=0))
+        log = generate(cfg.world, 0)
+        pipeline.teacher_stack(log, FeatureSchema.from_world(cfg.world), cfg,
+                               pipeline.checkpoint_segments("fixed", 0))
+        assert sum(rows) == 15_360
 
     def test_default_seed(self):
         # 14.7 MiB when the store held float64 values, the teacher embeddings
@@ -637,8 +656,15 @@ def _assert_threshold_is_gate(result):
 
 class TestTheoryGates:
     def test_reported_threshold_is_the_gate(self):
-        _assert_threshold_is_gate(tr_sweep_suite(0))
-        _assert_threshold_is_gate(theory_battery(4, 11))
+        """Each check passes by the threshold it reports. The sweep and a
+        battery with an a3_implies_eta_ordering world report every check of
+        pipeline._GATES, each at the threshold the table gives it, and the
+        table passes below exactly where _BELOW does."""
+        checks = tr_sweep_suite(0).checks + theory_battery(4, 11).checks
+        _assert_threshold_is_gate(pipeline.TheorySuiteResult(checks))
+        assert {c.name for c in checks} == set(pipeline._GATES)
+        assert all(c.threshold == pipeline._GATES[c.name][0] for c in checks)
+        assert {name for name, (_, below) in pipeline._GATES.items() if below} == _BELOW
 
     def test_values_just_below_zero_meet_the_reported_gate(self, monkeypatch):
         """Bound values within rounding of a zero gate: each check passes,
@@ -651,8 +677,7 @@ class TestTheoryGates:
         monkeypatch.setattr(pipeline, "eval_tr_lower_bound",
                             lambda p: 0.14 + (eps / 2 if p.delta == 64 else eps))
         monkeypatch.setattr(pipeline, "verify_tr_bound_population", lambda *a, **kw:
-                            SimpleNamespace(tr_pop=-eps, tr_lb=-1.0, holds=True,
-                                            a3_holds=False))
+                            SimpleNamespace(tr_pop=-eps, tr_lb=-1.0, a3_holds=False))
         result = tr_sweep_suite(0)
         assert result.all_passed, result.failures()
         names = {c.name for c in result.checks if -1e-12 < c.value < 0.0}
