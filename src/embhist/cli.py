@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # every overflow ends in a typed error; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

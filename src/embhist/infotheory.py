@@ -518,21 +518,6 @@ def random_table_pipeline(world: VerificationWorld, seed: int) -> TablePipeline:
 
 
 @dataclass(frozen=True)
-class GainReport:
-    i_loopgain: float          # I(S; y | x_vm): total sequence-feature gain
-    i_temporal: float          # I(H; y | x_vm)
-    i_cross: float             # I(S; y | x_vm, H)
-    i_residual: float          # I(H; y | x_vm, S)
-    i_feature_raw: float       # I(extras history; y | x_vm, H)
-    identity_residual: float   # |gain - (temporal + cross - residual)|
-
-    def __post_init__(self):
-        for name in ("i_loopgain", "i_temporal", "i_cross", "i_residual", "i_feature_raw"):
-            if getattr(self, name) < MI_FLOOR:
-                raise NumericError(f"{name} below numerical floor")
-
-
-@dataclass(frozen=True)
 class PipelineReport:
     l_repr: float
     l_ae: float
@@ -546,8 +531,10 @@ class PipelineReport:
     i_feature_raw: float
     i_cross: float
     i_residual: float
+    i_loopgain: float                # I(Sseq; Y | V): the total sequence-feature gain
     pipeline_bound_slack: float      # sum(temporal losses) - i_residual, >= -1e-9
     cross_identity_residual: float   # |i_feature_raw - i_cross - sum(cross losses)|
+    gain_identity_residual: float    # |i_loopgain - (i_temporal + i_cross - i_residual)|
 
     def __post_init__(self):
         for name in ("l_repr", "l_ae", "l_q", "l_repr_cross", "l_ae_cross", "l_q_cross"):
@@ -620,25 +607,9 @@ def _hist_view_vars(world: VerificationWorld, pipe: TablePipeline) -> list[Deriv
     ]
 
 
-def verify_gain_decomposition(world: VerificationWorld, pipe: TablePipeline) -> GainReport:
-    """Exact evaluation of the two-ordering chain-rule identity
-    gain = temporal + cross - residual for the given deterministic pipeline."""
-    hist = world.hist_vm_vars()
-    views = _hist_view_vars(world, pipe)
-    view_names = tuple(v.name for v in views)
-    s_var = _seq_derived(world, pipe, stage=2, name="S")
-    t = _remap_referenced(world.table, ["V", "Y", *hist, *views, s_var])
-    i_gain = t.cond_mutual_info(("S",), ("Y",), ("V",))
-    i_temporal = t.cond_mutual_info(hist, ("Y",), ("V",))
-    i_cross = t.cond_mutual_info(("S",), ("Y",), ("V",) + hist)
-    i_residual = t.cond_mutual_info(hist, ("Y",), ("V", "S"))
-    i_raw = t.cond_mutual_info(view_names, ("Y",), ("V",) + hist)
-    residual = abs(i_gain - (i_temporal + i_cross - i_residual))
-    return GainReport(i_gain, i_temporal, i_cross, i_residual, i_raw, residual)
-
-
 def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineReport:
-    """Stage-wise loss decomposition along extract -> compress -> quantize,
+    """Stage-wise loss decomposition along extract -> compress -> quantize and
+    the two-ordering chain-rule identity gain = temporal + cross - residual,
     computed once per world and kept on `pipe`."""
     if world not in pipe._reports:
         pipe._reports[world] = _pipeline_report(world, pipe)
@@ -662,9 +633,9 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
     l_repr = t_e.cond_mutual_info(hist, ("Y",), ("V", "Eseq"))
     i_h_e = t_e.cond_mutual_info(hist, ("Eseq",), ("V",))
     i_h_z = t_z.cond_mutual_info(hist, ("Zseq",), ("V",))
-    i_h_s = t_s.cond_mutual_info(hist, ("Sseq",), ("V",))
+    h_s = t_s.cmi_terms(hist, ("Sseq",), ("V",))
     l_ae = i_h_e - i_h_z
-    l_q = i_h_z - i_h_s
+    l_q = i_h_z - cmi_from_terms(h_s)
 
     cond = ("V",) + hist
     raw_terms = t_raw.cmi_terms(view_names, ("Y",), cond)
@@ -678,8 +649,10 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
     l_q_cross = i_z - i_s
 
     i_temporal = t_e.cond_mutual_info(hist, ("Y",), ("V",))
-    i_residual = t_s.cond_mutual_info(hist, ("Y",), ("V", "Sseq"))
-    i_cross = i_s
+    residual = t_s.cmi_terms(hist, ("Y",), ("V", "Sseq"))
+    i_residual = cmi_from_terms(residual)
+    # I(Sseq; Y | V) from H(Sseq,V), H(Y,V), H(Y,V,Sseq), H(V): only H(Y,V) is new
+    i_loopgain = cmi_from_terms((h_s[1], t_s.entropy(("Y", "V")), residual[1], h_s[3]))
 
     loss_sum = l_repr + l_ae + l_q
     cross_sum = l_repr_cross + l_ae_cross + l_q_cross
@@ -691,19 +664,20 @@ def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineR
         l_repr=l_repr, l_ae=l_ae, l_q=l_q,
         l_repr_cross=l_repr_cross, l_ae_cross=l_ae_cross, l_q_cross=l_q_cross,
         tau=tau, eta=clamp_eta(cross_sum, i_raw, cross_err),
-        i_temporal=i_temporal, i_feature_raw=i_raw, i_cross=i_cross,
-        i_residual=i_residual,
+        i_temporal=i_temporal, i_feature_raw=i_raw, i_cross=i_s,
+        i_residual=i_residual, i_loopgain=i_loopgain,
         pipeline_bound_slack=loss_sum - i_residual,
-        cross_identity_residual=abs(i_raw - i_cross - cross_sum),
+        cross_identity_residual=abs(i_raw - i_s - cross_sum),
+        gain_identity_residual=abs(i_loopgain - (i_temporal + i_s - i_residual)),
     )
 
 
-def verify_gain_sandwich(gain: GainReport, pipe: PipelineReport) -> tuple[float, float]:
+def verify_gain_sandwich(rep: PipelineReport) -> tuple[float, float]:
     """The (lower, upper) slacks of the sandwich
     (1-tau)*I_temporal + (1-eta)*I_raw <= gain <= I_temporal + (1-eta)*I_raw."""
-    lower = (1.0 - pipe.tau) * gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
-    upper = gain.i_temporal + (1.0 - pipe.eta) * gain.i_feature_raw
-    return gain.i_loopgain - lower, upper - gain.i_loopgain
+    lower = (1.0 - rep.tau) * rep.i_temporal + (1.0 - rep.eta) * rep.i_feature_raw
+    upper = rep.i_temporal + (1.0 - rep.eta) * rep.i_feature_raw
+    return rep.i_loopgain - lower, upper - rep.i_loopgain
 
 
 def verify_monotone_L(world: VerificationWorld, pipe: TablePipeline,

@@ -21,13 +21,12 @@ import numpy as np
 from . import __version__
 from . import nncore as nn
 from .compression import AEConfig, MatryoshkaAE, ae_train
-from .errors import ConfigError, DataError, FormatError, MetricError, VerificationError
+from .errors import ConfigError, DataError, FormatError, MetricError, NumericError, VerificationError
 from .infotheory import (
     TablePipeline, TRBoundParams, eval_tr_lower_bound, fixed_point_quantizer,
     grid_ae, identity_stage, posterior_embedding, random_table_pipeline,
-    tr_delta_sweep, uniform_quantizer, verify_gain_decomposition,
-    verify_gain_sandwich, verify_monotone_L, verify_pipeline,
-    verify_tr_bound_population,
+    tr_delta_sweep, uniform_quantizer, verify_gain_sandwich, verify_monotone_L,
+    verify_pipeline, verify_tr_bound_population,
 )
 from .metrics import EvalResult, evaluate, transfer_ratio
 from .models import (
@@ -134,7 +133,8 @@ def _fm_batches(log_: EventLog, schema: FeatureSchema, history_len: int,
 def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
              train_chunks=FM_TRAIN_CHUNKS) -> FMModel:
     """The teacher after `cfg.epochs` passes over its batches, built once and
-    kept with table rows in the smallest dtype, widened to int32 per step."""
+    kept with table rows in the smallest dtype, widened to int32 per step. A
+    parameter left not finite (a step that overflowed) is a NumericError."""
     fm = FMModel(schema, cfg, seed)
     steps = nn.Trace(fm.loss, fm.params, nn.AdamState.for_params(fm.params, lr=cfg.lr))
     compact = np.min_scalar_type(len(fm.params["emb"]) - 1)
@@ -146,6 +146,8 @@ def train_fm(log_: EventLog, schema: FeatureSchema, cfg: FMConfig, seed: int,
         for arrays in inputs:
             steps.step({name: value.astype(np.int32) if value.dtype == compact else value
                         for name, value in arrays.items()})
+    if not np.isfinite(fm.params.flat).all():
+        raise NumericError("teacher training left a parameter that is not finite")
     return fm
 
 
@@ -364,16 +366,12 @@ def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
     rows = np.flatnonzero(log_.chunks == chunk)
     scores = {arm: [] for arm in vms}
     for part in _batches(len(rows), 128):
-        for arm, s in _predict(vms, _arm_batches(log_, ids, rows[part], schema, cfg, seq_dims,
-                                                 store)).items():
-            scores[arm].append(s)
+        # each batch is popped into its arm's call, so one (B, L, d) sequence
+        # block of at most 128 rows is alive at a time
+        batches = _arm_batches(log_, ids, rows[part], schema, cfg, seq_dims, store)
+        for arm in vms:
+            scores[arm].append(vms[arm].predict_batch(batches.pop(arm)))
     return {arm: evaluate(np.concatenate(s), log_.labels[rows]) for arm, s in scores.items()}
-
-
-def _predict(vms: dict[str, VMModel], batches: dict[str, VMBatch]) -> dict[str, np.ndarray]:
-    """Each arm's scores on its batch. The batches die on return, so one
-    (B, L, d) sequence block of at most 128 rows is alive at a time."""
-    return {arm: vms[arm].predict_batch(batch) for arm, batch in batches.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -665,17 +663,16 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
         world = enumerate_world(spec, n_hist)
         pipe = random_table_pipeline(world, derive_seed(seed, "pipe", k))
 
-        gain = verify_gain_decomposition(world, pipe)
         rep = verify_pipeline(world, pipe)
         gains_by_len = verify_monotone_L(world, pipe)
         cap = world.table.cond_entropy(("Y",), ("V",))
         values = {
-            "gain_identity_residual": gain.identity_residual,
-            "dpi_cross_le_raw": gain.i_feature_raw - gain.i_cross,
+            "gain_identity_residual": rep.gain_identity_residual,
+            "dpi_cross_le_raw": rep.i_feature_raw - rep.i_cross,
             "cross_identity_residual": rep.cross_identity_residual,
             "pipeline_bound_slack": rep.pipeline_bound_slack,
             "eta_in_unit_interval": rep.eta,
-            "gain_sandwich": min(verify_gain_sandwich(gain, rep)),
+            "gain_sandwich": min(verify_gain_sandwich(rep)),
             "monotone_history_gain": np.diff(gains_by_len).min(initial=0.0),
             "gain_capped_by_label_entropy": cap - gains_by_len[-1],
         }

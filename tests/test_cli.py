@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -107,16 +108,36 @@ def test_bad_model_size_exits_2(tmp_path, capsys, section, line):
     assert "config error" in err and line.split(" =")[0] in err
 
 
-def test_non_finite_training_loss_exits_1(tmp_path, capsys):
-    # a finite learning rate that passes config validation but overflows
-    # the teacher's first step
+@pytest.mark.parametrize("lr,message", [
+    # steps whose loss stays finite but leave the teacher's parameters not finite
+    ("1e308", "error: teacher training left a parameter that is not finite"),
+    # the first step's loss overflows
+    ("1.7e308", "error: loss is not finite"),
+], ids=["1e308", "1.7e308"])
+def test_non_finite_training_loss_exits_1(tmp_path, capsys, lr, message):
+    # finite learning rates that pass config validation but overflow the
+    # teacher; a numpy warning raised here would escape main as a traceback
     path = tmp_path / "huge_lr.ini"
     path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n"
-                    "[fm]\nepochs = 1\nlr = 1.7e308\n[experiment]\nseeds = 0\n")
-    with np.errstate(over="ignore", invalid="ignore"):
+                    f"[fm]\nepochs = 1\nlr = {lr}\n[experiment]\nseeds = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert capsys.readouterr().err.splitlines() == ["error: loss is not finite"]
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_diverged_teacher_is_not_saved(tmp_path, capsys):
+    # a diverged teacher is an error, never a checkpoint of non-finite parameters
+    path = tmp_path / "huge_lr.ini"
+    path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n[fm]\nepochs = 1\nlr = 1e308\n")
+    events, fm = tmp_path / "events.tsv", tmp_path / "fm.lfmm"
+    assert main(["gen-world", "--config", str(path), "--out", str(events)]) == 0
+    capsys.readouterr()
+    rc = main(["train-fm", "--config", str(path), "--events", str(events), "--out", str(fm)])
+    assert rc == 1 and not fm.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: teacher training left a parameter that is not finite"]
 
 
 def test_missing_artifact_exits_4(tmp_path, capsys):

@@ -14,9 +14,8 @@ from embhist.infotheory import (
     Derived, JointTable, TablePipeline, TRBoundParams, clamp_eta, cmi_from_terms,
     cross_sum_rounding_bound, eval_tr_lower_bound, grid_ae, identity_stage,
     mixed_radix_table, posterior_embedding, random_table_pipeline,
-    uniform_quantizer,
-    verify_gain_decomposition, verify_gain_sandwich, verify_monotone_L,
-    verify_pipeline, verify_tr_bound_population,
+    uniform_quantizer, verify_gain_sandwich, verify_monotone_L, verify_pipeline,
+    verify_tr_bound_population,
 )
 from embhist.synthworld import WorldSpec, enumerate_world, random_enumerable_spec
 
@@ -308,15 +307,33 @@ class TestDerivedCodes:
             assert_remap_exact(world.table, ["V", s_var, "Y"])
 
 
+def gain_terms_oracle(world, pipe):
+    """(i_loopgain, i_temporal, i_cross, i_residual, i_feature_raw) as the
+    CMIs of one remap of the whole world onto V, Y, history, views and S."""
+    hist = world.hist_vm_vars()
+    views = infotheory._hist_view_vars(world, pipe)
+    view_names = tuple(v.name for v in views)
+    s_var = infotheory._seq_derived(world, pipe, stage=2, name="S")
+    t = world.table.remap(["V", "Y", *hist, *views, s_var])
+    return (t.cond_mutual_info(("S",), ("Y",), ("V",)),
+            t.cond_mutual_info(hist, ("Y",), ("V",)),
+            t.cond_mutual_info(("S",), ("Y",), ("V",) + hist),
+            t.cond_mutual_info(hist, ("Y",), ("V", "S")),
+            t.cond_mutual_info(view_names, ("Y",), ("V",) + hist))
+
+
 class TestGainDecomposition:
     def test_identity_residual_tiny_everywhere(self):
         for k in range(10):
             spec = random_enumerable_spec(k)
             world = enumerate_world(spec, n_hist=2)
             pipe = random_table_pipeline(world, seed=k)
-            rep = verify_gain_decomposition(world, pipe)
-            assert rep.identity_residual < 1e-10
+            rep = verify_pipeline(world, pipe)
+            assert rep.gain_identity_residual < 1e-10
             assert rep.i_cross <= rep.i_feature_raw + 1e-9
+            got = (rep.i_loopgain, rep.i_temporal, rep.i_cross, rep.i_residual,
+                   rep.i_feature_raw)
+            assert got == pytest.approx(gain_terms_oracle(world, pipe), rel=0, abs=1e-12)
 
     def test_lossless_pipeline_with_full_view(self):
         spec = random_enumerable_spec(3)
@@ -328,7 +345,7 @@ class TestGainDecomposition:
             ae_fn=identity_stage,
             quant_fn=lambda z: tuple(int(v) for v in z),
         )
-        rep = verify_gain_decomposition(world, pipe)
+        rep = verify_pipeline(world, pipe)
         # identity pipeline: no compression residual, cross carries all raw info
         assert rep.i_residual == pytest.approx(0.0, abs=1e-12)
         assert rep.i_cross == pytest.approx(rep.i_feature_raw, abs=1e-12)
@@ -351,7 +368,7 @@ class TestGainDecomposition:
             ae_fn=identity_stage,
             quant_fn=lambda z: tuple(int(v) for v in z),
         )
-        rep = verify_gain_decomposition(world, pipe)
+        rep = verify_pipeline(world, pipe)
         assert rep.i_temporal == pytest.approx(0.0, abs=1e-12)
         assert rep.i_cross == pytest.approx(0.0, abs=1e-12)
         assert rep.i_loopgain == pytest.approx(0.0, abs=1e-12)
@@ -368,7 +385,7 @@ class TestGainDecomposition:
         world = enumerate_world(spec, n_hist=2)
         pipe = TablePipeline(0, lambda vm, ex: tuple(vm), identity_stage,
                              lambda z: tuple(int(v) for v in z))
-        rep = verify_gain_decomposition(world, pipe)
+        rep = verify_pipeline(world, pipe)
         assert rep.i_cross == 0.0
         assert rep.i_feature_raw == 0.0
         assert rep.i_temporal > 1e-5
@@ -450,9 +467,8 @@ class TestSandwich:
             spec = random_enumerable_spec(200 + k)
             world = enumerate_world(spec, n_hist=2)
             pipe = random_table_pipeline(world, seed=300 + k)
-            gain = verify_gain_decomposition(world, pipe)
             rep = verify_pipeline(world, pipe)
-            assert min(verify_gain_sandwich(gain, rep)) >= -1e-9  # the gain_sandwich gate
+            assert min(verify_gain_sandwich(rep)) >= -1e-9  # the gain_sandwich gate
 
     def test_inflated_tau_keeps_lower_bound(self):
         from dataclasses import replace
@@ -460,10 +476,9 @@ class TestSandwich:
         spec = random_enumerable_spec(4)
         world = enumerate_world(spec, n_hist=1)
         pipe = random_table_pipeline(world, seed=2)
-        gain = verify_gain_decomposition(world, pipe)
         rep = verify_pipeline(world, pipe)
         inflated = replace(rep, tau=min(rep.tau * 2 + 0.1, 1e6))
-        lower_slack, _ = verify_gain_sandwich(gain, inflated)
+        lower_slack, _ = verify_gain_sandwich(inflated)
         assert lower_slack >= -1e-9
 
 
@@ -621,7 +636,7 @@ class TestRemapReferenced:
         for k in (3, 6, 9):
             world = enumerate_world(random_enumerable_spec(k), n_hist=2)
             pipe = random_table_pipeline(world, seed=k)
-            verify_gain_decomposition(world, pipe)
+            verify_pipeline(world, pipe)
             verify_monotone_L(world, pipe)
             n_extras = len(world.extra_feature_cards)
             verify_tr_bound_population(world, None, _lossless_pipe(world, n_extras),
@@ -629,8 +644,8 @@ class TestRemapReferenced:
             if n_extras > 1:
                 verify_tr_bound_population(world, _coarse_pipe(world, 1),
                                            _lossless_pipe(world, n_extras))
-        sites = {"posterior_embedding", "verify_gain_decomposition", "_pipeline_report",
-                 "verify_monotone_L", "_gap_terms", "_assemble_tr_report"}
+        sites = {"posterior_embedding", "_pipeline_report", "verify_monotone_L",
+                 "_gap_terms", "_assemble_tr_report"}
         assert {site for site, _, _ in calls} == sites
         marginalized = reordered = 0
         for _, table, outputs in calls:
