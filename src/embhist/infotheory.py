@@ -7,6 +7,17 @@ All information quantities are in bits (log base 2); ratios (tau, eta,
 transfer ratio) are base-invariant. MI values are floored at -1e-12 and
 clamped to zero; anything more negative indicates a bug and raises.
 
+Memoized (_once) in a dict on its owner and freed with it; nothing is kept
+at process level. A JointTable keeps marginals by (sorted axes, names),
+entropies by requested axis order, and folds (remap) by content: each kept
+variable's axis, each Derived's source axes, codes shape, dtype and bytes,
+compared exactly. A hit under other names is a table over the same probs
+sharing that memo, with its own named marginals. A world's folds hang off
+its cached marginal (_remap_referenced); a world keeps posteriors and gap
+terms, a TablePipeline stage codes and reports per world. No value can
+move: a fold depends only on probs and its key, and an entropy's summation
+order only on its marginal and the axis order in its key.
+
 eta is a ratio of small MIs, so it gets a rounding-error budget instead of
 an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 3-4). Let u = 2^-53, gamma_k = k u / (1 - k u), N the world's cells.
@@ -94,7 +105,7 @@ def clamp_eta(cross_sum: float, i_raw: float, cross_err: float) -> float:
     """eta = cross_sum / i_raw, where cross_sum is exactly >= 0 up to its
     rounding error cross_err: clamped to 0 within cross_err / i_raw below 0,
     NumericError further below. It is not clamped from above, so an eta
-    above 1 reaches PipelineReport's check."""
+    above 1 reaches the theory suite's eta_in_unit_interval gate."""
     if i_raw <= 1e-15:
         return 0.0
     eta = cross_sum / i_raw
@@ -144,8 +155,7 @@ class JointTable:
         some of the table's variables. marginal is one np.einsum over the
         factors onto the kept axes, and probs the same contraction over every
         axis, built on first read."""
-        t = cls.__new__(cls)
-        t._init(names, cards)
+        t = cls.__new__(cls)._init(names, cards)
         if math.prod(t.cards) > _CELL_BUDGET:
             raise SizeError(f"table of {math.prod(t.cards)} cells exceeds budget")
         t._factors = []
@@ -163,17 +173,19 @@ class JointTable:
         _check_mass(t._contract(()))
         return t
 
-    def _init(self, names, cards, probs=None):
+    def _init(self, names, cards, probs=None, memo=None):
         self.names = tuple(names)
         self.cards = tuple(int(c) for c in cards)
-        if len(self.names) != len(set(self.names)):
+        self._index = {name: axis for axis, name in enumerate(self.names)}
+        if len(self._index) != len(self.names):
             raise SchemaError("duplicate variable names")
         if probs is not None:
             self.probs = probs  # in place of the contraction below
         # from_factors' einsum operands (array, axes, array, axes, ...)
         self._factors = None
-        # marginal's tables by sorted axis tuple
-        self._marginals = {}
+        # marginals, folds and entropies (_once); a renamed fold shares it
+        self._memo = {} if memo is None else memo
+        return self
 
     @functools.cached_property
     def probs(self) -> np.ndarray:
@@ -193,17 +205,16 @@ class JointTable:
 
     # -- variable bookkeeping -------------------------------------------
 
+    def _axis(self, name: str) -> int:
+        if name not in self._index:
+            raise SchemaError(f"unknown variable {name!r}")
+        return self._index[name]
+
     def _axes(self, names) -> tuple[int, ...]:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise SchemaError(f"repeated variable in {names}")
-        try:
-            return tuple(self.names.index(n) for n in names)
-        except ValueError as exc:
-            raise SchemaError(f"unknown variable in {names}") from exc
-
-    def card_of(self, name: str) -> int:
-        return self.cards[self._axes((name,))[0]]
+        return tuple(map(self._axis, names))
 
     # -- marginals and entropies ----------------------------------------
 
@@ -213,33 +224,27 @@ class JointTable:
         kept = tuple(sorted(self._axes(names)))
         if len(kept) == len(self.names):
             return self
-        m = self._marginals.get(kept)
-        if m is None:
-            m = self._marginals[kept] = JointTable.__new__(JointTable)
-            m._init([self.names[i] for i in kept], [self.cards[i] for i in kept],
-                    self._contract(kept))
-        return m
+        names = tuple(self.names[i] for i in kept)
+        return _once(self, ("marginal", kept, names), lambda: JointTable.__new__(JointTable)._init(
+            names, [self.cards[i] for i in kept], self._contract(kept)))
 
     def marginal_array(self, names) -> np.ndarray:
         axes = self._axes(names)
-        m = self.marginal(names).probs
-        # the marginal keeps axes in original order; present them as requested
-        kept_sorted = tuple(sorted(axes))
-        perm = [kept_sorted.index(a) for a in axes]
-        return np.transpose(m, perm) if perm != list(range(len(axes))) else m
+        m = self.marginal(names).probs  # its axes in this table's order
+        ranks = [sorted(axes).index(a) for a in axes]
+        return m if ranks == sorted(ranks) else np.transpose(m, ranks)
 
     def entropy(self, names=None) -> float:
         """H(names) in bits; 0*log 0 := 0."""
-        if names is None:
-            names = self.names
+        names = self.names if names is None else tuple(names)
         if not names:
             return 0.0
-        return _entropy_bits(self.marginal_array(tuple(names)))
+        return _once(self, ("entropy", self._axes(names)),
+                     lambda: _entropy_bits(self.marginal_array(names)))
 
     def cond_entropy(self, ys, zs=()) -> float:
         """H(Y | Z) = H(Y,Z) - H(Z)."""
         ys, zs = tuple(ys), tuple(zs)
-        self._axes(ys + zs)
         return self.entropy(ys + zs) - self.entropy(zs)
 
     def cmi_terms(self, xs, ys, zs=()) -> tuple[float, float, float, float]:
@@ -247,7 +252,6 @@ class JointTable:
         xs, ys, zs = tuple(xs), tuple(ys), tuple(zs)
         if set(xs) & set(ys) or set(xs) & set(zs) or set(ys) & set(zs):
             raise SchemaError("X, Y, Z must be disjoint variable sets")
-        self._axes(xs + ys + zs)
         return (self.entropy(xs + zs), self.entropy(ys + zs),
                 self.entropy(xs + ys + zs), self.entropy(zs))
 
@@ -257,10 +261,9 @@ class JointTable:
 
     # -- restructuring ----------------------------------------------------
 
-    def _axis_grid(self, name: str) -> np.ndarray:
-        """Values 0..card-1 of one variable, laid on its own axis so the
-        grid broadcasts against the table."""
-        axis = self._axes((name,))[0]
+    def _axis_grid(self, axis: int) -> np.ndarray:
+        """Values 0..card-1 of one axis, laid on that axis so the grid
+        broadcasts against the table."""
         shape = [1] * len(self.cards)
         shape[axis] = self.cards[axis]
         return np.arange(self.cards[axis], dtype=np.int64).reshape(shape)
@@ -269,38 +272,67 @@ class JointTable:
         """Project onto a new variable list; entries are either existing
         variable names (kept as-is) or Derived specs.
 
-        Each output column is a small grid that broadcasts against the
-        table: an axis arange for a kept variable, the Derived's dense codes
-        looked up by the mixed-radix grid of its source axes otherwise. The
-        grids fold into one key sized on the referenced axes only, and
-        _fold_cells adds the table up against it, so an axis no output
-        references never widens the key.
+        The fold is looked up by its content (module docstring) before
+        anything is ranked or folded; a hit under other names is a table with
+        those names over the same probs.
         """
-        resolved = []  # (name, card, index grid)
+        cols, key = [], []  # (name, axis or source axes, codes or None)
         for spec in outputs:
             if isinstance(spec, str):
-                resolved.append((spec, self.card_of(spec), self._axis_grid(spec)))
+                cols.append((spec, self._axis(spec), None))
+                key.append(cols[-1][1])
                 continue
-            src_cards = tuple(self.card_of(s) for s in spec.sources)
-            codes = np.asarray(spec.codes)
+            axes = tuple(map(self._axis, spec.sources))
+            codes, src_cards = np.asarray(spec.codes), tuple(self.cards[a] for a in axes)
             if codes.shape != src_cards:
                 raise SchemaError(f"{spec.name} codes shape {codes.shape} != cards {src_cards}")
-            # dense codes in first-seen order: each distinct code ranked by
-            # its first row-major index
-            _, first, inverse = np.unique(codes.ravel(), return_index=True,
-                                          return_inverse=True)
-            dense = np.argsort(np.argsort(first))[inverse].reshape(src_cards)
-            grid = dense[tuple(self._axis_grid(s) for s in spec.sources)]
-            resolved.append((spec.name, first.size, np.asarray(grid)))
-        names = tuple(name for name, _, _ in resolved)
-        cards = tuple(card for _, card, _ in resolved)
+            cols.append((spec.name, axes, codes))
+            key.append((axes, codes.shape, codes.dtype.str, codes.tobytes()))
+        names = tuple(name for name, _, _ in cols)
+        fold = _once(self, ("fold", tuple(key)), lambda: self._fold(names, cols))
+        return fold if fold.names == names else JointTable.__new__(JointTable)._init(
+            names, fold.cards, fold.probs, fold._memo)
+
+    def _fold(self, names, cols) -> "JointTable":
+        """remap's table. Each output column is a small grid that broadcasts
+        against this table: an axis arange for a kept variable, the
+        Derived's dense codes looked up by the grids of its source axes
+        otherwise. The grids fold into one key sized on the referenced axes
+        only, and _fold_cells adds the table up against it, so an axis no
+        output references never widens the key."""
+        cards, key = [], np.zeros((1,) * len(self.cards), dtype=np.int64)
+        for _, axes, codes in cols:
+            if codes is None:
+                card, grid = self.cards[axes], self._axis_grid(axes)
+            else:
+                dense, card = _first_seen_ranks(codes)
+                grid = dense[tuple(map(self._axis_grid, axes))]
+            cards.append(card)
+            key = key * card + grid
         total = math.prod(cards)
         if total > _CELL_BUDGET:
             raise SizeError(f"remap would produce {total} cells")
-        key = np.zeros((1,) * len(self.cards), dtype=np.int64)
-        for _, card, grid in resolved:
-            key = key * card + grid
         return JointTable(names, cards, _fold_cells(key, self.probs, total).reshape(cards))
+
+
+def _first_seen_ranks(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """codes made dense in first-seen order, each distinct code ranked by its
+    first row-major index, and the number of distinct codes. Codes already
+    so (the first is 0, none is negative, and each is at most one above the
+    running maximum) are returned as they are."""
+    flat = codes.ravel()
+    running = np.maximum.accumulate(flat)
+    if flat.size and flat[0] == 0 and flat.min() >= 0 and (flat[1:] <= running[:-1] + 1).all():
+        return codes, int(running[-1]) + 1
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].reshape(codes.shape), first.size
+
+
+def _once(owner, key, compute):
+    """owner._memo[key], computed by compute() on its first request."""
+    if key not in owner._memo:
+        owner._memo[key] = compute()
+    return owner._memo[key]
 
 
 def _check_mass(total) -> None:
@@ -346,9 +378,9 @@ class VerificationWorld:
     n_hist: int
     vm_feature_cards: tuple[int, ...]
     extra_feature_cards: tuple[int, ...]
-    # small per-world values computed once: posterior arrays and per-feature
-    # gap terms. It holds no table or pipeline, so a world is freed without
-    # the cyclic GC.
+    # small per-world values computed once (_once): posterior arrays and
+    # per-feature gap terms. It holds no table or pipeline, so a world is
+    # freed without the cyclic GC.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def hist_vm_vars(self, last: int | None = None) -> tuple[str, ...]:
@@ -376,10 +408,8 @@ class TablePipeline:
     emb_fn: object
     ae_fn: object
     quant_fn: object
-    # stage_codes per world
-    _stage_codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # verify_pipeline's report per world
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # stage_codes and verify_pipeline's report per world (_once)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stage_codes(self, world: VerificationWorld) -> np.ndarray:
         """Codes of the (embedding, compressed, quantized) values of every
@@ -388,8 +418,7 @@ class TablePipeline:
         -0.0 and 0.0 share one). Computed once per world, kept on this pipeline.
         emb_fn sees only the visible extras prefix, so the stages run once per
         (V, prefix) and each row repeats over the hidden suffix of E's digits."""
-        codes = self._stage_codes.get(world)
-        if codes is None:
+        def run():
             ecards, n = world.extra_feature_cards, self.n_extras_visible
             seen, rows = ({}, {}, {}), []
             for vm in mixed_radix_table(world.vm_feature_cards):
@@ -399,9 +428,9 @@ class TablePipeline:
                     rows.append([ids.setdefault(value, len(ids)) for ids, value
                                  in zip(seen, (emb, z, tuple(self.quant_fn(z))))])
             codes = np.array(rows, dtype=np.int64).T.reshape(3, -1, math.prod(ecards[:n]))
-            codes = codes.repeat(math.prod(ecards[n:]), axis=2)
-            self._stage_codes[world] = codes
-        return codes
+            return codes.repeat(math.prod(ecards[n:]), axis=2)
+
+        return _once(self, ("codes", world), run)
 
 
 def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
@@ -463,8 +492,8 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
     about the raw features.
     """
     ecards = world.extra_feature_cards
-    post = world._memo.get(("posterior", n_visible))
-    if post is None:
+
+    def posterior():
         step = world.n_hist
         # the view's dense codes are its mixed-radix codes: prefixes first
         # appear in increasing order as E counts up
@@ -472,8 +501,9 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
         t = _remap_referenced(world.table, [hist_var("V", step), view_d, hist_var("Y", step)])
         joint = t.probs  # (Cv, Cview, 2)
         denom = joint.sum(axis=2)
-        post = np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
-        world._memo["posterior", n_visible] = post
+        return np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
+
+    post = _once(world, ("posterior", n_visible), posterior)
 
     def fn(vm_values, visible_extras):
         v = mixed_radix_encode(vm_values, world.vm_feature_cards)
@@ -540,8 +570,6 @@ class PipelineReport:
         for name in ("l_repr", "l_ae", "l_q", "l_repr_cross", "l_ae_cross", "l_q_cross"):
             if getattr(self, name) < MI_FLOOR:
                 raise NumericError(f"{name} below numerical floor")
-        if not 0.0 <= self.eta <= 1.0 + 1e-9:
-            raise NumericError(f"eta {self.eta} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -611,9 +639,7 @@ def verify_pipeline(world: VerificationWorld, pipe: TablePipeline) -> PipelineRe
     """Stage-wise loss decomposition along extract -> compress -> quantize and
     the two-ordering chain-rule identity gain = temporal + cross - residual,
     computed once per world and kept on `pipe`."""
-    if world not in pipe._reports:
-        pipe._reports[world] = _pipeline_report(world, pipe)
-    return pipe._reports[world]
+    return _once(pipe, ("report", world), lambda: _pipeline_report(world, pipe))
 
 
 def _pipeline_report(world: VerificationWorld, pipe: TablePipeline) -> PipelineReport:
@@ -720,11 +746,7 @@ def per_feature_gap_terms(world: VerificationWorld, m1: int, m2: int):
     make the bounded-information assumption hold for this world. Each
     feature's pair of terms is computed once per world.
     """
-    memo = world._memo
-    for j in range(m1, m2):
-        if ("gap", j) not in memo:
-            memo["gap", j] = _gap_terms(world, j)
-    pairs = [memo["gap", j] for j in range(m1, m2)]
+    pairs = [_once(world, ("gap", j), lambda: _gap_terms(world, j)) for j in range(m1, m2)]
     return [cur for cur, _ in pairs], [hist for _, hist in pairs]
 
 

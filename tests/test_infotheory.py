@@ -98,6 +98,61 @@ def remap_cases(draw):
     return table, outputs
 
 
+def first_seen_ranks(codes):
+    """Each code's rank among the distinct codes by first row-major sight."""
+    seen = {}
+    return np.array([seen.setdefault(int(c), len(seen)) for c in codes.ravel()],
+                    dtype=np.int64).reshape(codes.shape), len(seen)
+
+
+@st.composite
+def memo_cases(draw):
+    """A small table and remap outputs whose Derived codes are negative,
+    gapped, repeated or already dense in first-seen order."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    names = [f"x{i}" for i in range(len(cards))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.uniform(0.0, 1.0, cards)
+    table = JointTable(names, cards, probs / probs.sum())
+    outputs = list(draw(st.permutations(names))[: draw(st.integers(0, len(names)))])
+    for d in range(draw(st.integers(1, 3))):
+        sources = tuple(draw(st.permutations(names))[: draw(st.integers(1, len(names)))])
+        shape = tuple(cards[names.index(s)] for s in sources)
+        kind = draw(st.sampled_from(("negative", "gapped", "repeated", "dense")))
+        if kind == "negative":
+            codes = rng.integers(-4, 2, shape)
+        elif kind == "gapped":
+            codes = rng.integers(0, 3, shape) * 5 + 7
+        elif kind == "repeated":
+            codes = np.full(shape, draw(st.integers(-2, 2)))
+        else:
+            codes = first_seen_ranks(rng.integers(0, 4, shape))[0]
+        dtype = draw(st.sampled_from((np.int64, np.int32)))
+        outputs.insert(draw(st.integers(0, len(outputs))),
+                       Derived(f"d{d}", sources, codes.astype(dtype)))
+    return table, outputs
+
+
+def add_at_oracle(table, outputs):
+    """remap by np.add.at over every cell in row-major order, each Derived's
+    codes ranked by first sight."""
+    grids = np.indices(table.cards)
+    idx, cards = [], []
+    for spec in outputs:
+        if isinstance(spec, str):
+            axis = table.names.index(spec)
+            idx.append(grids[axis].ravel())
+            cards.append(table.cards[axis])
+            continue
+        dense, card = first_seen_ranks(np.asarray(spec.codes))
+        src = tuple(grids[table.names.index(s)].ravel() for s in spec.sources)
+        idx.append(dense[src])
+        cards.append(card)
+    out = np.zeros(cards)
+    np.add.at(out, tuple(idx), table.probs.ravel())
+    return out
+
+
 class TestJointTable:
     def test_mass_validation(self):
         with pytest.raises(NumericError):
@@ -169,6 +224,44 @@ class TestJointTable:
     def test_remap_matches_per_cell_reference(self, case):
         table, outputs = case
         assert_remap_exact(table, outputs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(memo_cases())
+    def test_remap_memo_matches_oracle_and_shares_renamed_folds(self, case):
+        table, outputs = case
+        got = table.remap(outputs)
+        assert np.array_equal(got.probs, add_at_oracle(table, outputs))
+        # equal content under new names: the first fold's probs and entropies
+        renamed = [spec if isinstance(spec, str) else replace(spec, name="n" + spec.name)
+                   for spec in outputs]
+        again = table.remap(renamed)
+        assert again.names == tuple(s if isinstance(s, str) else s.name for s in renamed)
+        assert again.cards == got.cards and again.probs is got.probs
+        by_name = dict(zip(got.names, again.names))
+        for names in (got.names, got.names[::-1], got.names[:1]):
+            h_again = again.entropy([by_name[n] for n in names])
+            assert h_again.hex() == got.entropy(names).hex()
+        # an unknown source is a schema error where the fold is memoized (hit)
+        # and on a fresh table (miss)
+        i, spec = next((i, s) for i, s in enumerate(outputs) if isinstance(s, Derived))
+        unknown = outputs[:i] + [replace(spec, sources=("zz",) + spec.sources[1:])] + outputs[i + 1:]
+        fresh = JointTable(table.names, table.cards, table.probs)
+        for t in (table, fresh):
+            with pytest.raises(SchemaError):
+                t.remap(unknown)
+
+    def test_dense_codes_skip_ranking(self, monkeypatch):
+        """Codes dense in first-seen order fold as they are, without
+        np.unique; any other codes are ranked."""
+        t = random_table(("a", "b"), (3, 2), 6)
+        unique, ranked = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: ranked.append(1) or unique(*a, **kw))
+        dense = Derived("d", ("a", "b"), np.array([[0, 1], [0, 2], [1, 2]]))
+        assert_remap_exact(t, [dense])
+        assert not ranked
+        for codes in ([[1, 0], [0, 2], [1, 2]], [[0, 2], [1, 2], [0, 1]], [[0, -1], [0, 1], [2, 1]]):
+            assert_remap_exact(t, [Derived("r", ("a", "b"), np.array(codes))])
+        assert len(ranked) == 3
 
     def test_repeated_variable_is_schema_error(self):
         t = random_table(("a", "b"), (2, 3), 4)
@@ -454,11 +547,15 @@ class TestEtaRoundingBudget:
         # no clamp from above: an eta above 1 is reported as it is
         assert clamp_eta(1.5 * i_raw, i_raw, err) == 1.5
 
-    def test_eta_above_one_raises_in_report(self):
+    def test_eta_above_one_reaches_its_gate(self):
+        """A report carries an eta above 1, and the theory suite's
+        eta_in_unit_interval gate fails it."""
+        from embhist.pipeline import _checks
+
         world = enumerate_world(random_enumerable_spec(3), n_hist=1)
-        rep = verify_pipeline(world, random_table_pipeline(world, seed=0))
-        with pytest.raises(NumericError):
-            replace(rep, eta=1.5)
+        rep = replace(verify_pipeline(world, random_table_pipeline(world, seed=0)), eta=1.5)
+        [check] = _checks("w0", {"eta_in_unit_interval": rep.eta})
+        assert (check.value, check.passed) == (1.5, False)
 
 
 class TestSandwich:
@@ -644,7 +741,8 @@ class TestRemapReferenced:
             if n_extras > 1:
                 verify_tr_bound_population(world, _coarse_pipe(world, 1),
                                            _lossless_pipe(world, n_extras))
-        sites = {"posterior_embedding", "_pipeline_report", "verify_monotone_L",
+        # posterior_embedding folds inside its memoized `posterior`
+        sites = {"posterior", "_pipeline_report", "verify_monotone_L",
                  "_gap_terms", "_assemble_tr_report"}
         assert {site for site, _, _ in calls} == sites
         marginalized = reordered = 0

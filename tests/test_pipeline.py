@@ -562,6 +562,9 @@ class TestSweepReuse:
         monkeypatch.setattr(infotheory, "_fold_cells",
                             lambda key, probs, total: calls.append(probs.size)
                             or fold(key, probs, total))
+        entropy_bits, sums = infotheory._entropy_bits, []
+        monkeypatch.setattr(infotheory, "_entropy_bits",
+                            lambda p: sums.append(p.size) or entropy_bits(p))
         original, tables = pipeline.enumerate_world, []
 
         def enumerate_world(*args, **kwargs):
@@ -577,13 +580,14 @@ class TestSweepReuse:
         finally:
             gc.enable()
         assert result.all_passed, result.failures()
-        # 42 folds of 25,286,656 cells while the transfer-ratio report folded
-        # its 4 risks together, from half of the 4,194,304-cell world: each
-        # risk now folds its own (V, E, Y) or (V1, E1, V, Y) marginal, and
-        # an equal fold is redone rather than looked up
-        assert len(calls) == 68
-        assert sum(calls) == 227_328
+        # each risk folds its own (V, E, Y) or (V1, E1, V, Y) marginal. 68
+        # folds of 227,328 cells and 358 entropy sums while an equal fold was
+        # redone: remap now looks each fold up by its content, so the lossless
+        # stacks' Zseq and Sseq read Eseq's fold and its entropies
+        assert len(calls) == 45
+        assert sum(calls) == 147_456
         assert max(calls) <= 4_096
+        assert len(sums) == 212
 
     def test_no_sweep_fold_adds_up_the_world(self, monkeypatch):
         """Every sweep fold is taken from a small marginal contracted from the
