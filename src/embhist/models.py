@@ -46,36 +46,31 @@ class Feature:
 
 @dataclass(frozen=True)
 class FeatureSchema:
+    """Features in log column order: the student-visible ones, then the extras."""
+
     features: tuple[Feature, ...]
 
     def __post_init__(self):
         names = [f.name for f in self.features]
         if len(names) != len(set(names)):
             raise SchemaError("feature names must be unique")
-        if not self.vm_features:
-            raise SchemaError("need at least one student-visible feature")
-        if self.m_s >= self.m_k:
-            raise SchemaError("teacher must observe a strict feature superset")
+        if not 0 < self.m_s < self.m_k:
+            raise SchemaError("need a student-visible feature, and a teacher that observes "
+                              "a strict feature superset")
+        if any(f.owner != VM_OWNER for f in self.vm_features):
+            raise SchemaError("every student-visible feature must come before any extra")
 
     @property
     def vm_features(self) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.owner == VM_OWNER)
-
-    @property
-    def extra_features(self) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.owner == EXTRA_OWNER)
+        return self.features[: self.m_s]
 
     @property
     def m_s(self) -> int:
-        return len(self.vm_features)
+        return sum(f.owner == VM_OWNER for f in self.features)
 
     @property
     def m_k(self) -> int:
         return len(self.features)
-
-    @property
-    def item_features(self) -> tuple[Feature, ...]:
-        return tuple(f for f in self.features if f.item_side)
 
     def canonical_string(self) -> str:
         return ";".join(
@@ -125,23 +120,16 @@ class VMBatch:
 
 
 def schema_ids(schema: FeatureSchema, log_: EventLog) -> np.ndarray:
-    """(N, m_k) int32 ids of the log in schema feature order, range-checked
-    once and copied one column at a time.
-
-    Visible features take the log's leading columns in order, extra
-    features the columns after the log's visible width, so a schema over
-    a prefix of the extras reads a prefix of those columns.
-    """
-    n_vis = log_.n_visible
-    vm_cols, extra_cols = iter(range(n_vis)), iter(range(n_vis, log_.ids.shape[1]))
-    cols = [next(vm_cols if f.owner == VM_OWNER else extra_cols) for f in schema.features]
-    ids = np.empty((len(log_.ids), len(cols)), dtype=np.int32)
-    for j, (f, col) in enumerate(zip(schema.features, cols)):
-        column = log_.ids[:, col]
-        if len(column) and (column.min() < 0 or column.max() >= f.cardinality):
-            raise SchemaError(f"feature {f.name!r} id outside [0, {f.cardinality})")
-        ids[:, j] = column
-    return ids
+    """The view of the log's leading m_k id columns, (N, m_k) int32 in schema
+    feature order, whose range the log checked when it was built. A schema
+    whose visible count or cardinalities are not the log's is a SchemaError."""
+    spec = log_.spec
+    got = (schema.m_s, tuple(f.cardinality for f in schema.features))
+    want = (log_.n_visible, (spec.vm_cardinalities + spec.extra_cardinalities)[: schema.m_k])
+    if got != want:
+        raise SchemaError(f"schema's visible count and cardinalities {got} do not match "
+                          f"the log's leading columns {want}")
+    return log_.ids[:, : schema.m_k]
 
 
 def history_index(keys: np.ndarray, history_len: int,
@@ -188,7 +176,6 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
     item at a time, and a count other than len(rows) is a DimensionError.
     """
     b = len(rows)
-    vm_cols = [j for j, f in enumerate(schema.features) if f.owner == VM_OWNER]
     soft = None
     if soft_labels is not None:
         soft = np.asarray(soft_labels, dtype=np.float64).reshape(b, 1)
@@ -206,7 +193,7 @@ def make_vm_batch(schema: FeatureSchema, ids: np.ndarray, labels: np.ndarray,
         if n_seqs != b:
             raise DimensionError(f"{n_seqs} sequences for {b} rows")
     return VMBatch(
-        ids=ids[rows][:, vm_cols],
+        ids=ids[rows, : schema.m_s],
         labels=labels[rows].astype(np.float64)[:, None],
         soft_labels=soft, seq_entries=entries, seq_mask=mask,
     )

@@ -537,12 +537,9 @@ def new_generation_pipe(world, n_visible: int) -> TablePipeline:
 
 
 def _subschema(world: WorldSpec, n_extras: int) -> FeatureSchema:
-    spec = replace(
-        world,
-        extra_cardinalities=world.extra_cardinalities[:n_extras],
-        extra_weights=world.extra_weights[:n_extras],
-    )
-    return FeatureSchema.from_world(spec)
+    """The schema of a teacher that sees the world's first `n_extras` extras."""
+    return FeatureSchema(FeatureSchema.from_world(world).features[
+        : len(world.vm_cardinalities) + n_extras])
 
 
 def run_delta_sweep(cfg: ExperimentConfig, deltas=DELTA_VALUES) -> list[dict]:

@@ -87,6 +87,8 @@ class WorldSpec:
         )
         if cells > 1_000_000:
             raise ConfigError(f"summary joint of {cells} cells is not enumerable")
+        if self.n_users * self.events_per_user >= 2**31:  # history rows are int32
+            raise ConfigError("n_users x events_per_user reaches 2^31 log rows")
 
     @property
     def vm_card(self) -> int:
@@ -120,9 +122,10 @@ _COLUMNS = ("keys", "timestamps", "chunks", "ids", "labels", "true_p")
 class EventLog:
     """Columnar event log; row i is one labeled interaction.
 
-    keys, timestamps, chunks and labels are (N,) int64; ids is an
-    (N, m_vm + m_extra) int64 matrix with the student-visible columns
-    first; true_p is (N,) float64 and NaN where unknown (ingested logs).
+    keys, timestamps, chunks and labels are (N,) int64; ids is the one
+    feature plane, (N, m_vm + m_extra) int32 with the student-visible
+    columns first, range-checked here once (int32 holds every id: each
+    cardinality is below 10^6); true_p is (N,) float64, NaN where unknown.
     Every column is read-only; one given C-contiguous in its dtype is kept, not copied.
     """
 
@@ -135,15 +138,23 @@ class EventLog:
     true_p: np.ndarray
 
     def __post_init__(self):
+        n, width = len(self.labels), self.n_visible + len(self.spec.extra_cardinalities)
+        ids = np.asarray(self.ids)
+        if {np.shape(getattr(self, c)) for c in _COLUMNS if c != "ids"} != {(n,)} \
+                or ids.shape != (n, width):
+            raise ConfigError(f"event log columns do not match {n} rows of width {width}")
+        cards = np.array(self.spec.vm_cardinalities + self.spec.extra_cardinalities)
+        # on the given values, NaN included: narrowing first would wrap 2^32 + 1 to 1
+        bad = np.argwhere(~((ids >= 0) & (ids < cards)))
+        if len(bad):
+            row, j = bad[0]
+            raise DataError(f"row {row}: feature {j} id {ids[row, j]} outside [0, {cards[j]})")
+        object.__setattr__(self, "ids", ids)
         for name in _COLUMNS:
-            col = np.ascontiguousarray(getattr(self, name),
-                                       dtype=np.float64 if name == "true_p" else np.int64)
+            dtype = {"ids": np.int32, "true_p": np.float64}.get(name, np.int64)
+            col = np.ascontiguousarray(getattr(self, name), dtype)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
-        n, width = len(self.labels), self.n_visible + len(self.spec.extra_cardinalities)
-        if {getattr(self, c).shape for c in _COLUMNS if c != "ids"} != {(n,)} \
-                or self.ids.shape != (n, width):
-            raise ConfigError(f"event log columns do not match {n} rows of width {width}")
         known = self.true_p[~np.isnan(self.true_p)]
         if np.any((known <= 0.0) | (known >= 1.0)):
             raise ConfigError("true_p outside (0, 1)")
@@ -186,15 +197,16 @@ class EventLog:
 def load_event_log(path, spec: WorldSpec) -> EventLog:
     """The log of an event file in the format `EventLog.write_text` writes.
 
-    Each line is decoded, split and checked once, and its integers are
-    appended to int64 columns that the log keeps without a copy; blank lines
-    are skipped. A malformed line is a DataError that names it. A repeated
+    Each line is decoded, split and checked once, and its integers are appended
+    to columns (int64, and int32 for ids) that the log keeps without a copy; blank
+    lines are skipped. A malformed line is a DataError that names it. A repeated
     (key, timestamp) is found by one sort once every line has passed, and
     names both of its lines. A timestamp below an earlier one of its chunk
     is only logged, once per load with the count and the first such line.
     """
     cards = (*spec.vm_cardinalities, *spec.extra_cardinalities)
-    keys, stamps, chunks, labels, ids, lines, backwards = (array("q") for _ in range(7))
+    keys, stamps, chunks, labels, lines, backwards = (array("q") for _ in range(6))
+    ids = array("i")  # C int: np.intc, int32
     last = [-1] * N_CHUNKS  # the latest timestamp of each chunk so far
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
@@ -249,7 +261,7 @@ def load_event_log(path, spec: WorldSpec) -> EventLog:
         raise DataError(f"lines {lines[first]} and {lines[later]}: duplicate key "
                         f"{k[later]} at timestamp {t[later]}")
     return EventLog(spec=spec, keys=k, timestamps=t, chunks=np.frombuffer(chunks, np.int64),
-                    ids=np.frombuffer(ids, np.int64).reshape(len(k), len(cards)),
+                    ids=np.frombuffer(ids, np.intc).reshape(len(k), len(cards)),
                     labels=np.frombuffer(labels, np.int64), true_p=np.full(len(k), np.nan))
 
 
@@ -317,7 +329,7 @@ def generate(spec: WorldSpec, seed: int | None = None) -> EventLog:
     draws = uniform_array(seeds, t_count * (m + 1))  # per user: features, then labels
     u_feat = draws[:, : t_count * m].reshape(n_users, t_count, m)
     u_label = draws[:, t_count * m :]
-    ids = np.empty((t_count, n_users, m), dtype=np.int64)
+    ids = np.empty((t_count, n_users, m), dtype=np.int32)
     for j, cum in enumerate(cums):
         # a draw at or above a rounded-down total falls in the last category
         ids[:, :, j] = np.minimum(np.searchsorted(cum, u_feat[:, :, j], side="right").T,

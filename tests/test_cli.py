@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from embhist.cli import load_config, main
+from embhist.errors import ConfigError
 from embhist.models import FMConfig
 from embhist.pipeline import ExperimentConfig
 from embhist.synthworld import WorldSpec
@@ -106,6 +107,19 @@ def test_bad_model_size_exits_2(tmp_path, capsys, section, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and line.split(" =")[0] in err
+
+
+def test_world_of_2_31_rows_exits_2(tmp_path, capsys):
+    # rejected when the spec is built, before any user is generated
+    with pytest.raises(ConfigError):
+        WorldSpec(n_users=2**28, events_per_user=8)
+    path = tmp_path / "huge.ini"
+    path.write_text(f"[world]\nn_users = {2**28}\nevents_per_user = 8\n"
+                    "[experiment]\nseeds = 0\n")
+    rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "2^31 log rows" in err[0]
 
 
 @pytest.mark.parametrize("lr,message", [

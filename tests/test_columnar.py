@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from embhist.models import (
-    FeatureSchema, history_index, make_fm_batch, make_vm_batch, schema_ids,
+    EXTRA_OWNER, VM_OWNER, FeatureSchema, history_index, make_fm_batch, make_vm_batch,
+    schema_ids,
 )
 from embhist.pipeline import _subschema, delta_sweep_world
 from embhist.prng import Stream, derive_seed
@@ -57,9 +58,9 @@ def oracle_generate(spec: WorldSpec, seed: int):
 
 def oracle_values(schema, sample):
     out = {}
-    for j, f in enumerate(schema.vm_features):
+    for j, f in enumerate(f for f in schema.features if f.owner == VM_OWNER):
         out[f.name] = sample.vm_values[j]
-    for j, f in enumerate(schema.extra_features):
+    for j, f in enumerate(f for f in schema.features if f.owner == EXTRA_OWNER):
         out[f.name] = sample.extra_values[j]
     return out
 
@@ -212,6 +213,17 @@ def test_prefix_schema_reads_leading_extra_columns():
                           history_index(log.keys, 4, rows))
     assert_same_ids(batch.ids, want_ids)
     assert_same_ids(batch.hist_ids, want_hist)
+
+
+@pytest.mark.parametrize("n_extras", [None, 3])
+def test_schema_ids_is_a_view_of_the_log(n_extras):
+    # the default schema reads every column, a delta-sweep teacher a prefix
+    world = replace(delta_sweep_world(), seed=0, n_users=8)
+    log = generate(world, 0)
+    schema = FeatureSchema.from_world(world) if n_extras is None else _subschema(world, n_extras)
+    ids = schema_ids(schema, log)
+    assert np.shares_memory(ids, log.ids)
+    assert ids.shape == (len(log.labels), schema.m_k) and ids.dtype == np.int32
 
 
 def test_vm_batch_matches_per_sample_oracle():

@@ -726,7 +726,12 @@ class TestRemapReferenced:
         fold, calls = infotheory._remap_referenced, []
 
         def record(table, outputs):
-            calls.append((sys._getframe(1).f_code.co_name, table, list(outputs)))
+            # the calling function, past comprehension frames: 3.11 gives a
+            # comprehension its own frame, 3.12+ inlines it (PEP 709)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            calls.append((frame.f_code.co_name, table, list(outputs)))
             return fold(table, outputs)
 
         monkeypatch.setattr(infotheory, "_remap_referenced", record)

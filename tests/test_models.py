@@ -85,6 +85,22 @@ class TestSchema:
                 Feature("a", 2, "vm_visible"), Feature("a", 2, "fm_extra"),
             ))
 
+    def test_extra_before_visible_rejected(self):
+        with pytest.raises(SchemaError, match="before any extra"):
+            FeatureSchema((
+                Feature("a", 2, "fm_extra"), Feature("b", 2, "vm_visible"),
+            ))
+
+    @pytest.mark.parametrize("features", [
+        # a cardinality other than the log's, then one visible column too few
+        lambda s: s.features[:-1] + (Feature("zz", 3, "fm_extra"),),
+        lambda s: s.features[:1] + s.features[2:],
+    ], ids=["cardinality", "visible_count"])
+    def test_schema_must_match_the_logs_leading_columns(self, features):
+        bad = FeatureSchema(features(schema()))
+        with pytest.raises(SchemaError, match="leading columns"):
+            schema_ids(bad, sample_log())
+
     def test_hash_stable_and_sensitive(self):
         a, b = schema(), schema()
         assert a.hash64() == b.hash64()
@@ -108,13 +124,6 @@ class TestFMForward:
         _, bundle = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
         for name in ("emb_layer", "hidden_0", "hidden_1", "deep", "softlabel"):
             assert name in bundle.values
-
-    def test_out_of_range_id_rejected(self):
-        fm = FMModel(schema(), FMConfig(), seed=0)
-        log = sample_log()
-        bad = with_ids(log, 0, (99, 0, *log.ids[0, 2:]))
-        with pytest.raises(SchemaError):
-            fm_batch(fm.schema, bad, [0])
 
 
 class TestOneTable:
@@ -205,7 +214,7 @@ class TestExtraction:
         expected = {
             "emb_layer": 32, "hidden_0": 32, "hidden_1": 16, "deep": 8,
             "all_joint": 32 + 32 + 16 + 8, "softlabel_only": 1,
-            "item_only": 8 * len(fm.schema.item_features),
+            "item_only": 8 * sum(f.item_side for f in fm.schema.features),
         }
         for sel, width in expected.items():
             assert extract_embedding(b, sel).shape == (5, width)

@@ -377,6 +377,10 @@ class TestStageMemory:
                                pipeline.checkpoint_segments("fixed", 0))
         assert sum(rows) == 15_360
 
+    def test_generate(self):
+        # 4.74 MiB while the log kept an int64 id plane, 3.99 with int32 ids
+        assert traced_peak_mb(lambda: generate(WorldSpec(), 0)) < 4.5
+
     def test_default_seed(self):
         # 14.7 MiB when the store held float64 values, the teacher embeddings
         # lived through the student phase and stages copied whole sets
@@ -445,8 +449,8 @@ class TestIngestion:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert len(log.labels) == 200_000
-        # the columns it returns take 13.7 MiB: the bound leaves room for the
-        # int64 buffers and the repeat sort, not for a Python object per line
+        # the columns it returns take 10.7 MiB: the bound leaves room for the
+        # column buffers and the repeat sort, not for a Python object per line
         assert peak < 30 * 1024 * 1024
 
     def test_feature_count_validated(self, tmp_path):

@@ -41,6 +41,37 @@ class TestSpecValidation:
                 extra_cardinalities=(40, 40), extra_weights=(0.1, 0.1),
             )
 
+    def test_log_rows_fit_int32(self):
+        # history rows are int32; the spec is only built, never generated
+        with pytest.raises(ConfigError, match="2\\^31 log rows"):
+            WorldSpec(n_users=2**28, events_per_user=8)
+        WorldSpec(n_users=2**28 - 1, events_per_user=8)
+
+
+class TestEventLog:
+    def test_ids_are_int32(self, tmp_path):
+        log = generate(TINY, 0)
+        log.write_text(tmp_path / "events.tsv")
+        assert log.ids.dtype == np.int32
+        assert load_event_log(tmp_path / "events.tsv", TINY).ids.dtype == np.int32
+
+    def test_out_of_range_id_rejected(self):
+        log = generate(TINY, 2)
+        ids = log.ids.copy()
+        ids[3, 1] = 99
+        with pytest.raises(DataError, match="row 3: feature 1 id 99 outside"):
+            replace(log, ids=ids)
+
+    @pytest.mark.parametrize("bad", [2**32 + 1, -2**32])
+    def test_ids_checked_before_narrowing(self, bad):
+        # narrowed to int32 first, these would wrap to 1 and 0, both in range
+        log = generate(TINY, 2)
+        ids = log.ids.astype(np.int64)
+        ids[5, 2] = bad
+        assert ids.astype(np.int32)[5, 2] in (0, 1)
+        with pytest.raises(DataError, match=f"row 5: feature 2 id {bad} outside"):
+            replace(log, ids=ids)
+
 
 class TestGenerate:
     def test_bit_reproducible(self):
