@@ -1,4 +1,5 @@
-"""Seeded outputs against tests/golden.json, bit for bit.
+"""Seeded outputs against tests/golden.json, bit for bit: the theory rows,
+and the sha256 of each ablation table and of the din_attention report.
 
 The file is written by scripts/make_golden.py; regenerate it only in a
 change that means to move these outputs.
@@ -36,3 +37,10 @@ def test_theory_rows_match_golden(seed):
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"seed {seed} row {i} ({w[0]}, {w[1]}): got {g}, golden {w}"
     assert len(got) == len(want), f"seed {seed}: {len(got)} rows, golden has {len(want)}"
+
+
+def test_ablation_outputs_match_golden():
+    got = make_golden.ablation_digests()
+    for name, digest in GOLDEN["ablations"].items():
+        assert next(got, None) == (name, digest), f"ablation output {name!r} differs from golden"
+    assert next(got, None) is None, "an ablation output has no golden entry"
