@@ -1,8 +1,8 @@
 """Command-line entry points for each pipeline stage.
 
 Exit codes: 0 ok, 1 any other package error (e.g. a training loss that is
-not finite), 2 configuration error, 3 verification failure, 4 data/format
-error. Output paths default under $EMBHIST_OUT (or ./runs).
+not finite) or out of memory, 2 configuration error, 3 verification failure,
+4 data/format error. Output paths default under $EMBHIST_OUT (or ./runs).
 Configs are INI files; see README.md for the schema.
 """
 
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return 4
     except EmbhistError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,10 +23,13 @@ from .synthworld import EventLog, WorldSpec
 
 VM_OWNER = "vm_visible"
 EXTRA_OWNER = "fm_extra"
-SELECTORS = (
-    "emb_layer", "hidden_0", "hidden_1", "deep",
-    "all_joint", "softlabel_only", "item_only",
-)
+# layer selector -> the teacher activations its embedding concatenates, in
+# order; item_only keeps emb_layer's item-side columns
+SELECTORS = {
+    "emb_layer": ("emb_layer",), "hidden_0": ("hidden_0",), "hidden_1": ("hidden_1",),
+    "deep": ("deep",), "all_joint": ("emb_layer", "hidden_0", "hidden_1", "deep"),
+    "softlabel_only": ("softlabel",), "item_only": ("emb_layer",),
+}
 SEQ_ENCODERS = ("mean_pool", "sum_pool", "din_attention")
 
 
@@ -233,15 +236,11 @@ def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
     b, l = mask.value.shape
     if kind in ("mean_pool", "sum_pool"):
         return nn.attn_pool(mask, entries, l)
-    if kind == "din_attention":
-        if query is None or nodes is None:
-            raise ConfigError("din_attention needs a query and score parameters")
-        feats = nn.din_features(entries, query, l)
-        h = nn.relu(nn.affine(feats, nodes[f"{prefix}.s0.w"], nodes[f"{prefix}.s0.b"]))
-        scores = nn.affine(h, nodes[f"{prefix}.s1.w"], nodes[f"{prefix}.s1.b"])
-        weights = nn.masked_softmax(nn.reshape(scores, b, l), mask)
-        return nn.attn_pool(weights, entries, l)
-    raise ConfigError(f"unknown sequence encoder {kind!r}")
+    feats = nn.din_features(entries, query, l)  # din_attention
+    h = nn.relu(nn.affine(feats, nodes[f"{prefix}.s0.w"], nodes[f"{prefix}.s0.b"]))
+    scores = nn.affine(h, nodes[f"{prefix}.s1.w"], nodes[f"{prefix}.s1.b"])
+    weights = nn.masked_softmax(nn.reshape(scores, b, l), mask)
+    return nn.attn_pool(weights, entries, l)
 
 
 def add_embedding(features: tuple[Feature, ...], dim: int, seed: int, prefix: str,
@@ -330,14 +329,6 @@ class FMConfig:
         check_sizes(self, "embed_dim", "hidden", "attn_hidden", "history_len", "batch_size")
 
 
-@dataclass
-class ActivationBundle:
-    """Named activations of one forward pass plus the embedding layout."""
-
-    values: dict[str, np.ndarray]
-    item_cols: np.ndarray  # columns of emb_layer that hold item-side features
-
-
 class FMModel:
     """Wide teacher: one embedding table over every feature, optional
     attention over the raw ids of the user's recent events, then
@@ -351,6 +342,9 @@ class FMModel:
         self.emb_width = d * schema.m_k
         self.item_cols = np.arange(self.emb_width).reshape(schema.m_k, d)[
             [f.item_side for f in schema.features]].ravel()
+        # the width of each activation a selector reads, in forward order
+        self.widths = dict(zip(("emb_layer", "hidden_0", "hidden_1", "deep", "softlabel"),
+                               (self.emb_width, *config.hidden, 1)))
         p = ParamStore()
         self.offsets = add_embedding(schema.features, d, seed, "", p)
         if config.use_history:
@@ -375,15 +369,15 @@ class FMModel:
             pooled = _pool("din_attention", hist_emb, nodes["hist_mask"],
                            emb_layer, nodes, "attn")
             x = nn.concat_cols([emb_layer, pooled])
-        p, (h0, h1, h2) = tower(nodes, x, len(self.config.hidden))
-        acts = {"emb_layer": emb_layer, "hidden_0": h0, "hidden_1": h1,
-                "deep": h2, "softlabel": p}
-        return p, acts
+        p, hidden = tower(nodes, x, len(self.config.hidden))
+        return p, dict(zip(self.widths, (emb_layer, *hidden, p)))
 
-    def predict_batch(self, batch: FMBatch):
+    def embed(self, batch: FMBatch, layer: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (B,) soft labels and the (B, layer_width(layer)) embedding of
+        the SELECTORS entry `layer`, from one forward pass."""
         p, acts = self._forward(self.params.as_nodes(self.arrays(batch)))
-        bundle = ActivationBundle({k: v.value for k, v in acts.items()}, self.item_cols)
-        return p.value[:, 0].copy(), bundle
+        emb = np.concatenate([acts[name].value for name in SELECTORS[layer]], axis=1)
+        return p.value[:, 0].copy(), emb[:, self.item_cols] if layer == "item_only" else emb
 
     def loss(self, nodes: dict[str, Node]) -> Node:
         return nn.mean_all(nn.bce(self._forward(nodes)[0], nodes["labels"]))
@@ -391,37 +385,14 @@ class FMModel:
     def loss_fn(self, batch: FMBatch):
         return nn.loss_fn(self.loss, self.arrays(batch))
 
-    def layer_width(self, selector: str) -> int:
-        widths = {
-            "emb_layer": self.emb_width,
-            "hidden_0": self.config.hidden[0],
-            "hidden_1": self.config.hidden[1],
-            "deep": self.config.hidden[2],
-            "all_joint": self.emb_width + sum(self.config.hidden),
-            "softlabel_only": 1,
-            "item_only": len(self.item_cols),
-        }
-        if selector not in widths:
-            raise ConfigError(f"unknown layer selector {selector!r}")
-        return widths[selector]
-
-
-def extract_embedding(bundle: ActivationBundle, selector: str) -> np.ndarray:
-    """Concatenate the selected activations into the raw embedding."""
-    if selector not in SELECTORS:
-        raise ConfigError(f"unknown layer selector {selector!r}")
-    v = bundle.values
-    if selector == "all_joint":
-        return np.concatenate(
-            [v["emb_layer"], v["hidden_0"], v["hidden_1"], v["deep"]], axis=1
-        )
-    if selector == "softlabel_only":
-        return v["softlabel"].copy()
-    if selector == "item_only":
-        if not len(bundle.item_cols):
+    def layer_width(self, layer: str) -> int:
+        """The width of `layer`'s embedding; an item_only layer of a schema
+        with no item-side feature is a ConfigError."""
+        if layer != "item_only":
+            return sum(self.widths[name] for name in SELECTORS[layer])
+        if not len(self.item_cols):
             raise ConfigError("schema has no item-side features")
-        return v["emb_layer"][:, bundle.item_cols]
-    return v[selector].copy()
+        return len(self.item_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +411,8 @@ class VMConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        if self.seq_encoder not in SEQ_ENCODERS:
+            raise ConfigError(f"unknown sequence encoder {self.seq_encoder!r}")
         check_sizes(self, "embed_dim", "hidden", "attn_hidden", "batch_size")
 
     @property
@@ -451,8 +424,6 @@ class VMModel:
     """Compact student over the visible features; never reads extras."""
 
     def __init__(self, schema: FeatureSchema, config: VMConfig, seed: int):
-        if config.seq_encoder not in SEQ_ENCODERS:
-            raise ConfigError(f"unknown sequence encoder {config.seq_encoder!r}")
         self.schema = schema
         self.config = config
         self.seed = seed

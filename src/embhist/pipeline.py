@@ -31,7 +31,7 @@ from .infotheory import (
 from .metrics import EvalResult, evaluate, transfer_ratio
 from .models import (
     SELECTORS, FeatureSchema, FMConfig, FMModel, VMBatch, VMConfig, VMModel,
-    extract_embedding, history_index, make_fm_batch, make_vm_batch, schema_ids,
+    history_index, make_fm_batch, make_vm_batch, schema_ids,
 )
 from .prng import derive_seed
 from .quantization import (
@@ -92,6 +92,8 @@ class ExperimentConfig:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ConfigError(f"unknown arm {arm!r}")
+        if self.layer not in SELECTORS:
+            raise ConfigError(f"unknown layer selector {self.layer!r}")
         if self.checkpoint_policy not in ("fixed", "per_split"):
             raise ConfigError(f"unknown checkpoint policy {self.checkpoint_policy!r}")
         if self.active_dim not in self.ae.dims:
@@ -204,8 +206,7 @@ def log_teacher(fm: FMModel, log_: EventLog, layer: str, chunks) -> TeacherLog:
     batches, rows = _fm_batches(log_, fm.schema, fm.config.history_len, chunks, size)
     soft, emb = np.empty(len(rows)), np.empty((len(rows), fm.layer_width(layer)))
     for part, batch in zip(_batches(len(rows), size), batches):
-        soft[part], bundle = fm.predict_batch(batch)
-        emb[part] = extract_embedding(bundle, layer)
+        soft[part], emb[part] = fm.embed(batch, layer)
     return TeacherLog(keys=log_.keys[rows], timestamps=log_.timestamps[rows],
                       chunks=log_.chunks[rows], labels=log_.labels[rows], soft=soft, emb=emb)
 

@@ -144,11 +144,16 @@ class EventLog:
                 or ids.shape != (n, width):
             raise ConfigError(f"event log columns do not match {n} rows of width {width}")
         cards = np.array(self.spec.vm_cardinalities + self.spec.extra_cardinalities)
-        # on the given values, NaN included: narrowing first would wrap 2^32 + 1 to 1
-        bad = np.argwhere(~((ids >= 0) & (ids < cards)))
+        # on the given values, NaN included: narrowing first would wrap 2^32 + 1
+        # to 1 and truncate 0.7 to 0
+        bad = ~((ids >= 0) & (ids < cards))
+        if ids.dtype.kind == "f":
+            bad |= ids != np.floor(ids)
+        bad = np.argwhere(bad)
         if len(bad):
             row, j = bad[0]
-            raise DataError(f"row {row}: feature {j} id {ids[row, j]} outside [0, {cards[j]})")
+            raise DataError(f"row {row}: feature {j} id {ids[row, j]} outside the integers "
+                            f"in [0, {cards[j]})")
         object.__setattr__(self, "ids", ids)
         for name in _COLUMNS:
             dtype = {"ids": np.int32, "true_p": np.float64}.get(name, np.int64)

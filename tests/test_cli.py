@@ -154,6 +154,39 @@ def test_diverged_teacher_is_not_saved(tmp_path, capsys):
         "error: teacher training left a parameter that is not finite"]
 
 
+@pytest.mark.parametrize("section,line", [
+    ("experiment", "layer = hidden0"), ("vm", "seq_encoder = attention"),
+])
+def test_unknown_layer_or_encoder_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                          section, line):
+    from embhist import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "train_fm", lambda *args, **kwargs: calls.append(args))
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[world]\nn_users = 24\nevents_per_user = 16\n[{section}]\n{line}\n")
+    rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and not calls
+    assert len(err) == 1 and err[0].startswith("config error") and line.split(" = ")[1] in err[0]
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # a world under the 2^31-row bound may still not fit the host; generate
+    # fails here as numpy does, and no large world is ever built
+    from embhist import cli
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (2147483647, 4)")
+
+    monkeypatch.setattr(cli, "generate", no_memory)
+    rc = main(["gen-world", "--out", str(tmp_path / "events.tsv")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 64.0 GiB for an array with shape "
+        "(2147483647, 4)"]
+
+
 def test_missing_artifact_exits_4(tmp_path, capsys):
     rc = main(["report", "--run", str(tmp_path / "absent")])
     assert rc == 4

@@ -7,8 +7,8 @@ import pytest
 from embhist import nncore as nn
 from embhist.errors import ConfigError, ContractViolation, DimensionError, SchemaError
 from embhist.models import (
-    EXTRA_OWNER, SEQ_ENCODERS, VM_OWNER, Feature, FeatureSchema, FMConfig, FMModel,
-    VMConfig, VMModel, _pool, add_embedding, extract_embedding, history_index, lookup,
+    EXTRA_OWNER, SELECTORS, SEQ_ENCODERS, VM_OWNER, Feature, FeatureSchema, FMConfig,
+    FMModel, VMConfig, VMModel, _pool, add_embedding, history_index, lookup,
     make_attention_params, make_fm_batch, make_vm_batch, pool_input, read_checkpoint,
     schema_ids, shift_ids, write_checkpoint,
 )
@@ -111,19 +111,20 @@ class TestSchema:
 class TestFMForward:
     def test_untrained_predicts_half(self):
         fm = FMModel(schema(), FMConfig(), seed=0)
-        p, _ = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
+        p, _ = fm.embed(fm_batch(fm.schema, sample_log(), [0]), "hidden_0")
         assert p[0] == 0.5
 
     def test_emb_layer_width(self):
         fm = FMModel(schema(), FMConfig(embed_dim=8), seed=0)
-        _, bundle = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
-        assert bundle.values["emb_layer"].shape == (1, 4 * 8)
+        _, emb = fm.embed(fm_batch(fm.schema, sample_log(), [0]), "emb_layer")
+        assert emb.shape == (1, 4 * 8)
 
     def test_activations_all_named(self):
         fm = FMModel(schema(), FMConfig(), seed=0)
-        _, bundle = fm.predict_batch(fm_batch(fm.schema, sample_log(), [0]))
-        for name in ("emb_layer", "hidden_0", "hidden_1", "deep", "softlabel"):
-            assert name in bundle.values
+        nodes = fm.params.as_nodes(fm.arrays(fm_batch(fm.schema, sample_log(), [0])))
+        _, acts = fm._forward(nodes)
+        assert list(acts) == ["emb_layer", "hidden_0", "hidden_1", "deep", "softlabel"]
+        assert {name for names in SELECTORS.values() for name in names} == set(acts)
 
 
 class TestOneTable:
@@ -182,7 +183,7 @@ class TestOneTable:
             assert np.array_equal(model.params["emb"], np.vstack([
                 nn.glorot_uniform(f.cardinality, d, 0, f"{prefix}emb.{f.name}")
                 for f in features]))
-        fm.predict_batch(fm_batch(fm.schema, log, np.arange(8)))
+        fm.embed(fm_batch(fm.schema, log, np.arange(8)), "emb_layer")
         assert len(calls) == 2  # the events, then their histories
         seq = make_seq(np.zeros((1, 4)), 4)
         vm.predict_batch(vm_batch(vm.schema, log, [0], sequences=[seq], seq_len=4, seq_dim=4))
@@ -201,35 +202,51 @@ class TestOneTable:
 
 
 @pytest.fixture(scope="module")
-def bundle():
+def teacher():
     fm = FMModel(schema(), FMConfig(embed_dim=8, hidden=(32, 16, 8)), seed=1)
-    _, acts = fm.predict_batch(fm_batch(fm.schema, sample_log(), np.arange(5)))
-    return fm, acts
+    return fm, fm_batch(fm.schema, sample_log(), np.arange(5))
 
 
 class TestExtraction:
 
-    def test_selector_widths(self, bundle):
-        fm, b = bundle
+    def test_selector_widths(self, teacher):
+        fm, batch = teacher
         expected = {
             "emb_layer": 32, "hidden_0": 32, "hidden_1": 16, "deep": 8,
             "all_joint": 32 + 32 + 16 + 8, "softlabel_only": 1,
             "item_only": 8 * sum(f.item_side for f in fm.schema.features),
         }
+        assert list(expected) == list(SELECTORS)
         for sel, width in expected.items():
-            assert extract_embedding(b, sel).shape == (5, width)
             assert fm.layer_width(sel) == width
+            assert fm.embed(batch, sel)[1].shape == (5, width)
 
-    def test_softlabel_only_is_probability(self, bundle):
-        _, b = bundle
-        e = extract_embedding(b, "softlabel_only")
+    def test_selectors_slice_one_forward_pass(self, teacher):
+        fm, batch = teacher
+        embs = {sel: fm.embed(batch, sel) for sel in SELECTORS}
+        soft, joint = embs["all_joint"]
+        assert all(np.array_equal(p, soft) for p, _ in embs.values())
+        widths = np.cumsum([0, 32, 32, 16, 8])
+        for i, sel in enumerate(("emb_layer", "hidden_0", "hidden_1", "deep")):
+            assert np.array_equal(embs[sel][1], joint[:, widths[i]:widths[i + 1]])
+        assert np.array_equal(embs["item_only"][1], embs["emb_layer"][1][:, fm.item_cols])
+
+    def test_softlabel_only_is_probability(self, teacher):
+        fm, batch = teacher
+        p, e = fm.embed(batch, "softlabel_only")
         assert np.all((e > 0) & (e < 1))
-        assert np.array_equal(e, b.values["softlabel"])
+        assert np.array_equal(e[:, 0], p)
 
-    def test_unknown_selector(self, bundle):
-        _, b = bundle
-        with pytest.raises(ConfigError):
-            extract_embedding(b, "penultimate")
+    def test_item_only_needs_an_item_side_feature(self):
+        no_items = FeatureSchema(tuple(replace(f, item_side=False) for f in schema().features))
+        with pytest.raises(ConfigError, match="item-side"):
+            FMModel(no_items, FMConfig(), seed=0).layer_width("item_only")
+
+    def test_unknown_selector(self):
+        from embhist.pipeline import ExperimentConfig
+
+        with pytest.raises(ConfigError, match="penultimate"):
+            ExperimentConfig(layer="penultimate")
 
 
 def seq_encode(kind, seq, query=None):
@@ -246,6 +263,10 @@ def seq_encode(kind, seq, query=None):
 
 
 class TestSeqEncode:
+    def test_unknown_encoder(self):
+        with pytest.raises(ConfigError, match="attention"):
+            VMConfig(seq_encoder="attention")
+
     def test_mean_pool(self):
         seq = make_seq(np.array([[1.0, 1.0], [3.0, 3.0]]), seq_len=4)
         assert np.allclose(seq_encode("mean_pool", seq), [2.0, 2.0])
@@ -592,6 +613,6 @@ class TestCheckpoints:
         fm1 = FMModel(schema(), FMConfig(), seed=11)
         fm2 = FMModel(schema(), FMConfig(), seed=11)
         batch = fm_batch(fm1.schema, sample_log(), np.arange(8))
-        p1, _ = fm1.predict_batch(batch)
-        p2, _ = fm2.predict_batch(batch)
-        assert np.array_equal(p1, p2)
+        for layer in SELECTORS:
+            (p1, e1), (p2, e2) = fm1.embed(batch, layer), fm2.embed(batch, layer)
+            assert np.array_equal(p1, p2) and np.array_equal(e1, e2)

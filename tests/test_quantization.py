@@ -294,6 +294,32 @@ class TestSortOnceLloyd:
         assert fit_kmeans_int4(x, iters=20, seed=5) == (codec, history)
         assert (codec.codebook, history) == reference_fit(x, 20, 5)
 
+    def test_zero_mass_pick(self, monkeypatch):
+        # spaced 1e-170 apart, every squared distance underflows to 0: after
+        # the first center no mass is left to draw by, so each later center
+        # is the smallest unused value
+        x = np.arange(20) * 1e-170
+        assert not ((x - x[:, None]) ** 2).any()
+        draws, uniform = [], Stream.uniform
+        monkeypatch.setattr(Stream, "uniform", lambda self: draws.append(1) or uniform(self))
+        codec, history = fit_kmeans_int4(x, iters=5, seed=3)
+        assert len(draws) == 1  # the first center's
+        assert (codec.codebook, history) == reference_fit(x, 5, 3)
+
+    def test_empty_cluster_reseed(self, monkeypatch):
+        # the mean of three 0.1s rounds up to the next double, which is also
+        # a sample and so a center: the two centers tie, the higher one is
+        # left empty, and it is reseeded to the sample farthest from its center
+        x = np.concatenate([[0.1] * 3, [np.nextafter(0.1, 1)], np.arange(1.0, 15.0)])
+        assert x[:3].mean() == x[3]
+        counts, nearest = [], quantization._nearest
+        monkeypatch.setattr(quantization, "_nearest", lambda *args: (
+            lambda assign: counts.append(np.bincount(assign, minlength=16)) or assign)(
+                nearest(*args)))
+        codec, history = fit_kmeans_int4(x, iters=4, seed=0)
+        assert any((c == 0).any() for c in counts[:-1])  # the last call ends the fit
+        assert (codec.codebook, history) == reference_fit(x, 4, 0)
+
     def test_non_finite_sample_names_its_index(self):
         x = np.linspace(-1, 1, 40)
         x[7] = np.nan

@@ -62,15 +62,24 @@ class TestEventLog:
         with pytest.raises(DataError, match="row 3: feature 1 id 99 outside"):
             replace(log, ids=ids)
 
-    @pytest.mark.parametrize("bad", [2**32 + 1, -2**32])
+    @pytest.mark.parametrize("bad", [2**32 + 1, -2**32, 0.7])
     def test_ids_checked_before_narrowing(self, bad):
-        # narrowed to int32 first, these would wrap to 1 and 0, both in range
+        # narrowed to int32 first, these would wrap or truncate to 1 or 0,
+        # both in range
         log = generate(TINY, 2)
-        ids = log.ids.astype(np.int64)
+        ids = log.ids.astype(type(bad))
         ids[5, 2] = bad
         assert ids.astype(np.int32)[5, 2] in (0, 1)
         with pytest.raises(DataError, match=f"row 5: feature 2 id {bad} outside"):
             replace(log, ids=ids)
+
+    def test_integral_float_ids_load(self):
+        log = generate(TINY, 2)
+        ids = log.ids.astype(float)
+        ids[4, 1] = 1.0
+        floats = replace(log, ids=ids)
+        assert floats.ids.dtype == np.int32 and floats.ids[4, 1] == 1
+        assert np.array_equal(floats.ids, ids)
 
 
 class TestGenerate:
