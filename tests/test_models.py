@@ -263,10 +263,6 @@ def seq_encode(kind, seq, query=None):
 
 
 class TestSeqEncode:
-    def test_unknown_encoder(self):
-        with pytest.raises(ConfigError, match="attention"):
-            VMConfig(seq_encoder="attention")
-
     def test_mean_pool(self):
         seq = make_seq(np.array([[1.0, 1.0], [3.0, 3.0]]), seq_len=4)
         assert np.allclose(seq_encode("mean_pool", seq), [2.0, 2.0])
