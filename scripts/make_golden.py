@@ -9,7 +9,8 @@ Sections:
              as [check, world, threshold, passed, float.hex(value)]
   ablations  the sha256 of each `embhist ablate <axis>` TSV on TINY (the
              runtime smoke config of .github/workflows/tests.yml), and of
-             the din_attention student's report.tsv on it
+             report.tsv on it with the din_attention student and with the
+             per_split checkpoint policy
 
 Only rerun this when a change to the program is meant to change these
 outputs, and list every value that moved in that change.
@@ -51,14 +52,17 @@ def theory_rows(seed: int) -> list[list]:
 
 def ablation_digests():
     """(name, sha256) of each ablation axis's TSV, as `ablate` writes it, and
-    then of the din_attention report; each computed when it is asked for."""
+    then of the din_attention and per_split reports; each computed when it
+    is asked for."""
     with tempfile.TemporaryDirectory() as tmp:
         for axis in ABLATION_AXES:
             path = Path(tmp) / f"{axis}.tsv"
             write_tsv(path, run_ablation(TINY, axis))
             yield axis, hashlib.sha256(path.read_bytes()).hexdigest()
     din = replace(TINY, vm=replace(TINY.vm, seq_encoder="din_attention"))
-    yield "din_attention", hashlib.sha256(run_streaming_experiment(din).to_text().encode()).hexdigest()
+    for name, cfg in (("din_attention", din),
+                      ("per_split", replace(TINY, checkpoint_policy="per_split"))):
+        yield name, hashlib.sha256(run_streaming_experiment(cfg).to_text().encode()).hexdigest()
 
 
 def dump(golden: dict) -> str:

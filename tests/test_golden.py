@@ -1,5 +1,6 @@
 """Seeded outputs against tests/golden.json, bit for bit: the theory rows,
-and the sha256 of each ablation table and of the din_attention report.
+and the sha256 of each ablation table and of the din_attention and
+per_split reports.
 
 The file is written by scripts/make_golden.py; regenerate it only in a
 change that means to move these outputs.
