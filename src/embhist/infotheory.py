@@ -13,10 +13,16 @@ entropies by requested axis order, and folds (remap) by content: each kept
 variable's axis, each Derived's source axes, codes shape, dtype and bytes,
 compared exactly. A hit under other names is a table over the same probs
 sharing that memo, with its own named marginals. A world's folds hang off
-its cached marginal (_remap_referenced); a world keeps posteriors and gap
-terms, a TablePipeline stage codes and reports per world. No value can
-move: a fold depends only on probs and its key, and an entropy's summation
-order only on its marginal and the axis order in its key.
+its cached marginal (_remap_referenced); a world keeps posterior embedding
+tables and gap terms, a TablePipeline stage codes and reports per world. No
+value can move: a fold depends only on probs and its key, and an entropy's
+summation order only on its marginal and the axis order in its key.
+
+A TablePipeline holds arrays, not per-event callbacks: its teacher
+embedding is one (V cells, visible-prefix cells, k) table in mixed-radix
+order, and its compress and quantize stages are elementwise array maps.
+stage_codes codes each stage's rows once per world; _seq_derived combines
+one step's codes into a history sequence's.
 
 eta is a ratio of small MIs, so it gets a rounding-error budget instead of
 an absolute floor (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -56,20 +62,6 @@ from .prng import Stream, derive_seed
 MI_FLOOR = -1e-12
 _CELL_BUDGET = 50_000_000
 _LOG2_E = math.log2(math.e)
-
-
-def mixed_radix_encode(values, cards) -> int:
-    idx = 0
-    for v, c in zip(values, cards):
-        idx = idx * c + v
-    return idx
-
-
-@functools.lru_cache(maxsize=8)
-def mixed_radix_table(cards: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Digits of every index below prod(cards) in the mixed radix `cards`, most
-    significant first (mixed_radix_encode inverted), once per cards tuple."""
-    return tuple(itertools.product(*(range(c) for c in cards)))
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -392,45 +384,58 @@ class VerificationWorld:
         return tuple(hist_var("E", i) for i in range(self.n_hist - last + 1, self.n_hist + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TablePipeline:
     """Tiny deterministic extract -> compress -> quantize stack used for
-    exact verification. Stage functions operate on per-event values:
+    exact verification. The teacher's embedding is one table and the other
+    two stages are elementwise array maps:
 
-      emb_fn(vm_values, visible_extra_values) -> tuple of floats
-      ae_fn(embedding) -> tuple of floats
-      quant_fn(compressed) -> tuple of ints
+      emb[v, p]: the k floats of the event with V cell v and visible extras
+        prefix cell p, both in mixed-radix order (copied, read-only)
+      ae_fn(array) -> array of the same shape
+      quant_fn(array) -> integer-valued array of the same shape
 
     The identities hold for any deterministic choice of these maps.
     """
 
     n_extras_visible: int
-    emb_fn: object
+    emb: np.ndarray
     ae_fn: object
     quant_fn: object
     # stage_codes and verify_pipeline's report per world (_once)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        emb = np.array(self.emb, dtype=np.float64)
+        emb.flags.writeable = False
+        object.__setattr__(self, "emb", emb)
 
     def stage_codes(self, world: VerificationWorld) -> np.ndarray:
-        """Codes of the (embedding, compressed, quantized) values of every
-        (V, E) cell pair of `world`, indexed [stage, v_idx, e_idx]: two cells
-        share a stage's code exactly when its value tuples compare equal (so
-        -0.0 and 0.0 share one). Computed once per world, kept on this pipeline.
-        emb_fn sees only the visible extras prefix, so the stages run once per
-        (V, prefix) and each row repeats over the hidden suffix of E's digits."""
+        """Codes of the (embedding, compressed, quantized) rows of every
+        (V, E) cell pair of `world`, indexed [stage, v_idx, e_idx] (_row_codes).
+        Computed once per world, kept on this pipeline. emb covers only the
+        visible extras prefix, so each code repeats over the hidden suffix of
+        E's digits."""
+        ecards, n = world.extra_feature_cards, self.n_extras_visible
+        cells = (math.prod(world.vm_feature_cards), math.prod(ecards[:n]))
+        if self.emb.ndim != 3 or self.emb.shape[:2] != cells:
+            raise SchemaError(f"embedding table shape {self.emb.shape} != {cells} + (k,)")
+
         def run():
-            ecards, n = world.extra_feature_cards, self.n_extras_visible
-            seen, rows = ({}, {}, {}), []
-            for vm in mixed_radix_table(world.vm_feature_cards):
-                for ex in mixed_radix_table(ecards[:n]):
-                    emb = tuple(self.emb_fn(vm, ex))
-                    z = tuple(self.ae_fn(emb))
-                    rows.append([ids.setdefault(value, len(ids)) for ids, value
-                                 in zip(seen, (emb, z, tuple(self.quant_fn(z))))])
-            codes = np.array(rows, dtype=np.int64).T.reshape(3, -1, math.prod(ecards[:n]))
-            return codes.repeat(math.prod(ecards[n:]), axis=2)
+            z = self.ae_fn(self.emb)
+            codes = np.array([_row_codes(a) for a in (self.emb, z, self.quant_fn(z))])
+            return codes.reshape(3, *cells).repeat(math.prod(ecards[n:]), axis=2)
 
         return _once(self, ("codes", world), run)
+
+
+def _row_codes(stage: np.ndarray) -> list[int]:
+    """A code per (V, prefix) row of a stage array, in first-seen row-major
+    order: rows share one exactly when their tuples compare equal (so -0.0
+    and 0.0 do)."""
+    ids = {}
+    return [ids.setdefault(row, len(ids))
+            for row in map(tuple, stage.reshape(-1, stage.shape[-1]).tolist())]
 
 
 def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
@@ -451,48 +456,35 @@ def _seq_derived(world: VerificationWorld, pipe: TablePipeline, stage: int,
 
 def grid_ae(grid: int):
     """Coarse deterministic compressor: snap each coordinate to a grid."""
-
-    def fn(emb):
-        return tuple(round(v * grid) / grid for v in emb)
-
-    return fn
+    return lambda emb: np.rint(emb * grid) / grid
 
 
 def uniform_quantizer(bits: int):
     """b-bit scalar quantizer on [-1, 1]: code = clamp(round(z*2^(b-1)))."""
     half = 1 << (bits - 1)
-
-    def fn(z):
-        return tuple(int(min(max(round(v * half), -half), half - 1)) for v in z)
-
-    return fn
+    return lambda z: np.clip(np.rint(z * half), -half, half - 1)
 
 
 def fixed_point_quantizer():
     """High-resolution fixed-point codes; lossless whenever distinct
     coordinates differ by more than 1e-9 (the b -> inf limit)."""
-
-    def fn(z):
-        return tuple(int(round(v * 10**9)) for v in z)
-
-    return fn
+    return lambda z: np.rint(z * 1e9)
 
 
 def identity_stage(values):
-    return tuple(values)
+    return values
 
 
-def posterior_embedding(world: VerificationWorld, n_visible: int):
-    """Exact-table teacher: embed an event as [2*P(y=1 | features) - 1].
+def posterior_embedding(world: VerificationWorld, n_visible: int) -> np.ndarray:
+    """Exact-table teacher: the (V, visible prefix, 1) table of
+    [2*P(y=1 | features) - 1], memoized on the world.
 
     The posterior is taken from the most recent history step's conditional
     law, restricted to the teacher's visible extras. Values are rounded to
-    12 decimals so mathematically equal posteriors are bit-equal; without
-    this, summation noise would make the embedding spuriously informative
-    about the raw features.
+    12 decimals (Python's round, cell by cell) so mathematically equal
+    posteriors are bit-equal; without this, summation noise would make the
+    embedding spuriously informative about the raw features.
     """
-    ecards = world.extra_feature_cards
-
     def posterior():
         step = world.n_hist
         # the view's dense codes are its mixed-radix codes: prefixes first
@@ -501,16 +493,12 @@ def posterior_embedding(world: VerificationWorld, n_visible: int):
         t = _remap_referenced(world.table, [hist_var("V", step), view_d, hist_var("Y", step)])
         joint = t.probs  # (Cv, Cview, 2)
         denom = joint.sum(axis=2)
-        return np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
+        post = np.divide(joint[:, :, 1], denom, out=np.full_like(denom, 0.5), where=denom > 0)
+        emb = np.array([round(x, 12) for x in (2.0 * post - 1.0).ravel().tolist()])
+        emb.flags.writeable = False
+        return emb.reshape(*post.shape, 1)
 
-    post = _once(world, ("posterior", n_visible), posterior)
-
-    def fn(vm_values, visible_extras):
-        v = mixed_radix_encode(vm_values, world.vm_feature_cards)
-        e = mixed_radix_encode(visible_extras, ecards[:n_visible])
-        return (round(2.0 * float(post[v, e]) - 1.0, 12),)
-
-    return fn
+    return _once(world, ("posterior", n_visible), posterior)
 
 
 def random_table_pipeline(world: VerificationWorld, seed: int) -> TablePipeline:
@@ -522,24 +510,16 @@ def random_table_pipeline(world: VerificationWorld, seed: int) -> TablePipeline:
 
     kind = stream.randint(3)
     if kind == 0:
-        emb_fn = posterior_embedding(world, n_visible)
+        emb = posterior_embedding(world, n_visible)
     else:
         dim = 1 + stream.randint(2)
-        vm_cards = world.vm_feature_cards
-        ex_cards = world.extra_feature_cards[:n_visible]
-        vcard, ecard = math.prod(vm_cards), math.prod(ex_cards)
-        table = (stream.uniforms(vcard * ecard * dim) * 2.0 - 1.0).reshape(vcard, ecard, dim)
-
-        def emb_fn(vm_values, visible_extras, _table=table):
-            v = mixed_radix_encode(vm_values, vm_cards)
-            e = mixed_radix_encode(visible_extras, ex_cards)
-            return tuple(float(x) for x in _table[v, e])
+        shape = (math.prod(world.vm_feature_cards),
+                 math.prod(world.extra_feature_cards[:n_visible]), dim)
+        emb = (stream.uniforms(math.prod(shape)) * 2.0 - 1.0).reshape(shape)
 
     ae_fn = identity_stage if stream.uniform() < 0.4 else grid_ae(2 + stream.randint(3))
     quant_fn = uniform_quantizer(1 + stream.randint(3))
-    return TablePipeline(
-        n_extras_visible=n_visible, emb_fn=emb_fn, ae_fn=ae_fn, quant_fn=quant_fn
-    )
+    return TablePipeline(n_extras_visible=n_visible, emb=emb, ae_fn=ae_fn, quant_fn=quant_fn)
 
 
 # ---------------------------------------------------------------------------

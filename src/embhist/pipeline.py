@@ -365,6 +365,8 @@ def eval_vm(vms: dict[str, VMModel], log_: EventLog, schema: FeatureSchema,
     seq_dims = {arm: _arm_settings(arm, cfg, store)[1] for arm in vms}
     ids = schema_ids(schema, log_)
     rows = np.flatnonzero(log_.chunks == chunk)
+    if not rows.size:
+        raise DataError(f"chunk {chunk} has no events to evaluate")
     scores = {arm: [] for arm in vms}
     for part in _batches(len(rows), 128):
         # each batch is popped into its arm's call, so one (B, L, d) sequence
@@ -516,12 +518,8 @@ def old_generation_pipe(world, n_visible: int) -> TablePipeline:
     """The incumbent teacher's coarse stack: grid compressor plus 2-bit
     codes, so it genuinely loses part of the cross channel. The upgrade
     story assumes the new stack is at least as good (A3)."""
-    return TablePipeline(
-        n_extras_visible=n_visible,
-        emb_fn=posterior_embedding(world, n_visible),
-        ae_fn=grid_ae(2),
-        quant_fn=uniform_quantizer(2),
-    )
+    return TablePipeline(n_extras_visible=n_visible, emb=posterior_embedding(world, n_visible),
+                         ae_fn=grid_ae(2), quant_fn=uniform_quantizer(2))
 
 
 def new_generation_pipe(world, n_visible: int) -> TablePipeline:
@@ -529,12 +527,8 @@ def new_generation_pipe(world, n_visible: int) -> TablePipeline:
     resolution. The per-event posterior is a sufficient statistic for the
     event's label under this world, so every stage loss is exactly zero
     and the bound's numerator condition is met by construction."""
-    return TablePipeline(
-        n_extras_visible=n_visible,
-        emb_fn=posterior_embedding(world, n_visible),
-        ae_fn=identity_stage,
-        quant_fn=fixed_point_quantizer(),
-    )
+    return TablePipeline(n_extras_visible=n_visible, emb=posterior_embedding(world, n_visible),
+                         ae_fn=identity_stage, quant_fn=fixed_point_quantizer())
 
 
 def _subschema(world: WorldSpec, n_extras: int) -> FeatureSchema:
@@ -685,8 +679,7 @@ def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
         values["conditioning_reduces_entropy"] = worst
 
         # finer quantization cannot worsen the pipeline (A3-style pair)
-        fine = TablePipeline(pipe.n_extras_visible, pipe.emb_fn, pipe.ae_fn,
-                             uniform_quantizer(4))
+        fine = TablePipeline(pipe.n_extras_visible, pipe.emb, pipe.ae_fn, uniform_quantizer(4))
         rep_fine = verify_pipeline(world, fine)
         cross_fine = rep_fine.l_repr_cross + rep_fine.l_ae_cross + rep_fine.l_q_cross
         cross_coarse = rep.l_repr_cross + rep.l_ae_cross + rep.l_q_cross
@@ -750,12 +743,8 @@ def negative_transfer_example(world, pipe1: TablePipeline):
     is lossless, the new one crushes the posterior to its sign. `world`:
     `delta_sweep_world()` enumerated with `n_hist=1`; `pipe1`: its
     `new_generation_pipe(world, 2)`."""
-    pipe2 = TablePipeline(
-        n_extras_visible=3,
-        emb_fn=posterior_embedding(world, 3),
-        ae_fn=grid_ae(2),
-        quant_fn=uniform_quantizer(1),
-    )
+    pipe2 = TablePipeline(n_extras_visible=3, emb=posterior_embedding(world, 3),
+                          ae_fn=grid_ae(2), quant_fn=uniform_quantizer(1))
     return verify_tr_bound_population(world, pipe1, pipe2)
 
 

@@ -199,11 +199,11 @@ def _sorted_nearest(xs: np.ndarray, perm: np.ndarray, centers: np.ndarray,
 def fit_kmeans_int4(samples, iters: int = 50, seed: int = 0) -> tuple[Codec, list[float]]:
     """Lloyd's algorithm with k-means++ init over the pooled scalar samples.
 
-    Returns the fitted codec (centers sorted ascending) and the SSE per
-    iteration, which is non-increasing. Empty clusters are reseeded to the
-    sample farthest from its assigned center. Assignments come from one
-    sort of the samples (see _sorted_nearest) and equal _nearest's; each
-    cluster mean sums its members, a run of that sort, in sample order.
+    Returns the codec (centers ascending) and the SSE per iteration and at
+    the end. An empty cluster is reseeded to the sample farthest from its
+    center, so the SSE can alternate: a mean rounds onto another center and
+    the reseed undoes it. Assignments come from one sort of the samples
+    (_sorted_nearest) and equal _nearest's; a mean sums its run in sample order.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     _require_finite(x)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. Everything is seeded and
 deterministic; tolerances are pinned here and nowhere else.
 """
 
+import itertools
 import time
 from dataclasses import replace
 
@@ -82,12 +83,12 @@ def test_criterion_2_inequalities(battery):
 
 def test_criterion_3_monotone_sequence_length():
     world = enumerate_world(default_verification_spec(), n_hist=5)
-    pipe = TablePipeline(
-        n_extras_visible=1,
-        emb_fn=lambda vm, ex: tuple(vm) + tuple(ex),
-        ae_fn=identity_stage,
-        quant_fn=lambda z: tuple(int(v) for v in z),
-    )
+    # the per-event map (vm, ex) -> vm + ex over the first extra, as a table
+    vms = list(itertools.product(*map(range, world.vm_feature_cards)))
+    exs = [(e,) for e in range(world.extra_feature_cards[0])]
+    emb = np.array([[vm + ex for ex in exs] for vm in vms], dtype=np.float64)
+    pipe = TablePipeline(n_extras_visible=1, emb=emb, ae_fn=identity_stage,
+                         quant_fn=identity_stage)
     gains = verify_monotone_L(world, pipe, lengths=range(6))
     diffs = np.diff(gains)
     cap = world.table.cond_entropy(("Y",), ("V",))

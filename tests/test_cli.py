@@ -414,6 +414,24 @@ def test_mismatched_checkpoint_exits_4(tmp_path, capsys, config_path, case):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["chunk_9", "log_without_chunk_7"])
+def test_eval_on_a_chunk_without_events_exits_4(tmp_path, capsys, config_path, case):
+    checkpoint_files(tmp_path, config_path)
+    argv = ["eval", "--config", config_path, "--vm", str(tmp_path / "vm.lfmm"),
+            "--arm", "baseline"]
+    if case == "chunk_9":
+        argv += ["--chunk", "9"]
+    else:  # the default chunk, 7, cut out of a generated log
+        events = tmp_path / "events.tsv"
+        assert main(["gen-world", "--config", config_path, "--out", str(events)]) == 0
+        lines = events.read_text().splitlines(keepends=True)
+        events.write_text("".join(line for line in lines if line.split("\t")[2] != "7"))
+        argv += ["--events", str(events)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: chunk {case[-1]} has no events to evaluate"]
+
+
 def test_teacher_columns_of_unequal_length_exit_4(tmp_path, capsys, config_path):
     from embhist.compression import AEConfig, MatryoshkaAE, save_ae
 

@@ -12,8 +12,8 @@ from embhist import infotheory
 from embhist.errors import DomainError, NumericError, SchemaError, SizeError
 from embhist.infotheory import (
     Derived, JointTable, TablePipeline, TRBoundParams, clamp_eta, cmi_from_terms,
-    cross_sum_rounding_bound, eval_tr_lower_bound, grid_ae, identity_stage,
-    mixed_radix_table, posterior_embedding, random_table_pipeline,
+    cross_sum_rounding_bound, eval_tr_lower_bound, fixed_point_quantizer, grid_ae,
+    identity_stage, posterior_embedding, random_table_pipeline,
     uniform_quantizer, verify_gain_sandwich, verify_monotone_L, verify_pipeline,
     verify_tr_bound_population,
 )
@@ -314,13 +314,6 @@ class TestJointTable:
         assert np.array_equal(t.remap([]).probs, first.probs)
         assert first.probs.shape == () and float(first.probs) == 1.0
 
-    def test_mixed_radix_table_matches_decode(self):
-        for cards in ((), (3,), (2, 1, 4), (3, 2, 2)):
-            # np.unravel_index takes no empty shape; its one index has no digits
-            expect = (tuple(zip(*np.unravel_index(np.arange(math.prod(cards)), cards)))
-                      if cards else ((),))
-            assert mixed_radix_table(cards) == expect
-
     def test_remap_key_spans_only_referenced_axes(self, monkeypatch):
         # 2^20 cells; the middle axis is unreferenced and the inner run is 2
         t = random_table(("a", "b", "c"), (4, 2**17, 2), 13)
@@ -360,6 +353,20 @@ class TestJointTable:
             assert i_mapped <= i_full + 1e-9
 
 
+def digits_table(world, n_visible):
+    """The embedding table of the per-event map (vm, ex) -> vm + ex: at
+    [v, p] the digits of V cell v, then those of visible extras prefix p."""
+    vms = list(itertools.product(*map(range, world.vm_feature_cards)))
+    exs = list(itertools.product(*map(range, world.extra_feature_cards[:n_visible])))
+    return np.array([[vm + ex for ex in exs] for vm in vms], dtype=np.float64).reshape(
+        len(vms), len(exs), -1)
+
+
+def digits_pipe(world, n_visible):
+    """A lossless pipeline: the digits table, kept as it is by both stages."""
+    return TablePipeline(n_visible, digits_table(world, n_visible), identity_stage, identity_stage)
+
+
 def first_seen_codes(values):
     ids = {}
     return [ids.setdefault(v, len(ids)) for v in values]
@@ -369,7 +376,7 @@ class TestDerivedCodes:
     def test_extras_codes_partition_like_decoded_features(self):
         world = enumerate_world(random_enumerable_spec(5), n_hist=1)
         cards = world.extra_feature_cards
-        decoded = mixed_radix_table(cards)
+        decoded = list(itertools.product(*map(range, cards)))
         for pick in [slice(k) for k in range(len(cards) + 1)] + list(range(len(cards))):
             codes = infotheory._extras_derived(world, "x", "E", pick).codes
             assert codes.shape == (len(decoded),)
@@ -385,12 +392,9 @@ class TestDerivedCodes:
         )
         world = enumerate_world(spec, n_hist=2)
 
-        def emb_fn(vm, ex):  # the zero's sign follows the first extra
-            if vm[0]:
-                return (1.0,)
-            return (-0.0,) if ex[0] else (0.0,)
-
-        pipe = TablePipeline(1, emb_fn, identity_stage, lambda z: (int(z[0]),))
+        # [v, first extra]: the zero's sign follows the first extra
+        emb = np.array([[[0.0], [-0.0]], [[1.0], [1.0]]])
+        pipe = TablePipeline(1, emb, identity_stage, np.trunc)
         # -0.0 == 0.0, so each stage has two values, as tuple equality says
         assert [len(np.unique(codes)) for codes in pipe.stage_codes(world)] == [2, 2, 2]
         for stage in range(3):
@@ -398,6 +402,32 @@ class TestDerivedCodes:
             assert s_var.sources == ("V1", "E1", "V2", "E2")
             assert world.table.remap([s_var]).cards == (4,)
             assert_remap_exact(world.table, ["V", s_var, "Y"])
+
+    def test_embedding_table_is_a_read_only_copy_of_the_world_shape(self):
+        world = enumerate_world(random_enumerable_spec(5), n_hist=1)  # V: (2,), E: (2,)
+        table = digits_table(world, 1)
+        pipe = TablePipeline(1, table, identity_stage, identity_stage)
+        table[0, 0, 0] = 7.0
+        assert pipe.emb[0, 0, 0] == 0.0 and not pipe.emb.flags.writeable
+        assert pipe.stage_codes(world).shape == (3, 2, 2)
+        # a V cell short, a prefix cell short, the full E view, no k axis
+        for bad, n_visible in ((table[:1], 1), (table[:, :1], 1), (table, 0), (table[..., 0], 1)):
+            with pytest.raises(SchemaError):
+                TablePipeline(n_visible, bad, identity_stage, identity_stage).stage_codes(world)
+
+
+def test_stage_maps_match_pythons_round_value_by_value():
+    # the per-value maps the array maps replaced; np.rint and round both
+    # round a tie half to even (-0.0 from rint equals round's 0)
+    rng = np.random.default_rng(3)
+    z = np.concatenate([np.arange(-8, 9) / 8, rng.uniform(-1, 1, 200)])
+    for grid in (2, 3, 4):
+        assert grid_ae(grid)(z).tolist() == [round(v * grid) / grid for v in z.tolist()]
+    for bits in (1, 2, 3, 4):
+        half = 1 << (bits - 1)
+        assert uniform_quantizer(bits)(z).tolist() == [
+            min(max(round(v * half), -half), half - 1) for v in z.tolist()]
+    assert fixed_point_quantizer()(z).tolist() == [round(v * 10**9) for v in z.tolist()]
 
 
 def gain_terms_oracle(world, pipe):
@@ -432,12 +462,7 @@ class TestGainDecomposition:
         spec = random_enumerable_spec(3)
         world = enumerate_world(spec, n_hist=1)
         n_extras = len(world.extra_feature_cards)
-        pipe = TablePipeline(
-            n_extras_visible=n_extras,
-            emb_fn=lambda vm, ex: tuple(vm) + tuple(ex),
-            ae_fn=identity_stage,
-            quant_fn=lambda z: tuple(int(v) for v in z),
-        )
+        pipe = digits_pipe(world, n_extras)
         rep = verify_pipeline(world, pipe)
         # identity pipeline: no compression residual, cross carries all raw info
         assert rep.i_residual == pytest.approx(0.0, abs=1e-12)
@@ -455,12 +480,7 @@ class TestGainDecomposition:
             beta_temporal=0.0, temporal_window=2, temporal_cap=1,
         )
         world = enumerate_world(spec, n_hist=2)
-        pipe = TablePipeline(
-            n_extras_visible=1,
-            emb_fn=lambda vm, ex: tuple(vm) + tuple(ex),
-            ae_fn=identity_stage,
-            quant_fn=lambda z: tuple(int(v) for v in z),
-        )
+        pipe = digits_pipe(world, 1)
         rep = verify_pipeline(world, pipe)
         assert rep.i_temporal == pytest.approx(0.0, abs=1e-12)
         assert rep.i_cross == pytest.approx(0.0, abs=1e-12)
@@ -476,8 +496,7 @@ class TestGainDecomposition:
             beta_temporal=0.6, temporal_window=2, temporal_cap=1,
         )
         world = enumerate_world(spec, n_hist=2)
-        pipe = TablePipeline(0, lambda vm, ex: tuple(vm), identity_stage,
-                             lambda z: tuple(int(v) for v in z))
+        pipe = digits_pipe(world, 0)
         rep = verify_pipeline(world, pipe)
         assert rep.i_cross == 0.0
         assert rep.i_feature_raw == 0.0
@@ -489,12 +508,7 @@ class TestPipelineDecomposition:
     def test_identity_pipeline_all_losses_zero(self):
         spec = random_enumerable_spec(5)
         world = enumerate_world(spec, n_hist=1)
-        pipe = TablePipeline(
-            n_extras_visible=len(world.extra_feature_cards),
-            emb_fn=lambda vm, ex: tuple(vm) + tuple(ex),
-            ae_fn=identity_stage,
-            quant_fn=lambda z: tuple(int(v) for v in z),
-        )
+        pipe = digits_pipe(world, len(world.extra_feature_cards))
         rep = verify_pipeline(world, pipe)
         for loss in (rep.l_repr, rep.l_ae, rep.l_q, rep.l_repr_cross,
                      rep.l_ae_cross, rep.l_q_cross):
@@ -597,8 +611,7 @@ class TestMonotoneL:
             beta_temporal=0.0, temporal_window=2, temporal_cap=1,
         )
         world = enumerate_world(spec, n_hist=3)
-        pipe = TablePipeline(1, lambda vm, ex: tuple(vm) + tuple(ex),
-                             identity_stage, lambda z: tuple(int(v) for v in z))
+        pipe = digits_pipe(world, 1)
         gains = verify_monotone_L(world, pipe)
         assert np.allclose(gains, 0.0, atol=1e-10)
 
@@ -657,8 +670,6 @@ def _small_sweep_world():
 
 
 def _lossless_pipe(world, n_vis):
-    from embhist.infotheory import fixed_point_quantizer
-
     return TablePipeline(n_vis, posterior_embedding(world, n_vis),
                          identity_stage, fixed_point_quantizer())
 

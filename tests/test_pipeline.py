@@ -1,4 +1,5 @@
 import gc
+import itertools
 import logging
 import math
 import re
@@ -12,7 +13,6 @@ import pytest
 
 from embhist import infotheory, pipeline
 from embhist.errors import ConfigError, DataError
-from embhist.infotheory import mixed_radix_table
 from embhist.models import FMConfig, FMModel, FeatureSchema, VMConfig, VMModel
 from embhist.pipeline import (
     ExperimentConfig, FM_TRAIN_CHUNKS, TEST_CHUNK, VM_TRAIN_CHUNKS,
@@ -640,13 +640,16 @@ class TestSweepReuse:
         tr_sweep_suite(0)
         assert len(seen) == 6
         for pipe, world, codes in seen.values():
-            ids, rows = ({}, {}, {}), []
-            for vm in mixed_radix_table(world.vm_feature_cards):
-                for ex in mixed_radix_table(world.extra_feature_cards):
-                    emb = tuple(pipe.emb_fn(vm, ex[: pipe.n_extras_visible]))
-                    z = tuple(pipe.ae_fn(emb))
-                    rows.append([d.setdefault(value, len(d)) for d, value
-                                 in zip(ids, (emb, z, tuple(pipe.quant_fn(z))))])
+            ecards, ids, rows = world.extra_feature_cards, ({}, {}, {}), []
+            for v in range(math.prod(world.vm_feature_cards)):
+                for ex in itertools.product(*map(range, ecards)):
+                    p = 0  # the visible prefix's mixed-radix cell
+                    for digit, card in zip(ex[: pipe.n_extras_visible], ecards):
+                        p = p * card + digit
+                    emb = pipe.emb[v, p]
+                    z = pipe.ae_fn(emb)
+                    rows.append([d.setdefault(tuple(value.tolist()), len(d)) for d, value
+                                 in zip(ids, (emb, z, pipe.quant_fn(z)))])
             assert np.array_equal(codes, np.array(rows).T.reshape(codes.shape))
 
 

@@ -320,6 +320,16 @@ class TestSortOnceLloyd:
         assert any((c == 0).any() for c in counts[:-1])  # the last call ends the fit
         assert (codec.codebook, history) == reference_fit(x, 4, 0)
 
+    def test_sse_alternates_when_a_mean_rounds_onto_a_center(self):
+        # the input above: each reseed undoes the tie, so the SSE is not
+        # monotone but alternates 0, 5.8e-34, 0, ... until iters runs out
+        tie = np.nextafter(0.1, 1.0)
+        codec, history = fit_kmeans_int4([0.1] * 3 + [tie] + list(range(1, 15)), iters=10)
+        assert codec.codebook == (0.1, tie, *map(float, range(1, 15)))
+        assert np.all(np.diff(codec.codebook) > 0)
+        assert len(history) == 11  # every iteration ran, then the final SSE
+        assert set(history[::2]) == {0.0} and min(history[1::2]) > 0.0
+
     def test_non_finite_sample_names_its_index(self):
         x = np.linspace(-1, 1, 40)
         x[7] = np.nan

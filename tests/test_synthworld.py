@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from embhist.errors import ConfigError, DataError, SizeError
-from embhist.infotheory import mixed_radix_table
 from embhist.synthworld import (
     WorldSpec, enumerate_world, feature_effect, generate, load_event_log,
     random_enumerable_spec, true_probability,
@@ -174,8 +174,8 @@ class TestTrueConditional:
     def test_full_conditioning_matches_generative_law(self):
         table = enumerate_world(TINY, n_hist=2).table
         joint = table.marginal_array(("V", "E", "Y1", "Y2", "Y"))
-        vm, extra = (mixed_radix_table(TINY.vm_cardinalities),
-                     mixed_radix_table(TINY.extra_cardinalities))
+        vm, extra = (list(itertools.product(*map(range, TINY.vm_cardinalities))),
+                     list(itertools.product(*map(range, TINY.extra_cardinalities))))
         for v in range(TINY.vm_card):
             for e in range(TINY.extra_card):
                 for y1 in range(2):
@@ -190,8 +190,8 @@ class TestTrueConditional:
         p1 = enumerate_world(TINY, n_hist=2).table.marginal_array(("Y",))[1]
         # the same rate summed along the generative law's chain: uniform
         # features, each label drawn given the labels before it
-        steps = [(v, e) for v in mixed_radix_table(TINY.vm_cardinalities)
-                 for e in mixed_radix_table(TINY.extra_cardinalities)]
+        steps = list(itertools.product(itertools.product(*map(range, TINY.vm_cardinalities)),
+                                       itertools.product(*map(range, TINY.extra_cardinalities))))
         w = 1.0 / len(steps)
 
         def rate(pos: int) -> float:
