@@ -1,6 +1,7 @@
 """Seeded outputs against tests/golden.json, bit for bit: the theory rows,
-and the sha256 of each ablation table and of the din_attention and
-per_split reports.
+the sha256 of each ablation table and of the din_attention and per_split
+reports, and the sha256 of each file of the staged CLI chain with the line
+its eval prints.
 
 The file is written by scripts/make_golden.py; regenerate it only in a
 change that means to move these outputs.
@@ -45,3 +46,10 @@ def test_ablation_outputs_match_golden():
     for name, digest in GOLDEN["ablations"].items():
         assert next(got, None) == (name, digest), f"ablation output {name!r} differs from golden"
     assert next(got, None) is None, "an ablation output has no golden entry"
+
+
+def test_staged_outputs_match_golden():
+    got = make_golden.staged_digests()
+    for name, value in GOLDEN["staged"].items():
+        assert next(got, None) == (name, value), f"staged output {name!r} differs from golden"
+    assert next(got, None) is None, "a staged output has no golden entry"
