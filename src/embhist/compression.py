@@ -76,14 +76,14 @@ class MatryoshkaAE:
     def _encode_node(self, nodes, x: nn.Node) -> nn.Node:
         h = x
         if self.config.use_hidden:
-            h = nn.relu(nn.affine(h, nodes["enc.h.w"], nodes["enc.h.b"]))
+            h = nn.affine_relu(h, nodes["enc.h.w"], nodes["enc.h.b"])
         out = nn.affine(h, nodes["enc.out.w"], nodes["enc.out.b"])
         return nn.tanh_(out) if self.config.encoder_activation == "tanh" else out
 
     def _decode_node(self, nodes, z_prefix: nn.Node, d: int) -> nn.Node:
         h = z_prefix
         if self.config.use_hidden:
-            h = nn.relu(nn.affine(h, nodes[f"dec{d}.h.w"], nodes[f"dec{d}.h.b"]))
+            h = nn.affine_relu(h, nodes[f"dec{d}.h.w"], nodes[f"dec{d}.h.b"])
         return nn.affine(h, nodes[f"dec{d}.out.w"], nodes[f"dec{d}.out.b"])
 
     def loss(self, nodes) -> nn.Node:
@@ -92,9 +92,7 @@ class MatryoshkaAE:
         z = self._encode_node(nodes, target)
         total = None
         for d in self.config.dims:
-            recon = self._decode_node(nodes, nn.slice_cols(z, 0, d), d)
-            diff = nn.sub(recon, target)
-            term = nn.sum_all(nn.mul(diff, diff))
+            term = nn.sse(self._decode_node(nodes, nn.slice_cols(z, 0, d), d), target)
             total = term if total is None else nn.add(total, term)
         return nn.scale(total, 1.0 / len(target.value))
 

@@ -237,7 +237,7 @@ def _pool(kind: str, entries: Node, mask: Node, query: Node | None,
     if kind in ("mean_pool", "sum_pool"):
         return nn.attn_pool(mask, entries, l)
     feats = nn.din_features(entries, query, l)  # din_attention
-    h = nn.relu(nn.affine(feats, nodes[f"{prefix}.s0.w"], nodes[f"{prefix}.s0.b"]))
+    h = nn.affine_relu(feats, nodes[f"{prefix}.s0.w"], nodes[f"{prefix}.s0.b"])
     scores = nn.affine(h, nodes[f"{prefix}.s1.w"], nodes[f"{prefix}.s1.b"])
     weights = nn.masked_softmax(nn.reshape(scores, b, l), mask)
     return nn.attn_pool(weights, entries, l)
@@ -287,7 +287,7 @@ def tower(nodes: dict[str, Node], x: Node, depth: int) -> tuple[Node, list[Node]
     """The prediction and the hidden activations of an `add_tower` stack."""
     hidden = []
     for i in range(depth):
-        x = nn.relu(nn.affine(x, nodes[f"mlp{i}.w"], nodes[f"mlp{i}.b"]))
+        x = nn.affine_relu(x, nodes[f"mlp{i}.w"], nodes[f"mlp{i}.b"])
         hidden.append(x)
     return nn.sigmoid(nn.affine(x, nodes["out.w"], nodes["out.b"])), hidden
 

@@ -1,11 +1,12 @@
 """Dense neural-net kernel: float64 arrays, reverse-mode tape, Adam.
 
 Everything is plain numpy float64; matrices are 2-D row-major arrays. The
-op vocabulary is fixed to what the models in this package need (affine,
-elementwise add/sub/mul/scale, a few activations, embedding gather, column
-concat and slice, reshape, DIN's [z; q; z*q; z-q] attention input as one
-fused op, masked softmax, pooling, sums, clamped cross-entropy); this is
-manual backpropagation with a recorded cache, not a general autodiff system.
+op vocabulary is fixed to what the models in this package need (affine and
+affine-then-ReLU, add, scale, tanh, sigmoid, embedding gather, column concat
+and slice, reshape, DIN's [z; q; z*q; z-q] attention input, masked softmax,
+pooling, sums, summed squared error, clamped cross-entropy). Each fused op
+keeps the bits of the ops it fuses; this is manual backpropagation with a
+recorded cache, not a general autodiff system.
 
 Each op is a Node subclass with one forward/backward pair. A tape starts
 at `ParamStore.as_nodes` (a node per parameter and per batch array) and
@@ -189,8 +190,20 @@ class affine(matmul):
         matmul.bw(self, g)
 
 
-class _Elementwise(_Op):
-    """`ufunc` over two nodes of one shape."""
+class affine_relu(affine):
+    """max(x @ w + b, 0) as one op. Its output is positive exactly where the
+    affine's is, so backward masks `g` by the output."""
+
+    def fw(self, out):
+        out = affine.fw(self, out)
+        return np.maximum(out, 0.0, out=out)
+
+    def bw(self, g):
+        affine.bw(self, np.multiply(g, self.value > 0.0))
+
+
+class add(_Op):
+    """a + b over two nodes of one shape."""
 
     def __init__(self, a: Node, b: Node):
         if a.value.shape != b.value.shape:
@@ -198,11 +211,7 @@ class _Elementwise(_Op):
         super().__init__(a, b)
 
     def fw(self, out):
-        return self.ufunc(self.parents[0].value, self.parents[1].value, out=out)
-
-
-class add(_Elementwise):
-    ufunc = np.add
+        return np.add(self.parents[0].value, self.parents[1].value, out=out)
 
     def bw(self, g):
         for p in self.parents:
@@ -210,26 +219,23 @@ class add(_Elementwise):
                 _acc(p, g)
 
 
-class sub(_Elementwise):
-    ufunc = np.subtract
+class sse(add):
+    """sum((a - b)^2) over two nodes of one shape, as a (1, 1) value; `aux`
+    keeps a - b. Backward hands a the sum t + t of t = g * (a - b), as the
+    two contributions of the unfused square would, and b its negation."""
+
+    def fw(self, out):
+        d = self.aux = np.subtract(self.parents[0].value, self.parents[1].value, out=self.aux)
+        return np.array([[np.multiply(d, d).sum()]])
 
     def bw(self, g):
         a, b = self.parents
+        t = np.multiply(self.aux, g[0, 0], out=_buf(a))
+        t += t
         if a.flows:
-            _acc(a, g)
+            _acc(a, t)
         if b.flows:
-            _acc(b, np.negative(g, out=_buf(b)))
-
-
-class mul(_Elementwise):
-    ufunc = np.multiply
-
-    def bw(self, g):
-        a, b = self.parents
-        if a.flows:
-            _acc(a, np.multiply(g, b.value, out=_buf(a)))
-        if b.flows:
-            _acc(b, np.multiply(g, a.value, out=_buf(b)))
+            _acc(b, np.negative(t, out=_buf(b)))
 
 
 class scale(_Unary):
@@ -241,15 +247,6 @@ class scale(_Unary):
     def bw(self, g):
         x = self.parents[0]
         _acc(x, np.multiply(g, float(self.aux[0]), out=_buf(x)))
-
-
-class relu(_Unary):
-    def fw(self, out):
-        return np.maximum(self.parents[0].value, 0.0, out=out)
-
-    def bw(self, g):
-        x = self.parents[0]
-        _acc(x, np.multiply(g, x.value > 0.0, out=_buf(x)))
 
 
 class tanh_(_Unary):

@@ -87,8 +87,8 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"need at least one seed, each listed once, got {self.seeds!r}")
         for arm in self.arms:
             if arm not in ARMS:
                 raise ConfigError(f"unknown arm {arm!r}")
@@ -646,7 +646,9 @@ def _checks(world: str, values: dict):
 
 
 def theory_battery(n_worlds: int = 20, seed: int = 0) -> TheorySuiteResult:
-    """Randomized identity/inequality battery over enumerable worlds."""
+    """Randomized identity/inequality battery over n_worlds >= 1 enumerable worlds."""
+    if n_worlds < 1:
+        raise ConfigError(f"the theory battery needs at least one world, got {n_worlds}")
     checks: list[TheoryCheck] = []
     for k in range(n_worlds):
         spec = random_enumerable_spec(derive_seed(seed, "battery", k))

@@ -171,6 +171,19 @@ def test_unknown_layer_or_encoder_exits_2_before_training(tmp_path, capsys, monk
     assert len(err) == 1 and err[0].startswith("config error") and line.split(" = ")[1] in err[0]
 
 
+def test_repeated_seed_exits_2_before_any_seed_runs(tmp_path, capsys, monkeypatch):
+    from embhist import pipeline
+
+    calls = []
+    monkeypatch.setattr(pipeline, "run_seed", lambda *args: calls.append(args))
+    path = tmp_path / "twice.ini"
+    path.write_text("[world]\nn_users = 24\nevents_per_user = 16\n[experiment]\nseeds = 0,0\n")
+    rc = main(["run-experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and not calls
+    assert len(err) == 1 and err[0].startswith("config error") and "(0, 0)" in err[0]
+
+
 def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     # a world under the 2^31-row bound may still not fit the host; generate
     # fails here as numpy does, and no large world is ever built
@@ -278,6 +291,15 @@ def test_verify_theory_quick(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ALL CHECKS PASSED" in out
     assert (tmp_path / "theory" / "theory_checks.tsv").exists()
+
+
+@pytest.mark.parametrize("worlds", ["0", "-3"])
+def test_verify_theory_without_a_world_exits_2(capsys, worlds):
+    rc = main(["verify-theory", "--worlds", worlds])
+    out, err = capsys.readouterr()
+    assert rc == 2 and "ALL CHECKS PASSED" not in out
+    assert err.splitlines() == [f"config error: the theory battery needs at least one world, "
+                                f"got {worlds}"]
 
 
 def test_verify_theory_failure_exits_3(monkeypatch, capsys):

@@ -142,8 +142,8 @@ class TestOneTable:
         up_hist = rng.uniform(-1, 1, (b * lh, len(cards) * d))
 
         def loss(layer, hist_layer):
-            return nn.add(nn.sum_all(nn.mul(layer, nn.constant(up))),
-                          nn.sum_all(nn.mul(hist_layer, nn.constant(up_hist))))
+            return nn.add(nn.sse(layer, nn.constant(up)),
+                          nn.sse(hist_layer, nn.constant(up_hist)))
 
         one = nn.ParamStore()
         one.add("emb", table)
@@ -529,6 +529,28 @@ class TestReplay:
         gathers = [n for n in flowing if isinstance(n, nn.gather_rows)]
         assert len(gathers) == 2 and all(n.gbuf is None for n in gathers)
         assert all(n.gbuf is not None for n in flowing if isinstance(n, nn.din_features))
+
+    def test_ops_per_traced_step(self):
+        # affine_relu and sse each stand for ops that always run together;
+        # the student's query affine feeds no mean_pool, so no tape keeps it
+        from embhist.compression import AEConfig, MatryoshkaAE
+
+        def ops(model, arrays):
+            trace = nn.Trace(model.loss, model.params, nn.AdamState.for_params(model.params))
+            trace.step(arrays)
+            (_, forward, *_), = trace.tapes.values()
+            return len(forward)
+
+        log, rows = sample_log(), np.arange(8)
+        fm = FMModel(schema(), FMConfig(), seed=0)
+        ae = MatryoshkaAE(10, AEConfig(), seed=0)
+        vm = VMModel(schema(), VMConfig(), seed=0)
+        seq_vm = VMModel(schema(), VMConfig(seq_encoder="mean_pool", seq_dim=4), seed=0)
+        rng = np.random.default_rng(0)
+        assert [ops(fm, fm.arrays(fm_batch(fm.schema, log, rows))),
+                ops(ae, {"x": rng.uniform(-1, 1, (8, 10))}),
+                ops(vm, vm.arrays(vm_batch(vm.schema, log, rows))),
+                ops(seq_vm, _seq_batch(seq_vm, log, rows, rng))] == [19, 18, 9, 11]
 
     def test_outside_mutation_rejected(self):
         vm = VMModel(schema(), VMConfig(hidden=(8, 4)), seed=5)

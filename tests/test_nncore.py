@@ -51,8 +51,9 @@ class TestActivation:
     def test_fixed_points(self):
         assert nn.sigmoid(nn.constant([[0.0]])).value[0, 0] == 0.5
         assert nn.tanh_(nn.constant([[0.0]])).value[0, 0] == 0.0
-        assert nn.relu(nn.constant([[-2.0]])).value[0, 0] == 0.0
-        assert nn.relu(nn.constant([[3.0]])).value[0, 0] == 3.0
+        one, zero = nn.constant([[1.0]]), nn.constant([[0.0]])
+        assert nn.affine_relu(nn.constant([[-2.0]]), one, zero).value[0, 0] == 0.0
+        assert nn.affine_relu(nn.constant([[3.0]]), one, zero).value[0, 0] == 3.0
 
     def test_ranges(self):
         x = rand((4, 5), 7) * 10
@@ -120,8 +121,8 @@ class TestBackward:
         a, b = nn.ParamStore(), nn.ParamStore()
         a.add("w", rand((2, 2), 0))
         b.add("v", rand((2, 2), 1))
-        other = nn.relu(b.as_nodes()["v"])
-        out = nn.mean_all(nn.mul(a.as_nodes()["w"], other))
+        other = nn.scale(b.as_nodes()["v"], 2.0)
+        out = nn.sse(a.as_nodes()["w"], other)
         with pytest.raises(ContractViolation):
             nn.backward(out)
 
@@ -147,7 +148,7 @@ class TestOpsGradients:
             scores = nn.reshape(nn.matmul(nn.constant(rand((6, 2), 1)), nodes["w"]), 2, 3)
             weights = nn.masked_softmax(scores, nn.Node(mask))
             pooled = nn.attn_pool(weights, nn.constant(rand((6, 4), 2)), 3)
-            return nn.mean_all(nn.mul(pooled, pooled))
+            return nn.sse(pooled, nn.constant(rand((2, 4), 3)))
 
         self._check(build, {"w": (2, 1)}, tol=1e-5)
 
@@ -156,10 +157,10 @@ class TestOpsGradients:
 
         def build(nodes):
             e = nn.gather_rows(nodes["table"], nn.Node(idx))
-            both = nn.concat_cols([e, nn.relu(e)])
-            return nn.mean_all(nn.mul(both, both))
+            both = nn.concat_cols([e, nn.affine_relu(e, nodes["w"], nodes["b"])])
+            return nn.sse(both, nn.constant(rand((4, 7), 1)))
 
-        self._check(build, {"table": (3, 4)}, tol=1e-5)
+        self._check(build, {"table": (3, 4), "w": (4, 3), "b": (1, 3)}, tol=1e-5)
 
     def test_din_features_and_slice(self):
         # both parents flow, as in the teacher's attention over its history;
@@ -167,7 +168,7 @@ class TestOpsGradients:
         def build(nodes):
             feats = nn.din_features(nodes["z"], nodes["q"], 3)
             part = nn.slice_cols(feats, 2, 14)
-            return nn.mean_all(nn.mul(part, nn.tanh_(part)))
+            return nn.sse(nn.tanh_(part), nn.constant(rand((6, 12), 4)))
 
         self._check(build, {"z": (6, 4), "q": (2, 4)}, tol=1e-5)
 
@@ -177,7 +178,7 @@ class TestOpsGradients:
 
         def build(nodes):
             feats = nn.din_features(nn.constant(z), nodes["q"], 3)
-            return nn.mean_all(nn.mul(feats, nn.tanh_(feats)))
+            return nn.sse(nn.tanh_(feats), nn.constant(rand((6, 16), 4)))
 
         self._check(build, {"q": (2, 4)}, tol=1e-5)
 
@@ -205,7 +206,7 @@ class TestGradCheckOp:
 
         def loss_fn(s):
             nodes = s.as_nodes()
-            h = nn.relu(nn.affine(nn.constant(x), nodes["w0"], nodes["b0"]))
+            h = nn.affine_relu(nn.constant(x), nodes["w0"], nodes["b0"])
             p = nn.sigmoid(nn.affine(h, nodes["w1"], nodes["b1"]))
             return nn.mean_all(nn.bce(p, nn.constant(y))), nodes
 
@@ -218,8 +219,7 @@ class TestGradCheckOp:
 
         def loss_fn(s):
             nodes = s.as_nodes()
-            doubled = nn.mul(nodes["w"], nodes["w"])
-            return nn.mean_all(nn.mul(doubled, doubled)), nodes
+            return nn.sse(nodes["w"], nn.constant([[-1e300]])), nodes  # (2e300)^2
 
         with pytest.raises(nn.NumericError):
             nn.grad_check(loss_fn, store, n_probes=2)
@@ -290,6 +290,9 @@ class TestDeterminism:
         assert np.all(np.abs(a) <= limit)
 
 
+# the unfused ops that din_features, affine_relu and sse replace, as
+# references for their bits
+
 class _RepeatRows(nn._Unary):
     """The row repeat that din_features fuses: (B, d) -> (B*k, d), as (x, k)."""
 
@@ -302,9 +305,63 @@ class _RepeatRows(nn._Unary):
         nn._acc(x, g.reshape(b, self.aux[0], d).sum(axis=1, out=nn._buf(x)))
 
 
+class _Relu(nn._Unary):
+    def fw(self, out):
+        return np.maximum(self.parents[0].value, 0.0, out=out)
+
+    def bw(self, g):
+        x = self.parents[0]
+        nn._acc(x, np.multiply(g, x.value > 0.0, out=nn._buf(x)))
+
+
+class _Sub(nn._Op):
+    def fw(self, out):
+        return np.subtract(self.parents[0].value, self.parents[1].value, out=out)
+
+    def bw(self, g):
+        a, b = self.parents
+        if a.flows:
+            nn._acc(a, g)
+        if b.flows:
+            nn._acc(b, np.negative(g, out=nn._buf(b)))
+
+
+class _Mul(nn._Op):
+    def fw(self, out):
+        return np.multiply(self.parents[0].value, self.parents[1].value, out=out)
+
+    def bw(self, g):
+        a, b = self.parents
+        if a.flows:
+            nn._acc(a, np.multiply(g, b.value, out=nn._buf(a)))
+        if b.flows:
+            nn._acc(b, np.multiply(g, a.value, out=nn._buf(b)))
+
+
 def _unfused_din_features(z, q, seq_len):
     rep = _RepeatRows(q, seq_len)
-    return nn.concat_cols([z, rep, nn.mul(z, rep), nn.sub(z, rep)])
+    return nn.concat_cols([z, rep, _Mul(z, rep), _Sub(z, rep)])
+
+
+def _unfused_affine_relu(x, w, b):
+    return _Relu(nn.affine(x, w, b))
+
+
+def _unfused_sse(a, b):
+    diff = _Sub(a, b)
+    return nn.sum_all(_Mul(diff, diff))
+
+
+def _eager(build, init):
+    """The loss value and the gradient of one eager step of `build` over
+    parameters `init`."""
+    store = nn.ParamStore()
+    for name, value in init.items():
+        store.add(name, value)
+    nodes = store.as_nodes()
+    loss = build(nodes)
+    nn.backward(loss)
+    return loss.value, nn.collect_grads(store, nodes)
 
 
 class TestDinFeatures:
@@ -336,7 +393,7 @@ class TestDinFeatures:
             q = nn.scale(nodes["q"], 2.0)
             h = nn.matmul(feats_fn(z, q, 4), nodes["w"])
             pooled = nn.attn_pool(nn.reshape(h, 3, 4), z, 4)
-            nn.backward(nn.sum_all(nn.mul(pooled, q)))
+            nn.backward(nn.sum_all(_Mul(pooled, q)))
             grads[feats_fn] = nn.collect_grads(store, nodes)
         assert grads[nn.din_features].tobytes() == grads[_unfused_din_features].tobytes()
 
@@ -345,6 +402,73 @@ class TestDinFeatures:
             nn.din_features(nn.constant(rand((12, 5), 1)), nn.constant(rand((3, 5), 2)), 5)
         with pytest.raises(DimensionError):
             nn.din_features(nn.constant(rand((12, 4), 1)), nn.constant(rand((3, 5), 2)), 4)
+
+
+class TestFusedOps:
+    """affine_relu and sse give the bits of the ops they fuse, forward and
+    backward, and their gradients match central differences."""
+
+    @pytest.mark.parametrize("input_flows", [True, False])
+    def test_affine_relu_matches_affine_then_relu(self, input_flows):
+        rng = np.random.default_rng(8)
+        # a wide dynamic range, so a different summation order changes the bits
+        init = {"x": rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-6, 6, (6, 5)),
+                "w": rng.normal(size=(5, 4)), "b": rng.normal(size=(1, 4)),
+                "v": rng.normal(size=(4, 3))}
+        init["x"][0], init["b"][0, 1] = 0.0, 0.0  # an exact zero pre-activation
+        c = rng.normal(size=(6, 3)) * 10.0 ** rng.uniform(-6, 6, (6, 3))
+        out = {}
+        for op in (nn.affine_relu, _unfused_affine_relu):
+            hidden = []
+
+            def build(nodes):
+                x = nn.scale(nodes["x"], 0.5) if input_flows else nn.constant(init["x"])
+                hidden.append(op(x, nodes["w"], nodes["b"]))
+                return nn.sum_all(_Mul(nn.matmul(hidden[0], nodes["v"]), nn.constant(c)))
+
+            out[op] = (*_eager(build, init), hidden[0].value)
+        h = out[nn.affine_relu][2]
+        assert h[0, 1] == 0.0 and (h > 0.0).any()
+        for got, want in zip(out[nn.affine_relu], out[_unfused_affine_relu]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("target_flows", [True, False])
+    def test_sse_matches_sub_mul_sum(self, target_flows):
+        rng = np.random.default_rng(9)
+        # a wide dynamic range, so a different summation order changes the bits
+        init = {"a": rng.normal(size=(16, 5)) * 10.0 ** rng.uniform(-6, 6, (16, 5)),
+                "t": rng.normal(size=(16, 5))}
+        out = {}
+        for op in (nn.sse, _unfused_sse):
+            def build(nodes):
+                target = nodes["t"] if target_flows else nn.constant(init["t"])
+                # a loss gradient other than 1, and a target read again after
+                return nn.add(nn.scale(op(nn.scale(nodes["a"], 0.5), target), 0.37),
+                              nn.sum_all(target))
+            out[op] = _eager(build, init)
+        for got, want in zip(out[nn.sse], out[_unfused_sse]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradients_match_central_differences(self):
+        store = nn.ParamStore()
+        store.add("w", rand((5, 3), 1))
+        store.add("b", rand((1, 3), 2) * 0.1)
+        store.add("t", rand((8, 3), 3))
+        x = rand((8, 5), 4)
+
+        def loss_fn(s):
+            nodes = s.as_nodes()
+            h = nn.affine_relu(nn.constant(x), nodes["w"], nodes["b"])
+            return nn.sse(h, nodes["t"]), nodes
+
+        assert nn.grad_check(loss_fn, store, n_probes=40) < 1e-6
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            nn.sse(nn.constant(rand((2, 3), 0)), nn.constant(rand((3, 2), 1)))
+        with pytest.raises(DimensionError):
+            nn.affine_relu(nn.constant(rand((2, 3), 0)), nn.constant(rand((4, 2), 1)),
+                           nn.constant(rand((1, 2), 2)))
 
 
 class TestLeanTape:
@@ -367,8 +491,8 @@ class TestLeanTape:
         nodes = store.as_nodes()
         e1 = nn.gather_rows(nodes["t"], nn.Node(idx1))
         e2 = nn.gather_rows(nodes["t"], nn.Node(idx2))
-        loss = nn.add(nn.sum_all(nn.mul(e1, nn.constant(c1))),
-                      nn.sum_all(nn.mul(e2, nn.constant(c2))))
+        loss = nn.add(nn.sum_all(_Mul(e1, nn.constant(c1))),
+                      nn.sum_all(_Mul(e2, nn.constant(c2))))
         nn.backward(loss)
 
         # the zero-filled tape: the later gather's rows first, then the earlier's
@@ -425,8 +549,7 @@ class TestLeanTape:
         store.add("unused", rand((2, 2), 1))
         nodes = store.as_nodes()
         x, target = nn.constant(rand((4, 3), 2)), nn.constant(rand((4, 2), 3))
-        diff = nn.sub(nn.matmul(x, nodes["w"]), target)
-        nn.backward(nn.mean_all(nn.mul(diff, diff)))
+        nn.backward(nn.sse(nn.matmul(x, nodes["w"]), target))
         assert x.grad is None and target.grad is None
         assert nodes["unused"].grad is None
         unused = store.views(nn.collect_grads(store, nodes))["unused"]
@@ -450,8 +573,8 @@ class TestLeanTape:
         a, b = nn.ParamStore(), nn.ParamStore()
         a.add("w", rand((2, 2), 0))
         b.add("v", rand((2, 2), 1))
-        other = nn.relu(b.as_nodes()["v"])
-        out = nn.mean_all(nn.mul(a.as_nodes()["w"], other))
+        other = nn.scale(b.as_nodes()["v"], 2.0)
+        out = nn.sse(a.as_nodes()["w"], other)
         with pytest.raises(ContractViolation):
             nn.backward(out)
 

@@ -54,6 +54,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_cfg(seeds=())
 
+    def test_repeated_seeds(self):
+        # a repeated seed would run twice and list its report rows twice
+        with pytest.raises(ConfigError, match="each listed once"):
+            small_cfg(seeds=(0, 1, 0))
+
     def test_bad_codec(self):
         with pytest.raises(ConfigError):
             small_cfg(codec_kind="int2")
